@@ -1,6 +1,7 @@
 """AdaptIR: a three-branch parameter-efficient adapter for frozen image
-restoration transformers, with its own autodiff tensor core, FFT, data
-pipeline and training/evaluation harness."""
+restoration transformers, with its own autodiff tensor core (FFT ops
+included, computed by numpy.fft), data pipeline and training/evaluation
+harness."""
 
 from .tensor import Tensor, ShapeError, ContractError, no_grad
 from .adapter import AdaptIR, AdaptIRConfig, ConfigError

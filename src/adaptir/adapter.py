@@ -59,8 +59,6 @@ class AdaptIRConfig:
             )
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype}")
-        if not self.lim_decompose:
-            pass  # full kernel is stored directly
         if not self.lim_depthwise and self.lim_decompose:
             raise ConfigError("full-channel local branch is only supported undecomposed")
 

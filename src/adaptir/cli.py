@@ -78,6 +78,12 @@ def _resolve(config_path, **overrides) -> dict:
     if config_path:
         cfg.update(_parse_config_file(config_path))
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    for key in ("epochs", "images", "eval_n", "batch_size"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    if cfg["batch_size"] > cfg["images"]:
+        raise ConfigError(f"batch_size {cfg['batch_size']} exceeds images {cfg['images']}:"
+                          " an epoch would have no full batch")
     return cfg
 
 
@@ -295,7 +301,8 @@ def cmd_ablate(config_path, seed, out, task, epochs, axes):
         model = _load_host(cfg)
         rows = P.ablate(model, cfg["task"], cfg["axes"], epochs=cfg["epochs"],
                         seed=cfg["seed"], base_lr=cfg["base_lr"],
-                        images=cfg["images"], eval_n=cfg["eval_n"],
+                        batch_size=cfg["batch_size"], images=cfg["images"],
+                        eval_n=cfg["eval_n"],
                         adapter_config=_adapter_config(cfg))
         _write_reports(out_dir, f"ablation_{cfg['axes']}.csv", rows)
         width = max(len(label) for label, _ in rows)

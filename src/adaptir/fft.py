@@ -2,10 +2,9 @@
 
 The frequency branch needs bin (u,v) = (1/HW) * sum_{h,w} x(h,w) e^{-2pi i
 (uh/H + vw/W)} and an inverse that carries no normalization factor, so the
-pair is an exact round trip.  Transforms are computed in complex128
-regardless of tensor dtype; power-of-two extents take an iterative
-radix-2 path and everything else falls back to Bluestein's chirp-z
-algorithm, so any H, W >= 1 is supported.
+pair is an exact round trip.  Both directions are ``numpy.fft`` calls,
+evaluated in complex128 regardless of tensor dtype, so any H, W >= 1 is
+supported.
 
 Only the half spectrum (last axis trimmed to floor(W/2)+1) is stored; the
 four structurally real bins (DC and Nyquist combinations) have their
@@ -23,80 +22,21 @@ from .tensor import Tensor, ShapeError, _node
 __all__ = ["ComplexSpectrum", "rfft2", "irfft2"]
 
 
-# -- raw 1-D transforms (unnormalized, vectorized over leading axes) -----
-
-_bitrev_cache: dict[int, np.ndarray] = {}
-
-
-def _bitrev(n: int) -> np.ndarray:
-    perm = _bitrev_cache.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n)
-        perm = np.zeros(n, dtype=np.intp)
-        for _ in range(bits):
-            perm = (perm << 1) | (idx & 1)
-            idx >>= 1
-        _bitrev_cache[n] = perm
-    return perm
-
-
-def _fft_pow2(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Iterative radix-2 FFT along the last axis (n a power of two)."""
-    n = a.shape[-1]
-    out = a[..., _bitrev(n)].astype(np.complex128)
-    sign = 2j if inverse else -2j
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(sign * np.pi * np.arange(half) / size)
-        blocks = out.reshape(*out.shape[:-1], n // size, size)
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * tw
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        size *= 2
-    return out
-
-
-def _fft_bluestein(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Chirp-z FFT along the last axis for arbitrary n."""
-    n = a.shape[-1]
-    sign = 1j if inverse else -1j
-    k = np.arange(n)
-    chirp = np.exp(sign * np.pi * (k * k % (2 * n)) / n)
-    m = 1 << (2 * n - 1).bit_length()
-    fa = np.zeros(a.shape[:-1] + (m,), dtype=np.complex128)
-    fa[..., :n] = a * chirp
-    fb = np.zeros(m, dtype=np.complex128)
-    fb[:n] = np.conj(chirp)
-    fb[m - n + 1:] = np.conj(chirp[1:][::-1])
-    conv = _fft_pow2(
-        _fft_pow2(fa, False) * _fft_pow2(fb, False), True) / m
-    return chirp * conv[..., :n]
-
-
-def _fft_last(a: np.ndarray, inverse: bool) -> np.ndarray:
-    n = a.shape[-1]
-    if n == 1:
-        return a.astype(np.complex128)
-    if n & (n - 1) == 0:
-        return _fft_pow2(a, inverse)
-    return _fft_bluestein(a, inverse)
-
-
-def _fft2(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Unnormalized 2-D transform over the last two axes."""
-    out = _fft_last(a, inverse)
-    out = np.moveaxis(_fft_last(np.moveaxis(out, -2, -1), inverse), -1, -2)
-    return out
-
-
 def _real_bins(h: int, w: int) -> list[tuple[int, int]]:
     """Half-spectrum indices whose imaginary part is structurally zero."""
     rows = [0] + ([h // 2] if h % 2 == 0 else [])
     cols = [0] + ([w // 2] if w % 2 == 0 else [])
     return [(r, c) for r in rows for c in cols]
+
+
+def _hermitian_weight(w: int) -> np.ndarray:
+    """How often each stored column occurs in the full spectrum: the DC
+    column (and the Nyquist column for even W) once, every other twice."""
+    weight = np.full(w // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if w % 2 == 0:
+        weight[-1] = 1.0
+    return weight
 
 
 @dataclass
@@ -121,22 +61,22 @@ def rfft2(x: Tensor) -> ComplexSpectrum:
     if x.ndim < 2:
         raise ShapeError(f"rfft2 expects at least 2 dims, got shape {x.shape}")
     h, w = x.shape[-2], x.shape[-1]
-    wh = w // 2 + 1
-    spec = _fft2(x.data.astype(np.complex128), inverse=False) / (h * w)
-    half = spec[..., :wh]
+    half = np.fft.rfft2(x.data.astype(np.float64), norm="forward")
     re = half.real.copy()
     im = half.imag.copy()
     zero_bins = _real_bins(h, w)
     for (r, c) in zero_bins:
         im[..., r, c] = 0.0
+    weight = _hermitian_weight(w)
 
     def _adjoint(ghat: np.ndarray) -> np.ndarray:
-        full = np.zeros(ghat.shape[:-1] + (w,), dtype=np.complex128)
-        full[..., :wh] = ghat
-        return (_fft2(full, inverse=True).real / (h * w)).astype(x.dtype, copy=False)
+        # irfft2 counts each interior column twice (it and its mirror), so
+        # dividing by the weight gives Re(ifft2) of the zero-padded ghat;
+        # ifft2's own 1/(HW) is the adjoint of the forward factor
+        return np.fft.irfft2(ghat / weight, s=(h, w)).astype(x.dtype, copy=False)
 
     def backward_re(g):
-        return (_adjoint(g.astype(np.complex128)),)
+        return (_adjoint(g),)
 
     def backward_im(g):
         gz = np.asarray(g, dtype=np.float64).copy()
@@ -152,10 +92,9 @@ def rfft2(x: Tensor) -> ComplexSpectrum:
 def irfft2(s: ComplexSpectrum) -> Tensor:
     """Inverse of :func:`rfft2`; the inverse carries no normalization.
 
-    Works for any half spectrum: columns with a Hermitian mirror outside
-    the stored half are mirrored, and the real part of the inverse
-    transform is returned, which coincides with the exact inverse on
-    spectra produced by ``rfft2``.
+    Works for any half spectrum: it is read as the half of its Hermitian
+    extension and the real part of that inverse is returned, which
+    coincides with the exact inverse on spectra produced by ``rfft2``.
     """
     re, im = s.real, s.imag
     if re.shape != im.shape:
@@ -167,26 +106,12 @@ def irfft2(s: ComplexSpectrum) -> Tensor:
             f"half width {wh} inconsistent with original_width {w} (expected {w // 2 + 1})"
         )
     half = re.data.astype(np.complex128) + 1j * im.data.astype(np.complex128)
-    full = np.zeros(half.shape[:-1] + (w,), dtype=np.complex128)
-    full[..., :wh] = half
-    if w > 1:
-        rows = (h - np.arange(h)) % h
-        src_cols = np.arange(w - wh, 0, -1)
-        full[..., wh:] = np.conj(half[..., rows, :][..., :, src_cols])
-    out = _fft2(full, inverse=True).real
-
-    # Hermitian mirroring means interior columns are consumed twice.
-    weight = np.full(wh, 2.0)
-    weight[0] = 1.0
-    if w % 2 == 0:
-        weight[-1] = 1.0
-    if w == 1:
-        weight[:] = 1.0
+    out = np.fft.irfft2(half, s=(h, w), norm="forward")
+    weight = _hermitian_weight(w)
 
     def backward(g):
-        f = _fft2(g.astype(np.complex128), inverse=False)[..., :wh]
-        gr = (weight * f.real).astype(re.dtype, copy=False)
-        gi = (weight * f.imag).astype(im.dtype, copy=False)
-        return gr, gi
+        f = weight * np.fft.rfft2(g.astype(np.float64))
+        return (f.real.astype(re.dtype, copy=False),
+                f.imag.astype(im.dtype, copy=False))
 
     return _node(out.astype(re.dtype, copy=False), (re, im), backward)

@@ -140,7 +140,7 @@ class HostModel:
         for t, s in self.task_scales.items():
             if s == scale:
                 return t
-        raise KeyError(
+        raise ConfigError(
             f"task {task!r} not registered and no registered task has scale {scale}")
 
 

@@ -313,7 +313,7 @@ ABLATION_AXES = ("efficiency", "components", "insertion")
 
 
 def ablate(model: HostModel, task: str, axes: str, epochs: int = 6, seed: int = 0,
-           base_lr: float = 2e-3, images: int = 8, eval_n: int = 4,
+           base_lr: float = 2e-3, batch_size: int = 8, images: int = 8, eval_n: int = 4,
            adapter_config: AdaptIRConfig | None = None):
     """One short fine-tune per configuration of the requested axis, with a
     shared seed; emits (label, MetricReport) rows."""
@@ -324,7 +324,8 @@ def ablate(model: HostModel, task: str, axes: str, epochs: int = 6, seed: int = 
 
     def run(label, cfg=base, insertion=InsertionSpec(), branches=(True, True, True)):
         res = finetune(model, "adaptir", task, epochs=epochs, seed=seed,
-                       base_lr=base_lr, images=images, eval_n=eval_n,
+                       base_lr=base_lr, batch_size=batch_size, images=images,
+                       eval_n=eval_n,
                        adapter_config=cfg, insertion=insertion, branches=branches)
         rows.append((label, res.report))
 

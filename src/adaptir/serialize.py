@@ -8,14 +8,13 @@ what the determinism and freeze contracts hash.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["save_checkpoint", "load_checkpoint", "params_sha256"]
+__all__ = ["save_checkpoint", "load_checkpoint"]
 
 
 def save_checkpoint(path, kind: str, config: dict, params: dict[str, Tensor]) -> None:
@@ -40,11 +39,3 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
                 raise ValueError(f"truncated checkpoint: field {fld['name']}")
             out[fld["name"]] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float32)
     return header["kind"], header["config"], out
-
-
-def params_sha256(params: dict[str, Tensor]) -> str:
-    h = hashlib.sha256()
-    for name, t in params.items():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(t.data).tobytes())
-    return h.hexdigest()

@@ -123,9 +123,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self) -> None:
         """Populate ``grad`` of every reachable leaf with requires_grad."""
         if self.data.size != 1:

@@ -184,3 +184,47 @@ def test_ablate_unknown_axis_fails(workspace):
                   "--axes", "nonsense"])
     assert res.exit_code != 0
     assert "axis" in res.output
+
+
+def assert_one_line_config_error(res, fragment):
+    assert res.exit_code != 0
+    assert "Traceback" not in res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1, res.output
+    assert "ConfigError:" in lines[0] and fragment in lines[0], res.output
+
+
+def test_finetune_unregistered_scale_is_config_error(workspace):
+    # the tiny host serves sr2 and noise25 only; nothing has scale 3
+    cfg = write_ft_cfg(workspace)
+    res = invoke(["finetune", "--config", cfg, "--out", workspace / "sr3",
+                  "--epochs", 1, "--task", "sr3"])
+    assert_one_line_config_error(res, "no registered task has scale 3")
+
+
+@pytest.mark.parametrize("extra,fragment", [
+    ("batch_size=0", "batch_size must be >= 1"),
+    ("batch_size=16", "batch_size 16 exceeds images 8"),
+])
+def test_bad_batch_size_rejected(workspace, extra, fragment):
+    path = workspace / "badbatch.cfg"
+    path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8") + extra + "\n",
+                    encoding="utf-8")
+    res = invoke(["finetune", "--config", path, "--out", workspace / "badbatch",
+                  "--epochs", 1, "--task", "sr2"])
+    assert_one_line_config_error(res, fragment)
+    assert not (workspace / "badbatch" / "report.csv").exists()
+
+
+def test_ablate_honours_batch_size(workspace):
+    path = workspace / "ab4.cfg"
+    path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8") + "batch_size=4\n",
+                    encoding="utf-8")
+    res = invoke(["ablate", "--config", path, "--out", workspace / "ab4",
+                  "--seed", 5, "--epochs", 1, "--axes", "components", "--task", "sr2"])
+    assert res.exit_code == 0, res.output
+    rows = (workspace / "ab4" / "ablation_components.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert rows[0].endswith(",steps")
+    # 8 images in batches of 4 for one epoch
+    assert [r.split(",")[-1] for r in rows[1:]] == ["2"] * 4
