@@ -18,7 +18,7 @@ import numpy as np
 from . import pipeline as P
 from .adapter import AdaptIRConfig, ConfigError
 from .data import PPMError, derive_seed, parse_task, save_ppm, synth_image, degrade
-from .host import HostConfig, InsertionSpec, host_forward, host_checksum
+from .host import METHODS, HostConfig, HostModel, InsertionSpec, host_forward, host_checksum
 from .metrics import MetricReport
 from .pipeline import LQ_SIZE
 from .tensor import ContractError, ShapeError, Tensor, no_grad
@@ -129,16 +129,14 @@ def _write_reports(out: Path, name: str, rows: list[tuple[str, MetricReport]]) -
     (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _dump_qualitative(out: Path, model, adapter, insertion, task: str,
-                      cfg: dict) -> None:
+def _dump_qualitative(out: Path, model, adapter, task: str, cfg: dict) -> None:
     spec = parse_task(task)
     for i in range(cfg["dump_images"]):
         hq = synth_image(derive_seed(cfg["seed"], "eval", task, i),
                          LQ_SIZE * spec.sr_scale)
         lq, hq = degrade(hq, replace(spec, seed=derive_seed(cfg["seed"], "eval-noise", i)))
         with no_grad():
-            pred = host_forward(Tensor(lq[None]), task, model, adapter=adapter,
-                                insertion=insertion)
+            pred = host_forward(Tensor(lq[None]), task, model, adapter=adapter)
         save_ppm(lq, out / f"sample{i}_lq.ppm")
         save_ppm(hq, out / f"sample{i}_hq.ppm")
         save_ppm(np.clip(pred.data[0], 0, 1).astype(np.float32),
@@ -205,15 +203,14 @@ def cmd_finetune(config_path, seed, out, method, task, epochs):
         out_dir = _out_dir(cfg)
         _write_resolved(cfg, out_dir)
         model = _load_host(cfg)
-        insertion = _insertion(cfg)
         res = P.finetune(model, cfg["method"], cfg["task"], epochs=cfg["epochs"],
                          seed=cfg["seed"], base_lr=cfg["base_lr"],
                          batch_size=cfg["batch_size"], images=cfg["images"],
                          eval_n=cfg["eval_n"], adapter_config=_adapter_config(cfg),
-                         insertion=insertion)
+                         insertion=_insertion(cfg))
         P.save_adapter(out_dir / "adapter.ckpt", res.adapter, model.config)
         _write_reports(out_dir, "report.csv", [(cfg["method"], res.report)])
-        _dump_qualitative(out_dir, model, res.adapter, insertion, cfg["task"], cfg)
+        _dump_qualitative(out_dir, model, res.adapter, cfg["task"], cfg)
         ratio = res.report.trainable_params / res.report.total_params
         click.echo(f"psnr before {res.psnr_before:.3f} dB -> after {res.report.psnr:.3f} dB")
         click.echo(f"trainable/total: {res.report.trainable_params}/"
@@ -235,19 +232,17 @@ def cmd_eval(config_path, seed, out, task):
         out_dir = _out_dir(cfg)
         _write_resolved(cfg, out_dir)
         model = _load_host(cfg)
-        adapter, insertion = None, _insertion(cfg)
-        trainable = 0
+        adapter, trainable = None, 0
         if cfg["adapter_checkpoint"]:
-            adapter, insertion, _ = P.load_adapter(cfg["adapter_checkpoint"])
+            adapter = P.load_adapter(cfg["adapter_checkpoint"])
             trainable = adapter.param_count()
-        mean_psnr, mean_ssim = P.evaluate(
-            model, adapter, cfg["task"], n=cfg["eval_n"], seed=cfg["seed"],
-            insertion=insertion)
+        mean_psnr, mean_ssim = P.evaluate(model, adapter, cfg["task"], n=cfg["eval_n"],
+                                          seed=cfg["seed"])
         report = MetricReport(task=cfg["task"], psnr=mean_psnr, ssim=mean_ssim,
                               trainable_params=trainable,
                               total_params=model.param_count() + trainable, steps=0)
         _write_reports(out_dir, "report.csv", [("eval", report)])
-        _dump_qualitative(out_dir, model, adapter, insertion, cfg["task"], cfg)
+        _dump_qualitative(out_dir, model, adapter, cfg["task"], cfg)
         click.echo(f"{cfg['task']}: psnr {mean_psnr:.3f} dB, ssim {mean_ssim:.4f}")
     except _ERRORS as exc:
         raise _fail(exc)
@@ -276,10 +271,9 @@ def cmd_paramcount(config_path, seed, out):
     try:
         cfg = _resolve(config_path, seed=seed, out=out)
         host_cfg = _host_config(cfg)
-        from .host import HostModel
         total = HostModel(host_cfg).param_count()
         click.echo(f"host total: {total}")
-        for method in ("adaptir", "lora", "bottleneck"):
+        for method in METHODS:
             n = P.build_adapter(host_cfg, method, seed=cfg["seed"],
                                 adapter_config=_adapter_config(cfg)).param_count()
             click.echo(f"{method:<10} trainable: {n:>6}  ratio {100 * n / total:.2f}%")

@@ -7,16 +7,16 @@ shallow feature, and a task-specific tail (3x3 conv into depth-to-space).
 The tail's upsampling factor is 2*s for an SR-by-s task and 2 for
 same-size tasks, undoing the head's downsampling.
 
-Adapters plug in three ways: feature-map adapters (the three-branch
-module) at a configurable position/form, LoRA on the query/value
-projections, and bottleneck adapters after the attention and MLP
-sublayers.
+Every layer has one adapter slot, the ``PETLMethod`` hooks.  Three
+methods fill it: feature-map adapters (the three-branch module) at a
+configurable position/form, LoRA on the query/value projections, and
+bottleneck adapters after the attention and MLP sublayers.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -30,9 +30,11 @@ __all__ = [
     "HostConfig",
     "HostModel",
     "InsertionSpec",
+    "PETLMethod",
     "AdapterStack",
     "LoRAStack",
     "BottleneckStack",
+    "METHODS",
     "host_forward",
     "freeze",
     "trainable_parameters",
@@ -144,11 +146,51 @@ class HostModel:
             f"task {task!r} not registered and no registered task has scale {scale}")
 
 
-# -- adapter stacks (one instance per transformer layer) --------------------
+# -- the adapter slot: one PETL method per host -----------------------------
 
 
-class AdapterStack:
+def _distribute(total: int, units: int) -> list[int]:
+    base, extra = divmod(max(total, units), units)
+    return [base + (1 if i < extra else 0) for i in range(units)]
+
+
+class PETLMethod:
+    """The host's adapter slot.  In transformer layer ``i``, ``_layer_forward``
+    passes the query/value weights through ``qv`` and each sublayer's output
+    through ``after_attention``/``after_mlp`` (``x_norm`` is the sublayer's
+    normalized input, ``hw`` the feature-map extent).  Every hook is a
+    pass-through here, so a base instance is the un-adapted host."""
+
+    method = "none"
+
+    def qv(self, i: int, wq: Tensor, wv: Tensor) -> tuple[Tensor, Tensor]:
+        return wq, wv
+
+    def after_attention(self, i: int, x_norm: Tensor, out: Tensor, hw) -> Tensor:
+        return out
+
+    def after_mlp(self, i: int, x_norm: Tensor, out: Tensor, hw) -> Tensor:
+        return out
+
+    def parameters(self) -> dict[str, Tensor]:
+        return {}
+
+    def param_count(self) -> int:
+        return sum(t.size for t in self.parameters().values())
+
+    def to_config(self) -> dict:
+        """Everything besides the host config that ``from_config`` needs."""
+        return {}
+
+    @classmethod
+    def from_config(cls, host_config: HostConfig, cfg: dict) -> "PETLMethod":
+        raise NotImplementedError
+
+
+class AdapterStack(PETLMethod):
     """Per-layer feature-map adapters plus their insertion wiring."""
+
+    method = "adaptir"
 
     def __init__(self, host_config: HostConfig, adapter_config: AdaptIRConfig | None = None,
                  insertion: InsertionSpec = InsertionSpec(),
@@ -159,24 +201,47 @@ class AdapterStack:
             raise ConfigError(
                 f"adapter channels {adapter_config.channels} != host embed {host_config.embed}")
         self.insertion = insertion
-        self.layers = []
-        for i in range(host_config.layers):
-            cfg = AdaptIRConfig(**{**adapter_config.__dict__,
-                                   "seed": adapter_config.seed + i})
-            self.layers.append(AdaptIR(cfg, branches=branches))
+        self.layers = [AdaptIR(replace(adapter_config, seed=adapter_config.seed + i),
+                               branches=branches) for i in range(host_config.layers)]
+
+    def _insert(self, position: str, i: int, x_norm: Tensor, out: Tensor,
+                hw: tuple[int, int]) -> Tensor:
+        """Add adapter ``i`` at ``position``: parallel forms adapt the
+        sublayer's input, sequential ones its output."""
+        if self.insertion.position != position:
+            return out
+        src = x_norm if self.insertion.form == "parallel" else out
+        fmap = _tokens_to_map(src, src.shape[-1], *hw)
+        return out + _map_to_tokens(self.layers[i](fmap))
+
+    def after_attention(self, i, x_norm, out, hw):
+        return self._insert("attention", i, x_norm, out, hw)
+
+    def after_mlp(self, i, x_norm, out, hw):
+        return self._insert("mlp", i, x_norm, out, hw)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, ad in enumerate(self.layers):
-            for k, v in ad.parameters().items():
-                out[f"layer{i}.{k}"] = v
-        return out
+        return {f"layer{i}.{k}": v for i, ad in enumerate(self.layers)
+                for k, v in ad.parameters().items()}
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.parameters().values())
+    def to_config(self) -> dict:
+        first = self.layers[0]
+        return {"adapter": asdict(first.config),
+                "insertion": [self.insertion.position, self.insertion.form],
+                "branches": [first.enable_lim, first.enable_fam, first.enable_csm]}
+
+    @classmethod
+    def from_config(cls, host_config, cfg):
+        return cls(host_config, AdaptIRConfig(**cfg["adapter"]),
+                   insertion=InsertionSpec(*cfg["insertion"]),
+                   branches=tuple(cfg["branches"]))
 
 
-class LoRAStack:
+class LoRAStack(PETLMethod):
+    """Low-rank increments on every layer's query/value projections."""
+
+    method = "lora"
+
     def __init__(self, host_config: HostConfig, ranks: list[int] | int = 4,
                  alpha: float | None = None, seed: int = 0):
         if isinstance(ranks, int):
@@ -187,40 +252,80 @@ class LoRAStack:
                                  dtype=host_config.np_dtype)
                        for i, r in enumerate(ranks)]
 
+    @classmethod
+    def with_budget(cls, host_config: HostConfig, target: int, seed: int = 0) -> "LoRAStack":
+        """Ranks summing to about ``target`` parameters: a rank-r layer
+        holds r * C for each of the four factors (A, B for q and v)."""
+        ranks = _distribute(round(target / (4 * host_config.embed)), host_config.layers)
+        return cls(host_config, ranks=ranks, seed=seed)
+
+    def qv(self, i, wq, wv):
+        lora = self.layers[i]
+        return lora.effective("q", wq), lora.effective("v", wv)
+
     def parameters(self) -> dict[str, Tensor]:
         return {f"layer{i}.{k}": v for i, l in enumerate(self.layers)
                 for k, v in l.params.items()}
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.parameters().values())
+    def to_config(self) -> dict:
+        return {"ranks": [l.rank for l in self.layers],
+                "alpha": [l.alpha for l in self.layers]}
+
+    @classmethod
+    def from_config(cls, host_config, cfg):
+        stack = cls(host_config, ranks=cfg["ranks"])
+        for layer, alpha in zip(stack.layers, cfg["alpha"]):
+            layer.alpha = alpha
+        return stack
 
 
-class BottleneckStack:
+class BottleneckStack(PETLMethod):
+    """Residual bottlenecks after every layer's attention and MLP sublayers."""
+
+    method = "bottleneck"
+
     def __init__(self, host_config: HostConfig, hidden: list[int] | int = 4, seed: int = 0):
         if isinstance(hidden, int):
             hidden = [hidden] * (2 * host_config.layers)
         if len(hidden) != 2 * host_config.layers:
             raise ConfigError("two hidden widths per layer required (attn + mlp)")
-        self.layers = []
-        for i in range(host_config.layers):
-            self.layers.append((
-                BottleneckAdapter(host_config.embed, hidden[2 * i], seed=seed + 2 * i,
-                                  dtype=host_config.np_dtype),
-                BottleneckAdapter(host_config.embed, hidden[2 * i + 1], seed=seed + 2 * i + 1,
-                                  dtype=host_config.np_dtype),
-            ))
+        # (after attention, after MLP) per layer; the k-th adapter gets seed + k
+        ads = [BottleneckAdapter(host_config.embed, h, seed=seed + k,
+                                 dtype=host_config.np_dtype) for k, h in enumerate(hidden)]
+        self.layers = list(zip(ads[0::2], ads[1::2]))
+
+    @classmethod
+    def with_budget(cls, host_config: HostConfig, target: int,
+                    seed: int = 0) -> "BottleneckStack":
+        """Hidden widths summing to about ``target`` parameters: each
+        adapter holds C for its up bias plus 2C + 1 per hidden unit (a
+        down row, its bias and an up column)."""
+        c, l = host_config.embed, host_config.layers
+        widths_total = round((target - 2 * l * c) / (2 * c + 1))
+        return cls(host_config, hidden=_distribute(widths_total, 2 * l), seed=seed)
+
+    def after_attention(self, i, x_norm, out, hw):
+        return self.layers[i][0](out)
+
+    def after_mlp(self, i, x_norm, out, hw):
+        return self.layers[i][1](out)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, (attn_ad, mlp_ad) in enumerate(self.layers):
-            for k, v in attn_ad.params.items():
-                out[f"layer{i}.attn.{k}"] = v
-            for k, v in mlp_ad.params.items():
-                out[f"layer{i}.mlp.{k}"] = v
-        return out
+        return {f"layer{i}.{site}.{k}": v for i, pair in enumerate(self.layers)
+                for site, ad in zip(("attn", "mlp"), pair) for k, v in ad.params.items()}
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.parameters().values())
+    def to_config(self) -> dict:
+        return {"hidden": [ad.params["down_w"].shape[0]
+                           for pair in self.layers for ad in pair]}
+
+    @classmethod
+    def from_config(cls, host_config, cfg):
+        return cls(host_config, hidden=cfg["hidden"])
+
+
+METHODS = {cls.method: cls for cls in (AdapterStack, LoRAStack, BottleneckStack)}
+
+_NO_ADAPTER = PETLMethod()
 
 
 # -- forward -----------------------------------------------------------------
@@ -241,13 +346,9 @@ def _map_to_tokens(x: Tensor) -> Tensor:
 
 
 def _attention(x_norm: Tensor, p: dict[str, Tensor], pre: str, heads: int,
-               lora: LoRALayer | None) -> Tensor:
+               wq: Tensor, wv: Tensor) -> Tensor:
     n, t, c = x_norm.shape
     dh = c // heads
-    wq, wv = p[pre + "wq"], p[pre + "wv"]
-    if lora is not None:
-        wq = lora.effective("q", wq)
-        wv = lora.effective("v", wv)
     q = _linear(x_norm, wq, p[pre + "bq"])
     k = _linear(x_norm, p[pre + "wk"], p[pre + "bk"])
     v = _linear(x_norm, wv, p[pre + "bv"])
@@ -262,61 +363,30 @@ def _attention(x_norm: Tensor, p: dict[str, Tensor], pre: str, heads: int,
     return _linear(ctx, p[pre + "wo"], p[pre + "bo"])
 
 
-def _apply_feature_adapter(adapter: AdaptIR, tokens: Tensor, c: int, h: int, w: int) -> Tensor:
-    return _map_to_tokens(adapter(_tokens_to_map(tokens, c, h, w)))
-
-
-def _layer_forward(x: Tensor, model: HostModel, i: int, adapter, insertion: InsertionSpec,
+def _layer_forward(x: Tensor, model: HostModel, i: int, adapter: PETLMethod,
                    feat_hw: tuple[int, int]) -> Tensor:
-    cfg = model.config
     p = model.params
     pre = f"body.{i}."
-    c = cfg.embed
-    h, w = feat_hw
-
-    slot = None
-    lora = None
-    bottlenecks = None
-    if isinstance(adapter, AdapterStack):
-        slot = adapter.layers[i]
-        insertion = adapter.insertion
-    elif isinstance(adapter, LoRAStack):
-        lora = adapter.layers[i]
-    elif isinstance(adapter, BottleneckStack):
-        bottlenecks = adapter.layers[i]
-    elif adapter is not None:
-        raise ConfigError(f"unknown adapter type {type(adapter).__name__}")
 
     x_norm = T.layernorm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
-    attn_out = _attention(x_norm, p, pre, cfg.heads, lora)
-    if bottlenecks is not None:
-        attn_out = bottlenecks[0](attn_out)
-    if slot is not None and insertion.position == "attention":
-        if insertion.form == "parallel":
-            attn_out = attn_out + _apply_feature_adapter(slot, x_norm, c, h, w)
-        else:
-            attn_out = attn_out + _apply_feature_adapter(slot, attn_out, c, h, w)
-    x = x + attn_out
+    wq, wv = adapter.qv(i, p[pre + "wq"], p[pre + "wv"])
+    attn_out = _attention(x_norm, p, pre, model.config.heads, wq, wv)
+    x = x + adapter.after_attention(i, x_norm, attn_out, feat_hw)
 
     x_norm2 = T.layernorm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
     mlp_out = _linear(T.gelu(_linear(x_norm2, p[pre + "mlp_w1"], p[pre + "mlp_b1"])),
                       p[pre + "mlp_w2"], p[pre + "mlp_b2"])
-    if bottlenecks is not None:
-        mlp_out = bottlenecks[1](mlp_out)
-    if slot is not None and insertion.position == "mlp":
-        if insertion.form == "parallel":
-            mlp_out = mlp_out + _apply_feature_adapter(slot, x_norm2, c, h, w)
-        else:
-            mlp_out = mlp_out + _apply_feature_adapter(slot, mlp_out, c, h, w)
-    return x + mlp_out
+    return x + adapter.after_mlp(i, x_norm2, mlp_out, feat_hw)
 
 
-def host_forward(img: Tensor, task: str, model: HostModel, adapter=None,
-                 insertion: InsertionSpec = InsertionSpec()) -> Tensor:
+def host_forward(img: Tensor, task: str, model: HostModel,
+                 adapter: PETLMethod | None = None) -> Tensor:
     """Head -> flatten -> adapted transformer layers -> skip -> tail."""
     cfg = model.config
     reg = model.resolve_task(task)
     p = model.params
+    if adapter is None:
+        adapter = _NO_ADAPTER
     n, ci, hi, wi = img.shape
     if ci != 3:
         raise T.ShapeError(f"expected RGB input, got {ci} channels")
@@ -330,7 +400,7 @@ def host_forward(img: Tensor, task: str, model: HostModel, adapter=None,
 
     tokens = _map_to_tokens(shallow)
     for i in range(cfg.layers):
-        tokens = _layer_forward(tokens, model, i, adapter, insertion, (fh, fw))
+        tokens = _layer_forward(tokens, model, i, adapter, (fh, fw))
     body = _tokens_to_map(tokens, cfg.embed, fh, fw)
 
     feat = body + shallow  # skip connection before the tail
@@ -350,7 +420,8 @@ def freeze(model: HostModel) -> HostModel:
     return model
 
 
-def trainable_parameters(model: HostModel, adapter=None) -> dict[str, Tensor]:
+def trainable_parameters(model: HostModel,
+                         adapter: PETLMethod | None = None) -> dict[str, Tensor]:
     """Exactly the adapter's parameters; host parameters are excluded."""
     if not model.frozen:
         raise ConfigError("host must be frozen before parameter-efficient training")

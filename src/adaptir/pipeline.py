@@ -15,11 +15,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, finite_diff_grad, no_grad
+from .tensor import ContractError, Tensor, finite_diff_grad, no_grad
 from .adapter import AdaptIR, AdaptIRConfig, ConfigError
-from .host import (HostConfig, HostModel, InsertionSpec, AdapterStack, LoRAStack,
-                   BottleneckStack, host_forward, freeze, trainable_parameters,
-                   host_checksum)
+from .host import (METHODS, HostConfig, HostModel, InsertionSpec, AdapterStack,
+                   PETLMethod, host_forward, freeze, trainable_parameters, host_checksum)
 from .data import (DegradationSpec, parse_task, synth_image, degrade, derive_seed,
                    epoch_order)
 from .metrics import MetricReport, psnr, ssim
@@ -82,7 +81,8 @@ def adamw_step(state: TrainState, params: dict[str, Tensor],
                grads: dict[str, np.ndarray], lr: float,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.0) -> dict[str, Tensor]:
-    """One decoupled-weight-decay Adam step, updating params in place."""
+    """One decoupled-weight-decay Adam step, updating params in place.  A
+    non-finite update raises ``ContractError`` naming parameter, step and epoch."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
@@ -101,7 +101,11 @@ def adamw_step(state: TrainState, params: dict[str, Tensor],
         update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         if weight_decay:
             update = update + lr * weight_decay * p.data
-        p.data = (p.data - update).astype(p.dtype, copy=False)
+        new = (p.data - update).astype(p.dtype, copy=False)
+        if not np.isfinite(new).all():
+            raise ContractError(f"training diverged: {name} non-finite after step {t}"
+                                f" (epoch {state.epoch}); lower base_lr")
+        p.data = new
     return params
 
 
@@ -179,8 +183,8 @@ def _psnr_mode(spec: DegradationSpec) -> str:
     return "rgb" if spec.kind == "noise" else "y_channel"
 
 
-def evaluate(model: HostModel, adapter, task: str, n: int = 16, seed: int = 0,
-             insertion: InsertionSpec = InsertionSpec()):
+def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int = 16,
+             seed: int = 0):
     """Mean PSNR/SSIM over a held-out synthetic set (seeds disjoint from
     training by substream tag)."""
     spec = parse_task(task)
@@ -191,8 +195,7 @@ def evaluate(model: HostModel, adapter, task: str, n: int = 16, seed: int = 0,
         hq = synth_image(derive_seed(seed, "eval", task, i), LQ_SIZE * s)
         lq, hq = degrade(hq, replace(spec, seed=derive_seed(seed, "eval-noise", i)))
         with no_grad():
-            pred = host_forward(Tensor(lq[None]), task, model, adapter=adapter,
-                                insertion=insertion)
+            pred = host_forward(Tensor(lq[None]), task, model, adapter=adapter)
         pred_img = np.clip(pred.data[0], 0.0, 1.0).astype(np.float32)
         psnrs.append(psnr(pred_img, hq, mode=mode))
         ssims.append(ssim(pred_img, hq))
@@ -202,37 +205,30 @@ def evaluate(model: HostModel, adapter, task: str, n: int = 16, seed: int = 0,
 # -- adapter construction with budget equalization ----------------------------
 
 
-def _distribute(total: int, units: int) -> list[int]:
-    base, extra = divmod(max(total, units), units)
-    return [base + (1 if i < extra else 0) for i in range(units)]
+def _method_class(method: str) -> type[PETLMethod]:
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r} ({' | '.join(METHODS)})")
+    return METHODS[method]
 
 
 def build_adapter(host_config: HostConfig, method: str, seed: int = 0,
                   adapter_config: AdaptIRConfig | None = None,
                   insertion: InsertionSpec = InsertionSpec(),
-                  branches: tuple[bool, bool, bool] = (True, True, True)):
+                  branches: tuple[bool, bool, bool] = (True, True, True)) -> PETLMethod:
     """Construct the requested method's adapter stack.
 
-    The baselines are sized by a budget equalizer to match the default
+    The baselines are sized by their ``with_budget`` to match the default
     three-branch stack's trainable count within a few percent, mirroring
     equal-budget comparisons.
     """
+    cls = _method_class(method)
     if adapter_config is None:
         adapter_config = AdaptIRConfig(channels=host_config.embed, seed=seed)
-    if method == "adaptir":
+    if cls is AdapterStack:
         return AdapterStack(host_config, adapter_config, insertion=insertion,
                             branches=branches)
     target = AdapterStack(host_config, adapter_config).param_count()
-    c, l = host_config.embed, host_config.layers
-    if method == "lora":
-        ranks = _distribute(round(target / (4 * c)), l)
-        return LoRAStack(host_config, ranks=ranks, seed=seed)
-    if method == "bottleneck":
-        per_width = 2 * c + 1  # down row + bias + up column, per hidden unit
-        widths_total = round((target - 2 * l * c) / per_width)
-        hidden = _distribute(widths_total, 2 * l)
-        return BottleneckStack(host_config, hidden=hidden, seed=seed)
-    raise ConfigError(f"unknown method {method!r} (adaptir | lora | bottleneck)")
+    return cls.with_budget(host_config, target, seed=seed)
 
 
 # -- fine-tuning -----------------------------------------------------------------
@@ -240,7 +236,7 @@ def build_adapter(host_config: HostConfig, method: str, seed: int = 0,
 
 @dataclass
 class FinetuneResult:
-    adapter: object
+    adapter: PETLMethod
     report: MetricReport
     psnr_before: float
     ssim_before: float
@@ -249,18 +245,19 @@ class FinetuneResult:
     steps: int
 
 
-def _train_adapter(model: HostModel, adapter, task: str, epochs: int, seed: int,
-                   base_lr: float, batch_size: int, images: int,
-                   insertion: InsertionSpec, weight_decay: float = 0.0) -> int:
+def _train_adapter(model: HostModel, adapter: PETLMethod, task: str, epochs: int,
+                   seed: int, base_lr: float, batch_size: int, images: int,
+                   weight_decay: float = 0.0) -> int:
     spec = parse_task(task)
     corpus = _train_corpus(spec, derive_seed(seed, "ft"), images)
     params = trainable_parameters(model, adapter)
     state = TrainState(base_lr=base_lr, total_epochs=epochs, seed=seed)
     for epoch in range(epochs):
+        state.epoch = epoch
         lr = lr_at(epoch, base_lr, epochs)
         for lq, hq in _epoch_batches(corpus, spec, derive_seed(seed, "ft"),
                                      epoch, batch_size):
-            pred = host_forward(lq, task, model, adapter=adapter, insertion=insertion)
+            pred = host_forward(lq, task, model, adapter=adapter)
             loss = l1_loss(pred, hq)
             loss.backward()
             grads = {k: p.grad for k, p in params.items()}
@@ -288,14 +285,12 @@ def finetune(model: HostModel, method: str, task: str, epochs: int = 25,
                                 branches=branches)
     checksum_before = host_checksum(model)
     t0 = time.perf_counter()
-    psnr_before, ssim_before = evaluate(model, None, task, n=eval_n, seed=seed,
-                                        insertion=insertion)
+    psnr_before, ssim_before = evaluate(model, None, task, n=eval_n, seed=seed)
     steps = _train_adapter(model, adapter, task, epochs, seed, base_lr,
-                           batch_size, images, insertion)
-    psnr_after, ssim_after = evaluate(model, adapter, task, n=eval_n, seed=seed,
-                                      insertion=insertion)
+                           batch_size, images)
+    psnr_after, ssim_after = evaluate(model, adapter, task, n=eval_n, seed=seed)
     wall = time.perf_counter() - t0
-    trainable = sum(t.size for t in adapter.parameters().values())
+    trainable = adapter.param_count()
     report = MetricReport(task=task, psnr=psnr_after, ssim=ssim_after,
                           trainable_params=trainable,
                           total_params=model.param_count() + trainable,
@@ -375,59 +370,28 @@ def load_host(path, frozen: bool = True) -> HostModel:
     return freeze(model) if frozen else model
 
 
-def save_adapter(path, adapter, host_config: HostConfig) -> None:
+def save_adapter(path, adapter: PETLMethod, host_config: HostConfig) -> None:
     hc = asdict(host_config)
     hc["tasks"] = list(host_config.tasks)
-    if isinstance(adapter, AdapterStack):
-        first = adapter.layers[0]
-        cfg = {"method": "adaptir", "host": hc,
-               "adapter": asdict(first.config),
-               "insertion": [adapter.insertion.position, adapter.insertion.form],
-               "branches": [first.enable_lim, first.enable_fam, first.enable_csm]}
-    elif isinstance(adapter, LoRAStack):
-        cfg = {"method": "lora", "host": hc,
-               "ranks": [l.rank for l in adapter.layers],
-               "alpha": [l.alpha for l in adapter.layers]}
-    elif isinstance(adapter, BottleneckStack):
-        hidden = [w for pair in adapter.layers
-                  for w in (pair[0].params["down_w"].shape[0],
-                            pair[1].params["down_w"].shape[0])]
-        cfg = {"method": "bottleneck", "host": hc, "hidden": hidden}
-    else:
-        raise ConfigError(f"cannot serialize adapter of type {type(adapter).__name__}")
+    _method_class(adapter.method)  # only a registered method loads back
+    cfg = {"method": adapter.method, "host": hc, **adapter.to_config()}
     save_checkpoint(path, "adapter", cfg, adapter.parameters())
 
 
-def load_adapter(path):
-    """Rebuild an adapter stack from its checkpoint.
-
-    Returns (adapter, insertion, method)."""
+def load_adapter(path) -> PETLMethod:
+    """Rebuild an adapter stack from its checkpoint."""
     kind, cfg, arrays = load_checkpoint(path)
     if kind != "adapter":
         raise ConfigError(f"expected an adapter checkpoint, got kind {kind!r}")
     hc = dict(cfg["host"])
     hc["tasks"] = tuple(hc["tasks"])
-    host_config = HostConfig(**hc)
-    method = cfg["method"]
-    insertion = InsertionSpec()
-    if method == "adaptir":
-        insertion = InsertionSpec(*cfg["insertion"])
-        adapter = AdapterStack(host_config, AdaptIRConfig(**cfg["adapter"]),
-                               insertion=insertion, branches=tuple(cfg["branches"]))
-    elif method == "lora":
-        adapter = LoRAStack(host_config, ranks=cfg["ranks"])
-        for layer, alpha in zip(adapter.layers, cfg["alpha"]):
-            layer.alpha = alpha
-    elif method == "bottleneck":
-        adapter = BottleneckStack(host_config, hidden=cfg["hidden"])
-    else:
-        raise ConfigError(f"unknown adapter method {method!r}")
+    adapter = _method_class(cfg["method"]).from_config(HostConfig(**hc), cfg)
     params = adapter.parameters()
     if set(arrays) != set(params):
         raise ConfigError("checkpoint fields do not match the adapter configuration")
     for name, arr in arrays.items():
         params[name].data = arr.astype(params[name].dtype)
-    return adapter, insertion, method
+    return adapter
 
 
 # -- gradient audit ---------------------------------------------------------------

@@ -3,7 +3,8 @@
 Layout: one JSON header line (kind, config, ordered field names + shapes)
 terminated by a newline, followed by the raw little-endian float32 data
 of every field in declared order.  Bit-exact by construction, which is
-what the determinism and freeze contracts hash.
+what the determinism and freeze contracts hash.  A load rejects short
+data and bytes after the last declared field.
 """
 
 from __future__ import annotations
@@ -38,4 +39,6 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             if len(buf) != 4 * n:
                 raise ValueError(f"truncated checkpoint: field {fld['name']}")
             out[fld["name"]] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float32)
+        if f.read(1):
+            raise ValueError("corrupt checkpoint: bytes after the last declared field")
     return header["kind"], header["config"], out

@@ -23,7 +23,6 @@ from scipy.special import erf as _erf
 __all__ = [
     "Tensor",
     "no_grad",
-    "set_debug_checks",
     "matmul",
     "conv2d",
     "depth_to_space",
@@ -47,15 +46,6 @@ __all__ = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
-_debug_checks = False
-
-
-def set_debug_checks(flag: bool) -> None:
-    """Enable NaN/Inf screening after every op (slow; used in tests)."""
-    global _debug_checks
-    _debug_checks = bool(flag)
-
-
 class no_grad:
     """Context manager that disables graph recording (inference mode)."""
 
@@ -219,8 +209,6 @@ def _check_dtypes(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values produced by an op on finite inputs")
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -545,12 +533,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             for j in range(k):
                 gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
         gx = gxp[:, :, pad:pad + h, pad:pad + wd].astype(x.dtype, copy=False)
-        gb = None if bias is None else g.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False)
-        return (gx, gw, gb)
+        if bias is None:
+            return (gx, gw)
+        return (gx, gw, g.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False))
 
     parents = (x, w) if bias is None else (x, w, bias)
-    if bias is None:
-        return _node(out.astype(x.dtype, copy=False), parents, lambda g: backward(g)[:2])
     return _node(out.astype(x.dtype, copy=False), parents, backward)
 
 

@@ -1,6 +1,8 @@
 """Command-line contracts: artifact sets, byte-identical reruns, config
 validation, nonzero exits on contract failure."""
 
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -186,12 +188,13 @@ def test_ablate_unknown_axis_fails(workspace):
     assert "axis" in res.output
 
 
-def assert_one_line_config_error(res, fragment):
+def assert_one_line_error(res, fragment, kind="ConfigError"):
     assert res.exit_code != 0
     assert "Traceback" not in res.output
     lines = res.output.strip().splitlines()
     assert len(lines) == 1, res.output
-    assert "ConfigError:" in lines[0] and fragment in lines[0], res.output
+    assert f"{kind}:" in lines[0] and fragment in lines[0], res.output
+    return lines[0]
 
 
 def test_finetune_unregistered_scale_is_config_error(workspace):
@@ -199,7 +202,7 @@ def test_finetune_unregistered_scale_is_config_error(workspace):
     cfg = write_ft_cfg(workspace)
     res = invoke(["finetune", "--config", cfg, "--out", workspace / "sr3",
                   "--epochs", 1, "--task", "sr3"])
-    assert_one_line_config_error(res, "no registered task has scale 3")
+    assert_one_line_error(res, "no registered task has scale 3")
 
 
 @pytest.mark.parametrize("extra,fragment", [
@@ -212,7 +215,7 @@ def test_bad_batch_size_rejected(workspace, extra, fragment):
                     encoding="utf-8")
     res = invoke(["finetune", "--config", path, "--out", workspace / "badbatch",
                   "--epochs", 1, "--task", "sr2"])
-    assert_one_line_config_error(res, fragment)
+    assert_one_line_error(res, fragment)
     assert not (workspace / "badbatch" / "report.csv").exists()
 
 
@@ -228,3 +231,28 @@ def test_ablate_honours_batch_size(workspace):
     assert rows[0].endswith(",steps")
     # 8 images in batches of 4 for one epoch
     assert [r.split(",")[-1] for r in rows[1:]] == ["2"] * 4
+
+
+def test_pretrain_divergence_stops_at_first_bad_step(workspace):
+    # step 1 at lr 1e6 moves every weight by ~1e6; step 2 overflows
+    path = workspace / "diverge.cfg"
+    path.write_text(TINY_HOST + "base_lr=1e6\n", encoding="utf-8")
+    out = workspace / "diverged_host"
+    res = invoke(["pretrain", "--config", path, "--out", out, "--epochs", 3, "--seed", 1])
+    assert_one_line_error(res, "non-finite after step 2 (epoch 0)", kind="ContractError")
+    assert not (out / "host.ckpt").exists()
+    assert not (out / "pretrain_log.csv").exists()
+
+
+def test_finetune_divergence_stops_at_first_bad_step(workspace):
+    path = workspace / "diverge_ft.cfg"
+    path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8") + "base_lr=1e6\n",
+                    encoding="utf-8")
+    out = workspace / "diverged_ft"
+    res = invoke(["finetune", "--config", path, "--out", out, "--epochs", 10,
+                  "--task", "sr2", "--seed", 1])
+    line = assert_one_line_error(res, "training diverged", kind="ContractError")
+    step, epoch = map(int, re.search(r"after step (\d+) \(epoch (\d+)\)", line).groups())
+    assert step == epoch + 1 < 10  # one step per epoch, stopped before the end
+    assert not (out / "report.csv").exists()
+    assert not (out / "adapter.ckpt").exists()

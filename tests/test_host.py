@@ -82,8 +82,7 @@ def test_zero_init_transparency_all_insertions(position, form):
     x = rand_input(2)
     with no_grad():
         base = host_forward(x, "noise25", model).data
-        adapted = host_forward(x, "noise25", model, adapter=adapter,
-                               insertion=adapter.insertion).data
+        adapted = host_forward(x, "noise25", model, adapter=adapter).data
     assert np.array_equal(base, adapted)
 
 

@@ -1,14 +1,17 @@
 """Training pipeline: optimizer closed forms, schedule exactness, budget
 equalizer, determinism, checkpoint round trips, gradient-audit teeth."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from adaptir import pipeline as P
 from adaptir import tensor as tensor_mod
 from adaptir.adapter import AdaptIRConfig, ConfigError
-from adaptir.host import HostConfig, InsertionSpec
-from adaptir.tensor import Tensor
+from adaptir.host import HostConfig, InsertionSpec, PETLMethod
+from adaptir.serialize import load_checkpoint, save_checkpoint
+from adaptir.tensor import ContractError, Tensor
 
 TINY = HostConfig(embed=16, layers=2, heads=2, feat_h=8, feat_w=8,
                   tasks=("sr2", "noise25"), seed=0)
@@ -85,6 +88,14 @@ def test_adamw_skips_missing_grads():
     assert "q" not in st.m  # moments exist only for stepped parameters
 
 
+def test_adamw_rejects_non_finite_update():
+    p = Tensor(np.array([1.0, 2.0]))
+    st = P.TrainState(base_lr=0.1, total_epochs=3, seed=0, epoch=2)
+    with pytest.raises(ContractError, match=r"w non-finite after step 1 \(epoch 2\)"):
+        P.adamw_step(st, {"w": p}, {"w": np.array([np.nan, 0.0])}, lr=0.1)
+    assert np.array_equal(p.data, [1.0, 2.0])  # the parameter is left as it was
+
+
 # -- budget equalizer -----------------------------------------------------------
 
 
@@ -156,14 +167,44 @@ def test_checkpoint_round_trips(tiny_frozen, tmp_path):
     back = P.load_host(tmp_path / "h.ckpt")
     assert host_checksum(back) == host_checksum(model)
 
-    res = P.finetune(model, "lora", "sr2", epochs=1, seed=0, images=8, eval_n=2,
-                     adapter_config=TINY_ADAPTER)
-    P.save_adapter(tmp_path / "a.ckpt", res.adapter, model.config)
-    adapter, insertion, method = P.load_adapter(tmp_path / "a.ckpt")
-    assert method == "lora"
-    p1, p2 = res.adapter.parameters(), adapter.parameters()
-    assert set(p1) == set(p2)
-    assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
+    host_cfg = {**asdict(model.config), "tasks": list(model.config.tasks)}
+    for method, insertion in (("adaptir", InsertionSpec()),
+                              ("adaptir", InsertionSpec("attention", "sequential")),
+                              ("lora", InsertionSpec()), ("bottleneck", InsertionSpec())):
+        res = P.finetune(model, method, "sr2", epochs=1, seed=0, images=8, eval_n=2,
+                         adapter_config=TINY_ADAPTER, insertion=insertion)
+        path = tmp_path / f"{method}_{insertion.position}.ckpt"
+        P.save_adapter(path, res.adapter, model.config)
+        adapter = P.load_adapter(path)
+        assert adapter.method == res.adapter.method == method
+        if method == "adaptir":
+            assert adapter.insertion == insertion
+        assert adapter.to_config() == res.adapter.to_config()
+        _, header_cfg, _ = load_checkpoint(path)
+        assert header_cfg == {"method": method, "host": host_cfg, **res.adapter.to_config()}
+        p1, p2 = res.adapter.parameters(), adapter.parameters()
+        assert set(p1) == set(p2)
+        assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
+
+
+def test_adapter_checkpoint_rejects_unknown_method(tmp_path):
+    host_cfg = {**asdict(TINY), "tasks": list(TINY.tasks)}
+    save_checkpoint(tmp_path / "a.ckpt", "adapter",
+                    {"method": "prompt_tuning", "host": host_cfg}, {})
+    with pytest.raises(ConfigError, match="prompt_tuning"):
+        P.load_adapter(tmp_path / "a.ckpt")
+    with pytest.raises(ConfigError):  # the bare slot is not a method
+        P.save_adapter(tmp_path / "b.ckpt", PETLMethod(), TINY)
+
+
+def test_checkpoint_rejects_trailing_bytes(tiny_frozen, tmp_path):
+    model, _ = tiny_frozen
+    path = tmp_path / "h.ckpt"
+    P.save_host(path, model)
+    with open(path, "ab") as f:
+        f.write(b"\0\0\0\0")
+    with pytest.raises(ValueError, match="after the last declared field"):
+        P.load_host(path)
 
 
 def test_ablation_rejects_unknown_axis(tiny_frozen):
