@@ -8,6 +8,7 @@ from its own ``resolved.cfg``.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -102,7 +103,7 @@ def _host_config(cfg: dict) -> HostConfig:
     return HostConfig(embed=cfg["host.embed"], layers=cfg["host.layers"],
                       heads=cfg["host.heads"], mlp_ratio=cfg["host.mlp_ratio"],
                       feat_h=cfg["host.feat_h"], feat_w=cfg["host.feat_w"],
-                      tasks=tuple(t.strip() for t in cfg["host.tasks"].split(",") if t.strip()),
+                      tasks=[t.strip() for t in cfg["host.tasks"].split(",") if t.strip()],
                       seed=cfg["seed"])
 
 
@@ -143,10 +144,6 @@ def _dump_qualitative(out: Path, model, adapter, task: str, cfg: dict) -> None:
                  out / f"sample{i}_pred.ppm")
 
 
-def _fail(exc: Exception) -> "click.ClickException":
-    return click.ClickException(f"{type(exc).__name__}: {exc}")
-
-
 _shared = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="flat key=value config file"),
@@ -156,10 +153,20 @@ _shared = [
 
 
 def _with_shared(extra=()):
+    """Add the shared options, and the error boundary: a library error ends
+    the command as one ``Kind: message`` line.  Floating-point warnings are
+    silenced; ``adamw_step`` turns a diverged run into a ``ContractError``."""
     def deco(fn):
+        @functools.wraps(fn)
+        def command(**kwargs):
+            try:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    return fn(**kwargs)
+            except _ERRORS as exc:
+                raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
         for opt in [*extra, *_shared]:
-            fn = opt(fn)
-        return fn
+            command = opt(command)
+        return command
     return deco
 
 
@@ -172,23 +179,20 @@ def main():
 @_with_shared([click.option("--epochs", type=int, default=None)])
 def cmd_pretrain(config_path, seed, out, epochs):
     """Train the multi-task host from scratch and freeze it."""
-    try:
-        cfg = _resolve(config_path, seed=seed, out=out, epochs=epochs)
-        out_dir = _out_dir(cfg)
-        _write_resolved(cfg, out_dir)
-        host_cfg = _host_config(cfg)
-        model, log = P.pretrain(host_cfg, epochs=cfg["epochs"], seed=cfg["seed"],
-                                base_lr=cfg["base_lr"], batch_size=cfg["batch_size"],
-                                images_per_task=cfg["images"],
-                                weight_decay=cfg["weight_decay"])
-        P.save_host(out_dir / "host.ckpt", model)
-        rows = ["epoch,task,loss"] + [f"{e},{t},{l:.6f}" for e, t, l in log]
-        (out_dir / "pretrain_log.csv").write_text("\n".join(rows) + "\n",
-                                                  encoding="utf-8", newline="\n")
-        click.echo(f"host: {model.param_count()} params, checksum {host_checksum(model)}")
-        click.echo(f"wrote {out_dir}/host.ckpt")
-    except _ERRORS as exc:
-        raise _fail(exc)
+    cfg = _resolve(config_path, seed=seed, out=out, epochs=epochs)
+    out_dir = _out_dir(cfg)
+    _write_resolved(cfg, out_dir)
+    host_cfg = _host_config(cfg)
+    model, log = P.pretrain(host_cfg, epochs=cfg["epochs"], seed=cfg["seed"],
+                            base_lr=cfg["base_lr"], batch_size=cfg["batch_size"],
+                            images_per_task=cfg["images"],
+                            weight_decay=cfg["weight_decay"])
+    P.save_host(out_dir / "host.ckpt", model)
+    rows = ["epoch,task,loss"] + [f"{e},{t},{l:.6f}" for e, t, l in log]
+    (out_dir / "pretrain_log.csv").write_text("\n".join(rows) + "\n",
+                                              encoding="utf-8", newline="\n")
+    click.echo(f"host: {model.param_count()} params, checksum {host_checksum(model)}")
+    click.echo(f"wrote {out_dir}/host.ckpt")
 
 
 @main.command("finetune")
@@ -197,55 +201,49 @@ def cmd_pretrain(config_path, seed, out, epochs):
                click.option("--epochs", type=int, default=None)])
 def cmd_finetune(config_path, seed, out, method, task, epochs):
     """Train one adapter method on a frozen host checkpoint."""
-    try:
-        cfg = _resolve(config_path, seed=seed, out=out, method=method,
-                       task=task, epochs=epochs)
-        out_dir = _out_dir(cfg)
-        _write_resolved(cfg, out_dir)
-        model = _load_host(cfg)
-        res = P.finetune(model, cfg["method"], cfg["task"], epochs=cfg["epochs"],
-                         seed=cfg["seed"], base_lr=cfg["base_lr"],
-                         batch_size=cfg["batch_size"], images=cfg["images"],
-                         eval_n=cfg["eval_n"], adapter_config=_adapter_config(cfg),
-                         insertion=_insertion(cfg))
-        P.save_adapter(out_dir / "adapter.ckpt", res.adapter, model.config)
-        _write_reports(out_dir, "report.csv", [(cfg["method"], res.report)])
-        _dump_qualitative(out_dir, model, res.adapter, cfg["task"], cfg)
-        ratio = res.report.trainable_params / res.report.total_params
-        click.echo(f"psnr before {res.psnr_before:.3f} dB -> after {res.report.psnr:.3f} dB")
-        click.echo(f"trainable/total: {res.report.trainable_params}/"
-                   f"{res.report.total_params} ({100 * ratio:.2f}%)")
-        click.echo(f"host checksum before {res.checksum_before}")
-        click.echo(f"host checksum after  {res.checksum_after}")
-        if res.checksum_before != res.checksum_after:
-            raise ContractError("freeze contract violated: host parameters changed")
-    except _ERRORS as exc:
-        raise _fail(exc)
+    cfg = _resolve(config_path, seed=seed, out=out, method=method,
+                   task=task, epochs=epochs)
+    out_dir = _out_dir(cfg)
+    _write_resolved(cfg, out_dir)
+    model = _load_host(cfg)
+    res = P.finetune(model, cfg["method"], cfg["task"], epochs=cfg["epochs"],
+                     seed=cfg["seed"], base_lr=cfg["base_lr"],
+                     batch_size=cfg["batch_size"], images=cfg["images"],
+                     eval_n=cfg["eval_n"], adapter_config=_adapter_config(cfg),
+                     insertion=_insertion(cfg), weight_decay=cfg["weight_decay"])
+    P.save_adapter(out_dir / "adapter.ckpt", res.adapter, model.config)
+    _write_reports(out_dir, "report.csv", [(cfg["method"], res.report)])
+    _dump_qualitative(out_dir, model, res.adapter, cfg["task"], cfg)
+    ratio = res.report.trainable_params / res.report.total_params
+    click.echo(f"psnr before {res.psnr_before:.3f} dB -> after {res.report.psnr:.3f} dB")
+    click.echo(f"trainable/total: {res.report.trainable_params}/"
+               f"{res.report.total_params} ({100 * ratio:.2f}%)")
+    click.echo(f"host checksum before {res.checksum_before}")
+    click.echo(f"host checksum after  {res.checksum_after}")
+    if res.checksum_before != res.checksum_after:
+        raise ContractError("freeze contract violated: host parameters changed")
 
 
 @main.command("eval")
 @_with_shared([click.option("--task", type=str, default=None)])
 def cmd_eval(config_path, seed, out, task):
     """Evaluate a frozen host (plus optional adapter) on held-out images."""
-    try:
-        cfg = _resolve(config_path, seed=seed, out=out, task=task)
-        out_dir = _out_dir(cfg)
-        _write_resolved(cfg, out_dir)
-        model = _load_host(cfg)
-        adapter, trainable = None, 0
-        if cfg["adapter_checkpoint"]:
-            adapter = P.load_adapter(cfg["adapter_checkpoint"])
-            trainable = adapter.param_count()
-        mean_psnr, mean_ssim = P.evaluate(model, adapter, cfg["task"], n=cfg["eval_n"],
-                                          seed=cfg["seed"])
-        report = MetricReport(task=cfg["task"], psnr=mean_psnr, ssim=mean_ssim,
-                              trainable_params=trainable,
-                              total_params=model.param_count() + trainable, steps=0)
-        _write_reports(out_dir, "report.csv", [("eval", report)])
-        _dump_qualitative(out_dir, model, adapter, cfg["task"], cfg)
-        click.echo(f"{cfg['task']}: psnr {mean_psnr:.3f} dB, ssim {mean_ssim:.4f}")
-    except _ERRORS as exc:
-        raise _fail(exc)
+    cfg = _resolve(config_path, seed=seed, out=out, task=task)
+    out_dir = _out_dir(cfg)
+    _write_resolved(cfg, out_dir)
+    model = _load_host(cfg)
+    adapter, trainable = None, 0
+    if cfg["adapter_checkpoint"]:
+        adapter = P.load_adapter(cfg["adapter_checkpoint"])
+        trainable = adapter.param_count()
+    mean_psnr, mean_ssim = P.evaluate(model, adapter, cfg["task"], n=cfg["eval_n"],
+                                      seed=cfg["seed"])
+    report = MetricReport(task=cfg["task"], psnr=mean_psnr, ssim=mean_ssim,
+                          trainable_params=trainable,
+                          total_params=model.param_count() + trainable, steps=0)
+    _write_reports(out_dir, "report.csv", [("eval", report)])
+    _dump_qualitative(out_dir, model, adapter, cfg["task"], cfg)
+    click.echo(f"{cfg['task']}: psnr {mean_psnr:.3f} dB, ssim {mean_ssim:.4f}")
 
 
 @main.command("gradcheck")
@@ -268,17 +266,14 @@ def cmd_gradcheck(seed):
 @_with_shared()
 def cmd_paramcount(config_path, seed, out):
     """Print host and per-method trainable parameter counts."""
-    try:
-        cfg = _resolve(config_path, seed=seed, out=out)
-        host_cfg = _host_config(cfg)
-        total = HostModel(host_cfg).param_count()
-        click.echo(f"host total: {total}")
-        for method in METHODS:
-            n = P.build_adapter(host_cfg, method, seed=cfg["seed"],
-                                adapter_config=_adapter_config(cfg)).param_count()
-            click.echo(f"{method:<10} trainable: {n:>6}  ratio {100 * n / total:.2f}%")
-    except _ERRORS as exc:
-        raise _fail(exc)
+    cfg = _resolve(config_path, seed=seed, out=out)
+    host_cfg = _host_config(cfg)
+    total = HostModel(host_cfg).param_count()
+    click.echo(f"host total: {total}")
+    for method in METHODS:
+        n = P.build_adapter(host_cfg, method, seed=cfg["seed"],
+                            adapter_config=_adapter_config(cfg)).param_count()
+        click.echo(f"{method:<10} trainable: {n:>6}  ratio {100 * n / total:.2f}%")
 
 
 @main.command("ablate")
@@ -287,24 +282,21 @@ def cmd_paramcount(config_path, seed, out):
                click.option("--axes", type=str, default=None)])
 def cmd_ablate(config_path, seed, out, task, epochs, axes):
     """Run one ablation axis (efficiency | components | insertion)."""
-    try:
-        cfg = _resolve(config_path, seed=seed, out=out, task=task,
-                       epochs=epochs, axes=axes)
-        out_dir = _out_dir(cfg)
-        _write_resolved(cfg, out_dir)
-        model = _load_host(cfg)
-        rows = P.ablate(model, cfg["task"], cfg["axes"], epochs=cfg["epochs"],
-                        seed=cfg["seed"], base_lr=cfg["base_lr"],
-                        batch_size=cfg["batch_size"], images=cfg["images"],
-                        eval_n=cfg["eval_n"],
-                        adapter_config=_adapter_config(cfg))
-        _write_reports(out_dir, f"ablation_{cfg['axes']}.csv", rows)
-        width = max(len(label) for label, _ in rows)
-        for label, rep in rows:
-            click.echo(f"{label:<{width}}  psnr {rep.psnr:7.3f}  ssim {rep.ssim:.4f}"
-                       f"  params {rep.trainable_params}")
-    except _ERRORS as exc:
-        raise _fail(exc)
+    cfg = _resolve(config_path, seed=seed, out=out, task=task,
+                   epochs=epochs, axes=axes)
+    out_dir = _out_dir(cfg)
+    _write_resolved(cfg, out_dir)
+    model = _load_host(cfg)
+    rows = P.ablate(model, cfg["task"], cfg["axes"], epochs=cfg["epochs"],
+                    seed=cfg["seed"], base_lr=cfg["base_lr"],
+                    batch_size=cfg["batch_size"], images=cfg["images"],
+                    eval_n=cfg["eval_n"], adapter_config=_adapter_config(cfg),
+                    weight_decay=cfg["weight_decay"])
+    _write_reports(out_dir, f"ablation_{cfg['axes']}.csv", rows)
+    width = max(len(label) for label, _ in rows)
+    for label, rep in rows:
+        click.echo(f"{label:<{width}}  psnr {rep.psnr:7.3f}  ssim {rep.ssim:.4f}"
+                   f"  params {rep.trainable_params}")
 
 
 if __name__ == "__main__":

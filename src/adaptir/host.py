@@ -56,6 +56,10 @@ class HostConfig:
     seed: int = 0
     dtype: str = "f32"
 
+    def __post_init__(self):
+        # checkpoint headers store tasks as a JSON list
+        self.tasks = tuple(self.tasks)
+
     def validate(self) -> None:
         if self.embed % self.heads != 0:
             raise ConfigError(f"embed {self.embed} not divisible by heads {self.heads}")

@@ -68,9 +68,6 @@ def lr_at(epoch: int, base_lr: float, total_epochs: int,
 
 @dataclass
 class TrainState:
-    base_lr: float
-    total_epochs: int
-    seed: int
     step: int = 0
     epoch: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -112,10 +109,13 @@ def adamw_step(state: TrainState, params: dict[str, Tensor],
 # -- deterministic batching ---------------------------------------------------
 
 
-def _train_corpus(spec: DegradationSpec, seed: int, n: int) -> list[np.ndarray]:
+def _train_run(task: str, data_seed: int, n: int):
+    """One task's training run for ``_fit``: (task, spec, corpus, data seed)."""
+    spec = parse_task(task)
     size = (LQ_SIZE + 16) * spec.sr_scale
-    return [synth_image(derive_seed(seed, "corpus", spec.task_id(), i), size)
-            for i in range(n)]
+    corpus = [synth_image(derive_seed(data_seed, "corpus", spec.task_id(), i), size)
+              for i in range(n)]
+    return task, spec, corpus, data_seed
 
 
 def _epoch_batches(corpus, spec: DegradationSpec, seed: int, epoch: int,
@@ -140,7 +140,33 @@ def _epoch_batches(corpus, spec: DegradationSpec, seed: int, epoch: int,
         yield (Tensor(np.stack(lqs)), Tensor(np.stack(hqs)))
 
 
-# -- pretraining ---------------------------------------------------------------
+# -- training ----------------------------------------------------------------------
+
+
+def _fit(model: HostModel, adapter: PETLMethod | None, params: dict[str, Tensor],
+         runs, epochs: int, base_lr: float, batch_size: int, weight_decay: float):
+    """The one training recipe, shared by pretraining and fine-tuning: L1
+    loss, AdamW on ``params`` and the milestone schedule.  Each epoch makes
+    one pass over each ``(task, spec, corpus, data_seed)`` run in turn.
+    Returns (steps taken, per-epoch per-task mean-loss log)."""
+    state = TrainState()
+    log: list[tuple[int, str, float]] = []
+    for epoch in range(epochs):
+        state.epoch = epoch
+        lr = lr_at(epoch, base_lr, epochs)
+        for task, spec, corpus, data_seed in runs:
+            losses = []
+            for lq, hq in _epoch_batches(corpus, spec, data_seed, epoch, batch_size):
+                pred = host_forward(lq, task, model, adapter=adapter)
+                loss = l1_loss(pred, hq)
+                loss.backward()
+                grads = {k: p.grad for k, p in params.items()}
+                adamw_step(state, params, grads, lr, weight_decay=weight_decay)
+                for p in params.values():
+                    p.grad = None
+                losses.append(loss.item())
+            log.append((epoch, task, float(np.mean(losses))))
+    return state.step, log
 
 
 def pretrain(host_config: HostConfig, epochs: int = 30, seed: int = 0,
@@ -151,28 +177,10 @@ def pretrain(host_config: HostConfig, epochs: int = 30, seed: int = 0,
     if not host_config.tasks:
         raise ConfigError("pretraining needs at least one task")
     model = HostModel(host_config)
-    specs = {t: parse_task(t) for t in host_config.tasks}
-    corpora = {t: _train_corpus(specs[t], derive_seed(seed, "task", t), images_per_task)
-               for t in host_config.tasks}
-    state = TrainState(base_lr=base_lr, total_epochs=epochs, seed=seed)
-    log: list[tuple[int, str, float]] = []
-    for epoch in range(epochs):
-        state.epoch = epoch
-        lr = lr_at(epoch, base_lr, epochs)
-        for t in host_config.tasks:
-            losses = []
-            for lq, hq in _epoch_batches(corpora[t], specs[t],
-                                         derive_seed(seed, "task", t), epoch, batch_size):
-                pred = host_forward(lq, t, model)
-                loss = l1_loss(pred, hq)
-                loss.backward()
-                grads = {k: p.grad for k, p in model.params.items()}
-                adamw_step(state, model.params, grads, lr,
-                           weight_decay=weight_decay)
-                for p in model.params.values():
-                    p.grad = None
-                losses.append(loss.item())
-            log.append((epoch, t, float(np.mean(losses))))
+    runs = [_train_run(t, derive_seed(seed, "task", t), images_per_task)
+            for t in host_config.tasks]
+    _, log = _fit(model, None, model.params, runs, epochs, base_lr, batch_size,
+                  weight_decay)
     return freeze(model), log
 
 
@@ -245,49 +253,27 @@ class FinetuneResult:
     steps: int
 
 
-def _train_adapter(model: HostModel, adapter: PETLMethod, task: str, epochs: int,
-                   seed: int, base_lr: float, batch_size: int, images: int,
-                   weight_decay: float = 0.0) -> int:
-    spec = parse_task(task)
-    corpus = _train_corpus(spec, derive_seed(seed, "ft"), images)
-    params = trainable_parameters(model, adapter)
-    state = TrainState(base_lr=base_lr, total_epochs=epochs, seed=seed)
-    for epoch in range(epochs):
-        state.epoch = epoch
-        lr = lr_at(epoch, base_lr, epochs)
-        for lq, hq in _epoch_batches(corpus, spec, derive_seed(seed, "ft"),
-                                     epoch, batch_size):
-            pred = host_forward(lq, task, model, adapter=adapter)
-            loss = l1_loss(pred, hq)
-            loss.backward()
-            grads = {k: p.grad for k, p in params.items()}
-            adamw_step(state, params, grads, lr, weight_decay=weight_decay)
-            for p in params.values():
-                p.grad = None
-    return state.step
-
-
 def finetune(model: HostModel, method: str, task: str, epochs: int = 25,
              seed: int = 0, base_lr: float = 2e-3, batch_size: int = 8,
              images: int = 16, eval_n: int = 8,
              adapter_config: AdaptIRConfig | None = None,
              insertion: InsertionSpec = InsertionSpec(),
              branches: tuple[bool, bool, bool] = (True, True, True),
-             adapter=None) -> FinetuneResult:
+             weight_decay: float = 0.0) -> FinetuneResult:
     """Train only the adapter on a frozen host; reports held-out metrics
     before and after along with freeze-contract checksums."""
     if not model.frozen:
         raise ConfigError("finetune requires a frozen host")
     parse_task(task)  # validate early
-    if adapter is None:
-        adapter = build_adapter(model.config, method, seed=derive_seed(seed, "init"),
-                                adapter_config=adapter_config, insertion=insertion,
-                                branches=branches)
+    adapter = build_adapter(model.config, method, seed=derive_seed(seed, "init"),
+                            adapter_config=adapter_config, insertion=insertion,
+                            branches=branches)
     checksum_before = host_checksum(model)
     t0 = time.perf_counter()
     psnr_before, ssim_before = evaluate(model, None, task, n=eval_n, seed=seed)
-    steps = _train_adapter(model, adapter, task, epochs, seed, base_lr,
-                           batch_size, images)
+    steps, _ = _fit(model, adapter, trainable_parameters(model, adapter),
+                    [_train_run(task, derive_seed(seed, "ft"), images)],
+                    epochs, base_lr, batch_size, weight_decay)
     psnr_after, ssim_after = evaluate(model, adapter, task, n=eval_n, seed=seed)
     wall = time.perf_counter() - t0
     trainable = adapter.param_count()
@@ -309,7 +295,7 @@ ABLATION_AXES = ("efficiency", "components", "insertion")
 
 def ablate(model: HostModel, task: str, axes: str, epochs: int = 6, seed: int = 0,
            base_lr: float = 2e-3, batch_size: int = 8, images: int = 8, eval_n: int = 4,
-           adapter_config: AdaptIRConfig | None = None):
+           adapter_config: AdaptIRConfig | None = None, weight_decay: float = 0.0):
     """One short fine-tune per configuration of the requested axis, with a
     shared seed; emits (label, MetricReport) rows."""
     if adapter_config is None:
@@ -320,8 +306,8 @@ def ablate(model: HostModel, task: str, axes: str, epochs: int = 6, seed: int = 
     def run(label, cfg=base, insertion=InsertionSpec(), branches=(True, True, True)):
         res = finetune(model, "adaptir", task, epochs=epochs, seed=seed,
                        base_lr=base_lr, batch_size=batch_size, images=images,
-                       eval_n=eval_n,
-                       adapter_config=cfg, insertion=insertion, branches=branches)
+                       eval_n=eval_n, adapter_config=cfg, insertion=insertion,
+                       branches=branches, weight_decay=weight_decay)
         rows.append((label, res.report))
 
     if axes == "efficiency":
@@ -352,46 +338,40 @@ def ablate(model: HostModel, task: str, axes: str, epochs: int = 6, seed: int = 
 
 
 def save_host(path, model: HostModel) -> None:
-    cfg = asdict(model.config)
-    cfg["tasks"] = list(model.config.tasks)
-    save_checkpoint(path, "host", cfg, model.params)
+    save_checkpoint(path, "host", asdict(model.config), model.params)
+
+
+def _load_module(path, kind: str, build):
+    """Read a ``kind`` checkpoint, ``build`` its module from the header config
+    and copy the stored arrays into the module's parameters."""
+    found, cfg, arrays = load_checkpoint(path)
+    if found != kind:
+        raise ConfigError(f"expected a {kind} checkpoint, got kind {found!r}")
+    module = build(cfg)
+    params = module.parameters()
+    if set(arrays) != set(params):
+        raise ConfigError(f"checkpoint fields do not match the {kind} configuration")
+    for name, arr in arrays.items():
+        params[name].data = arr.astype(params[name].dtype)
+    return module
 
 
 def load_host(path, frozen: bool = True) -> HostModel:
-    kind, cfg, arrays = load_checkpoint(path)
-    if kind != "host":
-        raise ConfigError(f"expected a host checkpoint, got kind {kind!r}")
-    cfg["tasks"] = tuple(cfg["tasks"])
-    model = HostModel(HostConfig(**cfg))
-    if set(arrays) != set(model.params):
-        raise ConfigError("checkpoint fields do not match the host configuration")
-    for name, arr in arrays.items():
-        model.params[name].data = arr.astype(model.params[name].dtype)
+    model = _load_module(path, "host", lambda cfg: HostModel(HostConfig(**cfg)))
     return freeze(model) if frozen else model
 
 
 def save_adapter(path, adapter: PETLMethod, host_config: HostConfig) -> None:
-    hc = asdict(host_config)
-    hc["tasks"] = list(host_config.tasks)
     _method_class(adapter.method)  # only a registered method loads back
-    cfg = {"method": adapter.method, "host": hc, **adapter.to_config()}
+    cfg = {"method": adapter.method, "host": asdict(host_config), **adapter.to_config()}
     save_checkpoint(path, "adapter", cfg, adapter.parameters())
 
 
 def load_adapter(path) -> PETLMethod:
     """Rebuild an adapter stack from its checkpoint."""
-    kind, cfg, arrays = load_checkpoint(path)
-    if kind != "adapter":
-        raise ConfigError(f"expected an adapter checkpoint, got kind {kind!r}")
-    hc = dict(cfg["host"])
-    hc["tasks"] = tuple(hc["tasks"])
-    adapter = _method_class(cfg["method"]).from_config(HostConfig(**hc), cfg)
-    params = adapter.parameters()
-    if set(arrays) != set(params):
-        raise ConfigError("checkpoint fields do not match the adapter configuration")
-    for name, arr in arrays.items():
-        params[name].data = arr.astype(params[name].dtype)
-    return adapter
+    def build(cfg):
+        return _method_class(cfg["method"]).from_config(HostConfig(**cfg["host"]), cfg)
+    return _load_module(path, "adapter", build)
 
 
 # -- gradient audit ---------------------------------------------------------------

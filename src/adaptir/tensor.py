@@ -153,8 +153,6 @@ class Tensor:
                     grads[id(p)] = grads[id(p)] + pg
                 else:
                     grads[id(p)] = pg
-            if node.requires_grad and not node._parents:
-                node.grad = g if node.grad is None else node.grad + g
 
     # -- operators -------------------------------------------------------
 
@@ -233,19 +231,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise arithmetic ---------------------------------------------
 
 
-def _broadcastable(a: tuple, b: tuple) -> bool:
-    for x, y in zip(a[::-1], b[::-1]):
-        if x != y and x != 1 and y != 1:
-            return False
-    return True
-
-
 def _binary(a: Tensor, b, op: str):
     a = a if isinstance(a, Tensor) else _coerce(a, b.dtype)
     b = _coerce(b, a.dtype)
     _check_dtypes(a, b, op)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not broadcastable")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not broadcastable") from None
     return a, b
 
 

@@ -2,6 +2,7 @@
 validation, nonzero exits on contract failure."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -233,12 +234,21 @@ def test_ablate_honours_batch_size(workspace):
     assert [r.split(",")[-1] for r in rows[1:]] == ["2"] * 4
 
 
+def invoke_recording_warnings(args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = invoke(args)
+    return res, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_pretrain_divergence_stops_at_first_bad_step(workspace):
     # step 1 at lr 1e6 moves every weight by ~1e6; step 2 overflows
     path = workspace / "diverge.cfg"
     path.write_text(TINY_HOST + "base_lr=1e6\n", encoding="utf-8")
     out = workspace / "diverged_host"
-    res = invoke(["pretrain", "--config", path, "--out", out, "--epochs", 3, "--seed", 1])
+    res, runtime_warnings = invoke_recording_warnings(
+        ["pretrain", "--config", path, "--out", out, "--epochs", 3, "--seed", 1])
+    assert runtime_warnings == []  # the ContractError line is the whole report
     assert_one_line_error(res, "non-finite after step 2 (epoch 0)", kind="ContractError")
     assert not (out / "host.ckpt").exists()
     assert not (out / "pretrain_log.csv").exists()
@@ -249,10 +259,25 @@ def test_finetune_divergence_stops_at_first_bad_step(workspace):
     path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8") + "base_lr=1e6\n",
                     encoding="utf-8")
     out = workspace / "diverged_ft"
-    res = invoke(["finetune", "--config", path, "--out", out, "--epochs", 10,
-                  "--task", "sr2", "--seed", 1])
+    res, runtime_warnings = invoke_recording_warnings(
+        ["finetune", "--config", path, "--out", out, "--epochs", 10,
+         "--task", "sr2", "--seed", 1])
+    assert runtime_warnings == []
     line = assert_one_line_error(res, "training diverged", kind="ContractError")
     step, epoch = map(int, re.search(r"after step (\d+) \(epoch (\d+)\)", line).groups())
     assert step == epoch + 1 < 10  # one step per epoch, stopped before the end
     assert not (out / "report.csv").exists()
     assert not (out / "adapter.ckpt").exists()
+
+
+def test_finetune_honours_weight_decay(workspace):
+    base = write_ft_cfg(workspace).read_text(encoding="utf-8")
+    ckpts = []
+    for wd in ("0", "0.5"):
+        path = workspace / f"wd{wd}.cfg"
+        path.write_text(base + f"weight_decay={wd}\n", encoding="utf-8")
+        res = invoke(["finetune", "--config", path, "--out", workspace / f"wd{wd}",
+                      "--seed", 3, "--epochs", 2, "--task", "sr2"])
+        assert res.exit_code == 0, res.output
+        ckpts.append((workspace / f"wd{wd}" / "adapter.ckpt").read_bytes())
+    assert ckpts[0] != ckpts[1]

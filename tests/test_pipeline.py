@@ -55,7 +55,7 @@ def test_adamw_first_step_closed_form():
     # with lambda=0: step = lr * g / (|g| + eps) after bias correction
     g = np.array([0.5, -3.0, 1e-4])
     p = Tensor(np.array([1.0, -2.0, 0.3]))
-    st = P.TrainState(base_lr=1e-3, total_epochs=1, seed=0)
+    st = P.TrainState()
     P.adamw_step(st, {"p": p}, {"p": g}, lr=1e-3)
     expect = np.array([1.0, -2.0, 0.3]) - 1e-3 * g / (np.abs(g) + 1e-8)
     assert np.abs(p.data - expect).max() < 1e-12
@@ -64,14 +64,14 @@ def test_adamw_first_step_closed_form():
 def test_adamw_decoupled_weight_decay():
     # decay applies to the parameter directly, not through the moments
     p = Tensor(np.array([2.0]))
-    st = P.TrainState(base_lr=1e-2, total_epochs=1, seed=0)
+    st = P.TrainState()
     P.adamw_step(st, {"p": p}, {"p": np.array([0.0])}, lr=1e-2, weight_decay=0.1)
     assert abs(p.data[0] - (2.0 - 1e-2 * 0.1 * 2.0)) < 1e-12
 
 
 def test_adamw_converges_on_quadratic():
     p = Tensor(np.array([5.0]))
-    st = P.TrainState(base_lr=0.1, total_epochs=1, seed=0)
+    st = P.TrainState()
     for _ in range(400):
         g = 2.0 * (p.data - 3.0)
         P.adamw_step(st, {"p": p}, {"p": g}, lr=0.1)
@@ -82,7 +82,7 @@ def test_adamw_converges_on_quadratic():
 def test_adamw_skips_missing_grads():
     p = Tensor(np.array([1.0]))
     q = Tensor(np.array([2.0]))
-    st = P.TrainState(base_lr=0.1, total_epochs=1, seed=0)
+    st = P.TrainState()
     P.adamw_step(st, {"p": p, "q": q}, {"p": np.array([1.0])}, lr=0.1)
     assert q.data[0] == 2.0
     assert "q" not in st.m  # moments exist only for stepped parameters
@@ -90,7 +90,7 @@ def test_adamw_skips_missing_grads():
 
 def test_adamw_rejects_non_finite_update():
     p = Tensor(np.array([1.0, 2.0]))
-    st = P.TrainState(base_lr=0.1, total_epochs=3, seed=0, epoch=2)
+    st = P.TrainState(epoch=2)
     with pytest.raises(ContractError, match=r"w non-finite after step 1 \(epoch 2\)"):
         P.adamw_step(st, {"w": p}, {"w": np.array([np.nan, 0.0])}, lr=0.1)
     assert np.array_equal(p.data, [1.0, 2.0])  # the parameter is left as it was

@@ -49,6 +49,13 @@ def test_sub_neg_scalars():
     assert np.allclose(x.grad, [-1.0, -1.0])
 
 
+@pytest.mark.parametrize("op", [T.add, T.mul])
+def test_binary_ops_reject_non_broadcastable_shapes(op):
+    a, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4)))
+    with pytest.raises(ShapeError, match=r"shapes \(3, 4\) and \(2, 4\) are not broadcastable"):
+        op(a, b)
+
+
 @pytest.mark.parametrize("op", [T.tabs, T.sqrt, T.cos, T.sin, T.gelu])
 def test_unary_grads(op):
     rng = np.random.default_rng(1)
