@@ -17,6 +17,8 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf as _erf
 
@@ -364,19 +366,21 @@ def hypot(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# python floats, not numpy scalars: NEP 50 lets them take the input's dtype,
+# so an f32 graph stays f32 through erf and the backward
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF."""
     xd = x.data
     phi = 0.5 * (1.0 + _erf(xd / _SQRT2))
-    data = (xd * phi).astype(x.dtype, copy=False)
+    data = xd * phi
 
     def backward(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        return ((g * (phi + xd * pdf)).astype(x.dtype, copy=False),)
+        return (g * (phi + xd * pdf),)
 
     return _node(data, (x,), backward)
 

@@ -70,6 +70,26 @@ def test_gelu_matches_exact_formula():
     assert np.allclose(T.gelu(Tensor(x)).data, expect, atol=1e-12)
 
 
+def test_gelu_keeps_f32_graph_in_f32(monkeypatch):
+    erf_dtypes = []
+    erf = T._erf
+
+    def recording_erf(z):
+        erf_dtypes.append(z.dtype)
+        return erf(z)
+
+    monkeypatch.setattr(T, "_erf", recording_erf)
+    x = np.linspace(-4, 4, 41).astype(np.float32)
+    x32, x64 = Tensor(x, requires_grad=True), rt(x)
+    out32, out64 = T.gelu(x32), T.gelu(x64)
+    T.tsum(out32).backward()
+    T.tsum(out64).backward()
+    assert erf_dtypes == [np.float32, np.float64]
+    assert out32.dtype == np.float32 and x32.grad.dtype == np.float32
+    assert np.abs(out32.data - out64.data).max() < 1e-6
+    assert np.abs(x32.grad - x64.grad).max() < 1e-6
+
+
 def test_atan2_hypot_polar_round_trip_and_grads():
     rng = np.random.default_rng(2)
     y, x = rng.standard_normal((2, 6, 6)) + 0.5
