@@ -140,7 +140,7 @@ def _epoch_batches(corpus, spec: DegradationSpec, seed: int, epoch: int,
         yield (Tensor(np.stack(lqs)), Tensor(np.stack(hqs)))
 
 
-# -- training ----------------------------------------------------------------------
+# -- training ------------------------------------------------------------------
 
 
 def _fit(model: HostModel, adapter: PETLMethod | None, params: dict[str, Tensor],
