@@ -6,9 +6,9 @@ harness."""
 from .tensor import Tensor, ShapeError, ContractError, no_grad
 from .adapter import AdaptIR, AdaptIRConfig, ConfigError
 from .baselines import LoRALayer, BottleneckAdapter, lora_apply, bottleneck_forward
-from .host import (HostConfig, HostModel, InsertionSpec, PETLMethod, AdapterStack,
-                   LoRAStack, BottleneckStack, METHODS, host_forward, freeze,
-                   trainable_parameters, host_checksum)
+from .host import (HostConfig, HostModel, PETLMethod, AdapterStack, LoRAStack,
+                   BottleneckStack, METHODS, host_forward, freeze, trainable_parameters,
+                   host_checksum)
 from .data import DegradationSpec, parse_task, synth_image, degrade, derive_seed
 from .metrics import MetricReport, psnr, ssim, rgb_to_y
 from .pipeline import (l1_loss, lr_at, TrainState, adamw_step, pretrain, finetune,
@@ -21,7 +21,7 @@ __all__ = [
     "Tensor", "ShapeError", "ContractError", "no_grad",
     "AdaptIR", "AdaptIRConfig", "ConfigError",
     "LoRALayer", "BottleneckAdapter", "lora_apply", "bottleneck_forward",
-    "HostConfig", "HostModel", "InsertionSpec", "PETLMethod", "AdapterStack",
+    "HostConfig", "HostModel", "PETLMethod", "AdapterStack",
     "LoRAStack", "BottleneckStack", "METHODS", "host_forward", "freeze",
     "trainable_parameters", "host_checksum",
     "DegradationSpec", "parse_task", "synth_image", "degrade", "derive_seed",

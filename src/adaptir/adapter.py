@@ -7,15 +7,18 @@ frequency affine maps start as the identity (unit weight, zero bias) and
 the up-projection starts at exactly zero, so the adapter's output is the
 zero tensor until training moves it.
 
-Ablation knobs mirror the efficiency study: the local branch's kernel can
-be stored full instead of factorized, and the local / frequency branches
-can trade their depth-separable form for full channel mixing.
+``AdaptIRConfig`` holds every design choice the paper's ablations vary:
+the efficiency study's knobs (the local branch's kernel stored full instead
+of factorized; the local and frequency branch each trading its
+depth-separable form for full channel mixing), the branch set
+(``lim``/``fam``/``csm``) and the insertion site in a host layer
+(``position`` mlp | attention, ``form`` parallel | sequential, read by
+``host.AdapterStack``).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +46,12 @@ class AdaptIRConfig:
     lim_decompose: bool = True
     lim_depthwise: bool = True
     fam_depthwise: bool = True
+    # branch set and insertion site
+    lim: bool = True
+    fam: bool = True
+    csm: bool = True
+    position: str = "mlp"        # "mlp" | "attention"
+    form: str = "parallel"       # "parallel" | "sequential"
 
     def validate(self) -> None:
         c, g = self.channels, self.reduction
@@ -61,6 +70,12 @@ class AdaptIRConfig:
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype}")
         if not self.lim_depthwise and self.lim_decompose:
             raise ConfigError("full-channel local branch is only supported undecomposed")
+        if not (self.lim or self.fam or self.csm):
+            raise ConfigError("at least one branch must be enabled")
+        if self.position not in ("mlp", "attention"):
+            raise ConfigError(f"unknown insertion position {self.position!r}")
+        if self.form not in ("parallel", "sequential"):
+            raise ConfigError(f"unknown insertion form {self.form!r}")
 
     @property
     def intrinsic(self) -> int:
@@ -74,9 +89,6 @@ class AdaptIRConfig:
     def np_dtype(self):
         return np.float32 if self.dtype == "f32" else np.float64
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
@@ -86,13 +98,9 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
 class AdaptIR:
     """One adapter instance operating on N x C x H x W feature maps."""
 
-    def __init__(self, config: AdaptIRConfig,
-                 branches: tuple[bool, bool, bool] = (True, True, True)):
+    def __init__(self, config: AdaptIRConfig):
         config.validate()
-        if not any(branches):
-            raise ConfigError("at least one branch must be enabled")
         self.config = config
-        self.enable_lim, self.enable_fam, self.enable_csm = branches
         self.params: dict[str, Tensor] = self._init_params()
 
     # -- construction ---------------------------------------------------
@@ -106,7 +114,7 @@ class AdaptIR:
 
         p["down_w"] = _uniform(rng, (cg, c, 1, 1), c, dt)
         p["down_b"] = np.zeros(cg, dtype=dt)
-        if self.enable_lim:
+        if cfg.lim:
             if cfg.lim_decompose:
                 p["lim_u"] = _uniform(rng, (cg, cfg.lim_rank), cfg.lim_rank, dt)
                 p["lim_v"] = _uniform(rng, (k * k, cfg.lim_rank), cfg.lim_rank, dt)
@@ -114,7 +122,7 @@ class AdaptIR:
                 p["lim_kernel"] = _uniform(rng, (cg, 1, k, k), k * k, dt)
             else:
                 p["lim_kernel"] = _uniform(rng, (cg, cg, k, k), cg * k * k, dt)
-        if self.enable_fam:
+        if cfg.fam:
             if cfg.fam_depthwise:
                 p["fam_mag_w"] = np.ones(cg, dtype=dt)
                 p["fam_mag_b"] = np.zeros(cg, dtype=dt)
@@ -130,7 +138,7 @@ class AdaptIR:
                 p["fam_pha_b"] = np.zeros(cg, dtype=dt)
                 p["fam_scale_w"] = _uniform(rng, (cg, cg), cg, dt)
                 p["fam_scale_b"] = np.zeros(cg, dtype=dt)
-        if self.enable_csm:
+        if cfg.csm:
             p["csm_mask_w"] = _uniform(rng, (1, cg, 1, 1), cg, dt)
             p["csm_mask_b"] = np.zeros(1, dtype=dt)
             p["csm_ffn_w1"] = _uniform(rng, (h, cg), cg, dt)
@@ -147,35 +155,7 @@ class AdaptIR:
     def param_count(self) -> int:
         return sum(t.size for t in self.params.values())
 
-    def masked(self, enable_lim: bool, enable_fam: bool, enable_csm: bool) -> "AdaptIR":
-        """Forward variant with branches toggled; shares parameter tensors.
-
-        Disabled branches contribute exact zeros and drop out of the
-        parameter listing; a branch can only be enabled if it was built.
-        """
-        if not (enable_lim or enable_fam or enable_csm):
-            raise ConfigError("at least one branch must be enabled")
-        for want, have, name in ((enable_lim, self.enable_lim, "lim"),
-                                 (enable_fam, self.enable_fam, "fam"),
-                                 (enable_csm, self.enable_csm, "csm")):
-            if want and not have:
-                raise ConfigError(f"branch {name} was not constructed")
-        clone = object.__new__(AdaptIR)
-        clone.config = self.config
-        clone.enable_lim, clone.enable_fam, clone.enable_csm = (
-            enable_lim, enable_fam, enable_csm)
-        drop = []
-        if not enable_lim:
-            drop.append("lim_")
-        if not enable_fam:
-            drop.append("fam_")
-        if not enable_csm:
-            drop.append("csm_")
-        clone.params = {k: v for k, v in self.params.items()
-                        if not any(k.startswith(d) for d in drop)}
-        return clone
-
-    # -- branches ---------------------------------------------------------
+    # -- branch forwards --------------------------------------------------
 
     def down_project(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.config.channels:
@@ -239,11 +219,12 @@ class AdaptIR:
 
     def forward(self, x: Tensor) -> Tensor:
         """Adapter output (the caller adds it to the frozen sublayer output)."""
+        cfg = self.config
         xi = self.down_project(x)
         ensem: Tensor | None = None
-        for enabled, branch in ((self.enable_lim, self.lim_forward),
-                                (self.enable_fam, self.fam_forward),
-                                (self.enable_csm, self.csm_forward)):
+        for enabled, branch in ((cfg.lim, self.lim_forward),
+                                (cfg.fam, self.fam_forward),
+                                (cfg.csm, self.csm_forward)):
             if not enabled:
                 continue
             out = branch(xi)

@@ -12,8 +12,6 @@ Both are exact no-ops at construction, like the main adapter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import pipeline as P
 from .adapter import AdaptIRConfig, ConfigError
-from .data import PPMError, derive_seed, parse_task, save_ppm, synth_image, degrade
-from .host import METHODS, HostConfig, HostModel, InsertionSpec, host_forward, host_checksum
+from .data import derive_seed, parse_task, save_ppm, synth_image, degrade
+from .host import METHODS, HostConfig, HostModel, host_forward, host_checksum
 from .metrics import MetricReport
 from .pipeline import LQ_SIZE
 from .tensor import ContractError, ShapeError, Tensor, no_grad
 
-# every recognized config key with its parser and default
+# every recognized config key with its parser and default; the host.*,
+# adapter.* and insertion.* defaults are the config dataclasses' own
 _KEYS = {
     "seed": (int, 0),
     "out": (str, "runs/default"),
@@ -40,22 +41,22 @@ _KEYS = {
     "host_checkpoint": (str, ""),
     "adapter_checkpoint": (str, ""),
     "dump_images": (int, 2),
-    "host.embed": (int, 64),
-    "host.layers": (int, 4),
-    "host.heads": (int, 4),
-    "host.mlp_ratio": (int, 4),
-    "host.feat_h": (int, 16),
-    "host.feat_w": (int, 16),
-    "host.tasks": (str, "sr2,noise25"),
-    "adapter.reduction": (int, 8),
-    "adapter.lim_rank": (int, 4),
-    "adapter.kernel": (int, 3),
-    "insertion.position": (str, "mlp"),
-    "insertion.form": (str, "parallel"),
+    "host.embed": (int, HostConfig.embed),
+    "host.layers": (int, HostConfig.layers),
+    "host.heads": (int, HostConfig.heads),
+    "host.mlp_ratio": (int, HostConfig.mlp_ratio),
+    "host.feat_h": (int, HostConfig.feat_h),
+    "host.feat_w": (int, HostConfig.feat_w),
+    "host.tasks": (str, ",".join(HostConfig.tasks)),
+    "adapter.reduction": (int, AdaptIRConfig.reduction),
+    "adapter.lim_rank": (int, AdaptIRConfig.lim_rank),
+    "adapter.kernel": (int, AdaptIRConfig.kernel),
+    "insertion.position": (str, AdaptIRConfig.position),
+    "insertion.form": (str, AdaptIRConfig.form),
 }
 
-_ERRORS = (ConfigError, ContractError, ShapeError, PPMError, ValueError,
-           FileNotFoundError)
+# PPMError is a ValueError
+_ERRORS = (ConfigError, ContractError, ShapeError, ValueError, FileNotFoundError)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -110,11 +111,8 @@ def _host_config(cfg: dict) -> HostConfig:
 def _adapter_config(cfg: dict) -> AdaptIRConfig:
     return AdaptIRConfig(channels=cfg["host.embed"], reduction=cfg["adapter.reduction"],
                          lim_rank=cfg["adapter.lim_rank"], kernel=cfg["adapter.kernel"],
+                         position=cfg["insertion.position"], form=cfg["insertion.form"],
                          seed=derive_seed(cfg["seed"], "init"))
-
-
-def _insertion(cfg: dict) -> InsertionSpec:
-    return InsertionSpec(cfg["insertion.position"], cfg["insertion.form"])
 
 
 def _load_host(cfg: dict):
@@ -210,7 +208,7 @@ def cmd_finetune(config_path, seed, out, method, task, epochs):
                      seed=cfg["seed"], base_lr=cfg["base_lr"],
                      batch_size=cfg["batch_size"], images=cfg["images"],
                      eval_n=cfg["eval_n"], adapter_config=_adapter_config(cfg),
-                     insertion=_insertion(cfg), weight_decay=cfg["weight_decay"])
+                     weight_decay=cfg["weight_decay"])
     P.save_adapter(out_dir / "adapter.ckpt", res.adapter, model.config)
     _write_reports(out_dir, "report.csv", [(cfg["method"], res.report)])
     _dump_qualitative(out_dir, model, res.adapter, cfg["task"], cfg)

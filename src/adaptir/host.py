@@ -29,7 +29,6 @@ from .data import parse_task
 __all__ = [
     "HostConfig",
     "HostModel",
-    "InsertionSpec",
     "PETLMethod",
     "AdapterStack",
     "LoRAStack",
@@ -71,22 +70,6 @@ class HostConfig:
     @property
     def np_dtype(self):
         return np.float32 if self.dtype == "f32" else np.float64
-
-    @property
-    def input_hw(self) -> tuple[int, int]:
-        return (self.feat_h * HEAD_DOWNSAMPLE, self.feat_w * HEAD_DOWNSAMPLE)
-
-
-@dataclass(frozen=True)
-class InsertionSpec:
-    position: str = "mlp"        # "mlp" | "attention"
-    form: str = "parallel"       # "parallel" | "sequential"
-
-    def __post_init__(self):
-        if self.position not in ("mlp", "attention"):
-            raise ConfigError(f"unknown insertion position {self.position!r}")
-        if self.form not in ("parallel", "sequential"):
-            raise ConfigError(f"unknown insertion form {self.form!r}")
 
 
 class HostModel:
@@ -192,29 +175,28 @@ class PETLMethod:
 
 
 class AdapterStack(PETLMethod):
-    """Per-layer feature-map adapters plus their insertion wiring."""
+    """Per-layer feature-map adapters, inserted where ``config.position``
+    and ``config.form`` say; layer ``i`` is seeded ``config.seed + i``."""
 
     method = "adaptir"
 
-    def __init__(self, host_config: HostConfig, adapter_config: AdaptIRConfig | None = None,
-                 insertion: InsertionSpec = InsertionSpec(),
-                 branches: tuple[bool, bool, bool] = (True, True, True)):
+    def __init__(self, host_config: HostConfig, adapter_config: AdaptIRConfig | None = None):
         if adapter_config is None:
             adapter_config = AdaptIRConfig(channels=host_config.embed)
         if adapter_config.channels != host_config.embed:
             raise ConfigError(
                 f"adapter channels {adapter_config.channels} != host embed {host_config.embed}")
-        self.insertion = insertion
-        self.layers = [AdaptIR(replace(adapter_config, seed=adapter_config.seed + i),
-                               branches=branches) for i in range(host_config.layers)]
+        self.config = adapter_config
+        self.layers = [AdaptIR(replace(adapter_config, seed=adapter_config.seed + i))
+                       for i in range(host_config.layers)]
 
     def _insert(self, position: str, i: int, x_norm: Tensor, out: Tensor,
                 hw: tuple[int, int]) -> Tensor:
         """Add adapter ``i`` at ``position``: parallel forms adapt the
         sublayer's input, sequential ones its output."""
-        if self.insertion.position != position:
+        if self.config.position != position:
             return out
-        src = x_norm if self.insertion.form == "parallel" else out
+        src = x_norm if self.config.form == "parallel" else out
         fmap = _tokens_to_map(src, src.shape[-1], *hw)
         return out + _map_to_tokens(self.layers[i](fmap))
 
@@ -229,16 +211,11 @@ class AdapterStack(PETLMethod):
                 for k, v in ad.parameters().items()}
 
     def to_config(self) -> dict:
-        first = self.layers[0]
-        return {"adapter": asdict(first.config),
-                "insertion": [self.insertion.position, self.insertion.form],
-                "branches": [first.enable_lim, first.enable_fam, first.enable_csm]}
+        return {"adapter": asdict(self.config)}
 
     @classmethod
     def from_config(cls, host_config, cfg):
-        return cls(host_config, AdaptIRConfig(**cfg["adapter"]),
-                   insertion=InsertionSpec(*cfg["insertion"]),
-                   branches=tuple(cfg["branches"]))
+        return cls(host_config, AdaptIRConfig(**cfg["adapter"]))
 
 
 class LoRAStack(PETLMethod):

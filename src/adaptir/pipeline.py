@@ -17,8 +17,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import ContractError, Tensor, finite_diff_grad, no_grad
 from .adapter import AdaptIR, AdaptIRConfig, ConfigError
-from .host import (METHODS, HostConfig, HostModel, InsertionSpec, AdapterStack,
-                   PETLMethod, host_forward, freeze, trainable_parameters, host_checksum)
+from .host import (METHODS, HostConfig, HostModel, AdapterStack, PETLMethod,
+                   host_forward, freeze, trainable_parameters, host_checksum)
 from .data import (DegradationSpec, parse_task, synth_image, degrade, derive_seed,
                    epoch_order)
 from .metrics import MetricReport, psnr, ssim
@@ -174,8 +174,6 @@ def pretrain(host_config: HostConfig, epochs: int = 30, seed: int = 0,
              images_per_task: int = 16, weight_decay: float = 0.0):
     """Train every host parameter on a round-robin multi-task mixture,
     then freeze.  Returns (frozen model, per-epoch loss log)."""
-    if not host_config.tasks:
-        raise ConfigError("pretraining needs at least one task")
     model = HostModel(host_config)
     runs = [_train_run(t, derive_seed(seed, "task", t), images_per_task)
             for t in host_config.tasks]
@@ -220,23 +218,20 @@ def _method_class(method: str) -> type[PETLMethod]:
 
 
 def build_adapter(host_config: HostConfig, method: str, seed: int = 0,
-                  adapter_config: AdaptIRConfig | None = None,
-                  insertion: InsertionSpec = InsertionSpec(),
-                  branches: tuple[bool, bool, bool] = (True, True, True)) -> PETLMethod:
+                  adapter_config: AdaptIRConfig | None = None) -> PETLMethod:
     """Construct the requested method's adapter stack.
 
-    The baselines are sized by their ``with_budget`` to match the default
-    three-branch stack's trainable count within a few percent, mirroring
+    The baselines are sized by their ``with_budget`` to match the configured
+    AdaptIR stack's trainable count within a few percent, mirroring
     equal-budget comparisons.
     """
     cls = _method_class(method)
     if adapter_config is None:
         adapter_config = AdaptIRConfig(channels=host_config.embed, seed=seed)
+    stack = AdapterStack(host_config, adapter_config)
     if cls is AdapterStack:
-        return AdapterStack(host_config, adapter_config, insertion=insertion,
-                            branches=branches)
-    target = AdapterStack(host_config, adapter_config).param_count()
-    return cls.with_budget(host_config, target, seed=seed)
+        return stack
+    return cls.with_budget(host_config, stack.param_count(), seed=seed)
 
 
 # -- fine-tuning -----------------------------------------------------------------
@@ -257,8 +252,6 @@ def finetune(model: HostModel, method: str, task: str, epochs: int = 25,
              seed: int = 0, base_lr: float = 2e-3, batch_size: int = 8,
              images: int = 16, eval_n: int = 8,
              adapter_config: AdaptIRConfig | None = None,
-             insertion: InsertionSpec = InsertionSpec(),
-             branches: tuple[bool, bool, bool] = (True, True, True),
              weight_decay: float = 0.0) -> FinetuneResult:
     """Train only the adapter on a frozen host; reports held-out metrics
     before and after along with freeze-contract checksums."""
@@ -266,8 +259,7 @@ def finetune(model: HostModel, method: str, task: str, epochs: int = 25,
         raise ConfigError("finetune requires a frozen host")
     parse_task(task)  # validate early
     adapter = build_adapter(model.config, method, seed=derive_seed(seed, "init"),
-                            adapter_config=adapter_config, insertion=insertion,
-                            branches=branches)
+                            adapter_config=adapter_config)
     checksum_before = host_checksum(model)
     t0 = time.perf_counter()
     psnr_before, ssim_before = evaluate(model, None, task, n=eval_n, seed=seed)
@@ -297,17 +289,17 @@ def ablate(model: HostModel, task: str, axes: str, epochs: int = 6, seed: int = 
            base_lr: float = 2e-3, batch_size: int = 8, images: int = 8, eval_n: int = 4,
            adapter_config: AdaptIRConfig | None = None, weight_decay: float = 0.0):
     """One short fine-tune per configuration of the requested axis, with a
-    shared seed; emits (label, MetricReport) rows."""
+    shared seed; each row varies ``adapter_config`` along that axis alone.
+    Emits (label, MetricReport) rows."""
     if adapter_config is None:
         adapter_config = AdaptIRConfig(channels=model.config.embed)
     base = replace(adapter_config, seed=derive_seed(seed, "init"))
     rows: list[tuple[str, MetricReport]] = []
 
-    def run(label, cfg=base, insertion=InsertionSpec(), branches=(True, True, True)):
+    def run(label, cfg=base):
         res = finetune(model, "adaptir", task, epochs=epochs, seed=seed,
                        base_lr=base_lr, batch_size=batch_size, images=images,
-                       eval_n=eval_n, adapter_config=cfg, insertion=insertion,
-                       branches=branches, weight_decay=weight_decay)
+                       eval_n=eval_n, adapter_config=cfg, weight_decay=weight_decay)
         rows.append((label, res.report))
 
     if axes == "efficiency":
@@ -318,17 +310,17 @@ def ablate(model: HostModel, task: str, axes: str, epochs: int = 6, seed: int = 
         run("(3) w/o depth-separable in FAM",
             replace(base, lim_decompose=False, lim_depthwise=False, fam_depthwise=False))
         run("(4) w/o CSM & w/o depth-separable",
-            replace(base, lim_decompose=False, lim_depthwise=False, fam_depthwise=False),
-            branches=(True, True, False))
+            replace(base, lim_decompose=False, lim_depthwise=False, fam_depthwise=False,
+                    csm=False))
     elif axes == "components":
-        run("csm", branches=(False, False, True))
-        run("fam+csm", branches=(False, True, True))
-        run("lim+fam", branches=(True, True, False))
-        run("lim+fam+csm", branches=(True, True, True))
+        for label in ("csm", "fam+csm", "lim+fam", "lim+fam+csm"):
+            enabled = label.split("+")
+            run(label, replace(base, lim="lim" in enabled, fam="fam" in enabled,
+                               csm="csm" in enabled))
     elif axes == "insertion":
         for pos in ("mlp", "attention"):
             for form in ("parallel", "sequential"):
-                run(f"{pos}/{form}", insertion=InsertionSpec(pos, form))
+                run(f"{pos}/{form}", replace(base, position=pos, form=form))
     else:
         raise ConfigError(f"unknown ablation axis {axes!r} (one of {ABLATION_AXES})")
     return rows
@@ -368,9 +360,16 @@ def save_adapter(path, adapter: PETLMethod, host_config: HostConfig) -> None:
 
 
 def load_adapter(path) -> PETLMethod:
-    """Rebuild an adapter stack from its checkpoint."""
+    """Rebuild an adapter stack from its checkpoint.  The header must hold
+    exactly the method config the rebuilt stack writes, so no saved setting
+    (or one written by an older layout) is silently dropped."""
     def build(cfg):
-        return _method_class(cfg["method"]).from_config(HostConfig(**cfg["host"]), cfg)
+        adapter = _method_class(cfg["method"]).from_config(HostConfig(**cfg["host"]), cfg)
+        saved = {k: v for k, v in cfg.items() if k not in ("method", "host")}
+        if saved != adapter.to_config():
+            raise ConfigError(f"{cfg['method']} checkpoint header does not match the"
+                              " configuration it rebuilds (saved by an older layout?)")
+        return adapter
     return _load_module(path, "adapter", build)
 
 

@@ -15,7 +15,7 @@ from adaptir import fft as F
 from adaptir import pipeline as P
 from adaptir import tensor as T
 from adaptir.adapter import AdaptIR, AdaptIRConfig
-from adaptir.host import (HostConfig, HostModel, InsertionSpec, AdapterStack,
+from adaptir.host import (HostConfig, HostModel, AdapterStack,
                           LoRAStack, BottleneckStack, host_forward, host_checksum)
 from adaptir.metrics import psnr, rgb_to_y, ssim
 from adaptir.tensor import Tensor, no_grad
@@ -77,8 +77,8 @@ def test_criterion_1b_zero_init_all_insertion_variants():
         base = host_forward(x, "noise25", model).data
         for pos in ("mlp", "attention"):
             for form in ("parallel", "sequential"):
-                stack = AdapterStack(cfg, AdaptIRConfig(channels=64, seed=2),
-                                     insertion=InsertionSpec(pos, form))
+                stack = AdapterStack(cfg, AdaptIRConfig(channels=64, seed=2,
+                                                        position=pos, form=form))
                 out = host_forward(x, "noise25", model, adapter=stack).data
                 assert np.array_equal(base, out), (pos, form)
     print("\n[criterion 1b] all 4 insertion variants transparent at init")

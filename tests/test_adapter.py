@@ -1,6 +1,8 @@
 """Three-branch adapter: parameter counting oracle, zero-init no-op,
 per-branch compositional oracles in plain numpy, branch masking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -77,8 +79,12 @@ def test_config_validation():
         AdaptIRConfig(channels=64, kernel=4).validate()
     with pytest.raises(ConfigError):
         AdaptIRConfig(channels=64, lim_rank=0).validate()
-    with pytest.raises(ConfigError):
-        AdaptIR(AdaptIRConfig(channels=64), branches=(False, False, False))
+    with pytest.raises(ConfigError, match="at least one branch"):
+        AdaptIR(AdaptIRConfig(channels=64, lim=False, fam=False, csm=False))
+    with pytest.raises(ConfigError, match="unknown insertion position 'ffn'"):
+        AdaptIRConfig(channels=64, position="ffn").validate()
+    with pytest.raises(ConfigError, match="unknown insertion form 'serial'"):
+        AdaptIRConfig(channels=64, form="serial").validate()
 
 
 # -- compositional branch oracles in plain numpy ---------------------------------
@@ -211,24 +217,22 @@ def test_forward_is_sum_of_branches_through_up_projection():
 
 def test_branch_masking_isolates_and_excludes_params():
     cfg = AdaptIRConfig(channels=8, reduction=2, dtype="f64")
-    ad = randomized(cfg, 14)
+    lim_only = randomized(replace(cfg, fam=False, csm=False), 14)
     rng = np.random.default_rng(15)
     x = Tensor(rng.standard_normal((1, 8, 6, 6)))
     with no_grad():
-        lim_only = ad.masked(True, False, False)
-        xi = ad.down_project(x)
-        expect = np_conv_same(ad.lim_forward(xi).data, ad.params["up_w"].data,
-                              ad.params["up_b"].data)
+        xi = lim_only.down_project(x)
+        expect = np_conv_same(lim_only.lim_forward(xi).data,
+                              lim_only.params["up_w"].data, lim_only.params["up_b"].data)
         assert np.abs(lim_only(x).data - expect).max() < 1e-12
-    # masked variants share tensors but drop disabled-branch params
+    # disabled branches build no parameters
     names = set(lim_only.parameters())
     assert not any(n.startswith(("fam_", "csm_")) for n in names)
-    assert lim_only.parameters()["lim_u"] is ad.params["lim_u"]
     # count ordering: csm-only < fam+csm < lim+fam+csm
-    c1 = ad.masked(False, False, True).param_count()
-    c2 = ad.masked(False, True, True).param_count()
-    c3 = ad.masked(True, True, True).param_count()
-    assert c1 < c2 < c3 == ad.param_count()
+    c1 = AdaptIR(replace(cfg, lim=False, fam=False)).param_count()
+    c2 = AdaptIR(replace(cfg, lim=False)).param_count()
+    c3 = AdaptIR(cfg).param_count()
+    assert c1 < c2 < c3 == count_oracle(cfg)
 
 
 def test_gradients_flow_to_every_parameter():

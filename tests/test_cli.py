@@ -220,6 +220,43 @@ def test_bad_batch_size_rejected(workspace, extra, fragment):
     assert not (workspace / "badbatch" / "report.csv").exists()
 
 
+def test_ablate_honours_insertion_keys(workspace):
+    """The configured insertion site reaches every row of the components axis."""
+    base = write_ft_cfg(workspace).read_text(encoding="utf-8")
+    tables = []
+    for name, extra in (("abmlp", ""), ("abattn", "insertion.position=attention\n")):
+        path = workspace / f"{name}.cfg"
+        path.write_text(base + extra, encoding="utf-8")
+        res = invoke(["ablate", "--config", path, "--out", workspace / name,
+                      "--seed", 5, "--epochs", 1, "--axes", "components", "--task", "sr2"])
+        assert res.exit_code == 0, res.output
+        tables.append((workspace / name / "ablation_components.csv").read_bytes())
+    assert tables[0] != tables[1]
+
+
+@pytest.mark.parametrize("method", ["adaptir", "lora"])
+@pytest.mark.parametrize("extra,fragment", [
+    ("insertion.position=ffn", "unknown insertion position 'ffn'"),
+    ("insertion.form=serial", "unknown insertion form 'serial'"),
+])
+def test_unknown_insertion_rejected(workspace, method, extra, fragment):
+    path = workspace / "badins.cfg"
+    path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8") + extra + "\n",
+                    encoding="utf-8")
+    res = invoke(["finetune", "--config", path, "--out", workspace / "badins",
+                  "--method", method, "--epochs", 1, "--task", "sr2"])
+    assert_one_line_error(res, fragment)
+    assert not (workspace / "badins" / "report.csv").exists()
+
+
+def test_pretrain_without_tasks_rejected(workspace):
+    path = workspace / "notasks.cfg"
+    path.write_text(TINY_HOST + "host.tasks=\n", encoding="utf-8")
+    res = invoke(["pretrain", "--config", path, "--out", workspace / "notasks",
+                  "--epochs", 1])
+    assert_one_line_error(res, "at least one task is required")
+
+
 def test_ablate_honours_batch_size(workspace):
     path = workspace / "ab4.cfg"
     path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8") + "batch_size=4\n",

@@ -1,14 +1,16 @@
 """Frozen host model: shapes, zero-init transparency of every adapter
 method and insertion variant, freeze contract, insertion-path oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from adaptir import tensor as T
 from adaptir.adapter import AdaptIRConfig, ConfigError
-from adaptir.host import (HEAD_DOWNSAMPLE, HostConfig, HostModel, InsertionSpec,
-                          AdapterStack, LoRAStack, BottleneckStack, host_forward,
-                          freeze, trainable_parameters, host_checksum)
+from adaptir.host import (HEAD_DOWNSAMPLE, HostConfig, HostModel, AdapterStack,
+                          LoRAStack, BottleneckStack, host_forward, freeze,
+                          trainable_parameters, host_checksum)
 from adaptir.tensor import Tensor, no_grad
 
 
@@ -76,9 +78,8 @@ def test_zero_init_transparency(method):
 @pytest.mark.parametrize("form", ["parallel", "sequential"])
 def test_zero_init_transparency_all_insertions(position, form):
     model = small_model()
-    adapter = AdapterStack(SMALL, AdaptIRConfig(channels=16, reduction=4,
-                                                lim_rank=2, seed=6),
-                           insertion=InsertionSpec(position, form))
+    adapter = AdapterStack(SMALL, AdaptIRConfig(channels=16, reduction=4, lim_rank=2,
+                                                seed=6, position=position, form=form))
     x = rand_input(2)
     with no_grad():
         base = host_forward(x, "noise25", model).data
@@ -103,7 +104,7 @@ def test_insertion_variants_are_distinct_with_trained_weights():
     with no_grad():
         for pos in ("mlp", "attention"):
             for form in ("parallel", "sequential"):
-                stack.insertion = InsertionSpec(pos, form)
+                stack.config = replace(stack.config, position=pos, form=form)
                 outs.append(host_forward(x, "sr2", model, adapter=stack).data)
     for i in range(len(outs)):
         for j in range(i + 1, len(outs)):

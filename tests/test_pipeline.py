@@ -1,7 +1,7 @@
 """Training pipeline: optimizer closed forms, schedule exactness, budget
 equalizer, determinism, checkpoint round trips, gradient-audit teeth."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from adaptir import pipeline as P
 from adaptir import tensor as tensor_mod
 from adaptir.adapter import AdaptIRConfig, ConfigError
-from adaptir.host import HostConfig, InsertionSpec, PETLMethod
+from adaptir.host import HostConfig, PETLMethod
 from adaptir.serialize import load_checkpoint, save_checkpoint
 from adaptir.tensor import ContractError, Tensor
 
@@ -168,17 +168,17 @@ def test_checkpoint_round_trips(tiny_frozen, tmp_path):
     assert host_checksum(back) == host_checksum(model)
 
     host_cfg = {**asdict(model.config), "tasks": list(model.config.tasks)}
-    for method, insertion in (("adaptir", InsertionSpec()),
-                              ("adaptir", InsertionSpec("attention", "sequential")),
-                              ("lora", InsertionSpec()), ("bottleneck", InsertionSpec())):
+    attn_seq = replace(TINY_ADAPTER, position="attention", form="sequential")
+    for method, adapter_cfg in (("adaptir", TINY_ADAPTER), ("adaptir", attn_seq),
+                                ("lora", TINY_ADAPTER), ("bottleneck", TINY_ADAPTER)):
         res = P.finetune(model, method, "sr2", epochs=1, seed=0, images=8, eval_n=2,
-                         adapter_config=TINY_ADAPTER, insertion=insertion)
-        path = tmp_path / f"{method}_{insertion.position}.ckpt"
+                         adapter_config=adapter_cfg)
+        path = tmp_path / f"{method}_{adapter_cfg.position}.ckpt"
         P.save_adapter(path, res.adapter, model.config)
         adapter = P.load_adapter(path)
         assert adapter.method == res.adapter.method == method
         if method == "adaptir":
-            assert adapter.insertion == insertion
+            assert adapter.config == adapter_cfg
         assert adapter.to_config() == res.adapter.to_config()
         _, header_cfg, _ = load_checkpoint(path)
         assert header_cfg == {"method": method, "host": host_cfg, **res.adapter.to_config()}
@@ -195,6 +195,22 @@ def test_adapter_checkpoint_rejects_unknown_method(tmp_path):
         P.load_adapter(tmp_path / "a.ckpt")
     with pytest.raises(ConfigError):  # the bare slot is not a method
         P.save_adapter(tmp_path / "b.ckpt", PETLMethod(), TINY)
+
+
+@pytest.mark.parametrize("method,extra", [
+    ("lora", {"note": "unread"}),
+    # the layout that kept the insertion site and branch set beside "adapter"
+    ("adaptir", {"insertion": ["attention", "sequential"],
+                 "branches": [True, True, True]}),
+])
+def test_adapter_checkpoint_rejects_unread_header_keys(tmp_path, method, extra):
+    stack = P.build_adapter(TINY, method, adapter_config=TINY_ADAPTER)
+    host_cfg = {**asdict(TINY), "tasks": list(TINY.tasks)}
+    save_checkpoint(tmp_path / "a.ckpt", "adapter",
+                    {"method": method, "host": host_cfg, **stack.to_config(), **extra},
+                    stack.parameters())
+    with pytest.raises(ConfigError, match="header does not match"):
+        P.load_adapter(tmp_path / "a.ckpt")
 
 
 def test_checkpoint_rejects_trailing_bytes(tiny_frozen, tmp_path):
