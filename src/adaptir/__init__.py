@@ -4,29 +4,29 @@ included, computed by numpy.fft), data pipeline and training/evaluation
 harness."""
 
 from .tensor import Tensor, ShapeError, ContractError, no_grad
-from .adapter import AdaptIR, AdaptIRConfig, ConfigError
+from .adapter import AdaptIR, AdaptIRConfig, ConfigError, config_from
 from .baselines import LoRALayer, BottleneckAdapter, lora_apply, bottleneck_forward
 from .host import (HostConfig, HostModel, PETLMethod, AdapterStack, LoRAStack,
                    BottleneckStack, METHODS, host_forward, freeze, trainable_parameters,
                    host_checksum)
 from .data import DegradationSpec, parse_task, synth_image, degrade, derive_seed
 from .metrics import MetricReport, psnr, ssim, rgb_to_y
-from .pipeline import (l1_loss, lr_at, TrainState, adamw_step, pretrain, finetune,
-                       evaluate, build_adapter, ablate, gradcheck, save_host,
+from .pipeline import (l1_loss, lr_at, TrainConfig, TrainState, adamw_step, pretrain,
+                       finetune, evaluate, build_adapter, ablate, gradcheck, save_host,
                        load_host, save_adapter, load_adapter)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "ShapeError", "ContractError", "no_grad",
-    "AdaptIR", "AdaptIRConfig", "ConfigError",
+    "AdaptIR", "AdaptIRConfig", "ConfigError", "config_from",
     "LoRALayer", "BottleneckAdapter", "lora_apply", "bottleneck_forward",
     "HostConfig", "HostModel", "PETLMethod", "AdapterStack",
     "LoRAStack", "BottleneckStack", "METHODS", "host_forward", "freeze",
     "trainable_parameters", "host_checksum",
     "DegradationSpec", "parse_task", "synth_image", "degrade", "derive_seed",
     "MetricReport", "psnr", "ssim", "rgb_to_y",
-    "l1_loss", "lr_at", "TrainState", "adamw_step", "pretrain", "finetune",
+    "l1_loss", "lr_at", "TrainConfig", "TrainState", "adamw_step", "pretrain", "finetune",
     "evaluate", "build_adapter", "ablate", "gradcheck",
     "save_host", "load_host", "save_adapter", "load_adapter",
     "__version__",

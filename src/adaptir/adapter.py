@@ -18,6 +18,7 @@ depth-separable form for full channel mixing), the branch set
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,44 @@ from . import tensor as T
 from .tensor import Tensor, ShapeError
 from .fft import ComplexSpectrum, rfft2, irfft2
 
-__all__ = ["AdaptIRConfig", "AdaptIR", "ConfigError"]
+__all__ = ["AdaptIRConfig", "AdaptIR", "ConfigError", "config_from", "check_type"]
 
 
 class ConfigError(ValueError):
     pass
+
+
+def check_type(value, tp, what: str):
+    """``value`` if it is a ``tp`` (int, float or int, bool, str, ``X | None``,
+    or ``tuple[X, ...]`` from a list); else one ``ConfigError`` naming ``what``."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(check_type(v, args[0], f"{what}[{i}]") for i, v in enumerate(value))
+    elif type(value) in (tp, *args) or (tp is float and type(value) is int):
+        return value
+    name = tp.__name__ if isinstance(tp, type) else str(tp)
+    raise ConfigError(f"{what} expects {name}, got {value!r}")
+
+
+def config_from(cls, values, where: str):
+    """The config dataclass ``cls`` built from ``values`` (a CLI section or a
+    checkpoint header) and validated; an unknown key, a wrongly typed value or
+    a failed check is one ``ConfigError`` naming ``where``, the class and key."""
+    name = cls.__name__
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where}: {name} expects an object, got {values!r}")
+    hints = typing.get_type_hints(cls)
+    for key in values:
+        if key not in hints:
+            raise ConfigError(f"{where}: {name} has no key {key!r}")
+    config = cls(**{key: check_type(value, hints[key], f"{where}: {name}.{key}")
+                    for key, value in values.items()})
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {name}: {exc}") from None
+    return config
 
 
 @dataclass

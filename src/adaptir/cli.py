@@ -17,42 +17,34 @@ import click
 import numpy as np
 
 from . import pipeline as P
-from .adapter import AdaptIRConfig, ConfigError
+from .adapter import AdaptIRConfig, ConfigError, config_from
 from .data import derive_seed, parse_task, save_ppm, synth_image, degrade
 from .host import METHODS, HostConfig, HostModel, host_forward, host_checksum
 from .metrics import MetricReport
 from .pipeline import LQ_SIZE
 from .tensor import ContractError, ShapeError, Tensor, no_grad
 
-# every recognized config key with its parser and default; the host.*,
-# adapter.* and insertion.* defaults are the config dataclasses' own
+# key prefix -> (config dataclass, the fields the CLI exposes as prefix + field)
+_SECTIONS = {
+    "": (P.TrainConfig, ("seed", "epochs", "base_lr", "batch_size", "weight_decay",
+                         "images", "eval_n")),
+    "host.": (HostConfig, ("embed", "layers", "heads", "mlp_ratio", "tasks")),
+    "adapter.": (AdaptIRConfig, ("reduction", "lim_rank", "kernel")),
+    "insertion.": (AdaptIRConfig, ("position", "form")),
+}
+
+# every recognized key with its default, whose type parses the key's value;
+# a section key defaults to its dataclass field's default
 _KEYS = {
-    "seed": (int, 0),
-    "out": (str, "runs/default"),
-    "method": (str, "adaptir"),
-    "task": (str, "second_order_s2_sig25"),
-    "epochs": (int, 25),
-    "base_lr": (float, 2e-3),
-    "batch_size": (int, 8),
-    "weight_decay": (float, 0.0),
-    "images": (int, 16),
-    "eval_n": (int, 8),
-    "axes": (str, "components"),
-    "host_checkpoint": (str, ""),
-    "adapter_checkpoint": (str, ""),
-    "dump_images": (int, 2),
-    "host.embed": (int, HostConfig.embed),
-    "host.layers": (int, HostConfig.layers),
-    "host.heads": (int, HostConfig.heads),
-    "host.mlp_ratio": (int, HostConfig.mlp_ratio),
-    "host.feat_h": (int, HostConfig.feat_h),
-    "host.feat_w": (int, HostConfig.feat_w),
-    "host.tasks": (str, ",".join(HostConfig.tasks)),
-    "adapter.reduction": (int, AdaptIRConfig.reduction),
-    "adapter.lim_rank": (int, AdaptIRConfig.lim_rank),
-    "adapter.kernel": (int, AdaptIRConfig.kernel),
-    "insertion.position": (str, AdaptIRConfig.position),
-    "insertion.form": (str, AdaptIRConfig.form),
+    "out": "runs/default",
+    "method": "adaptir",
+    "task": "second_order_s2_sig25",
+    "axes": "components",
+    "host_checkpoint": "",
+    "adapter_checkpoint": "",
+    "dump_images": 2,
+    **{prefix + name: getattr(cls, name)
+       for prefix, (cls, names) in _SECTIONS.items() for name in names},
 }
 
 # PPMError is a ValueError
@@ -71,48 +63,50 @@ def _parse_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _KEYS[key][0](value)
+        kind = type(_KEYS[key])
+        try:  # a tuple is comma-separated
+            values[key] = (tuple(t.strip() for t in value.split(",") if t.strip())
+                           if kind is tuple else kind(value))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} expects {kind.__name__},"
+                              f" got {value!r}") from None
     return values
 
 
-def _resolve(config_path, **overrides) -> dict:
-    cfg = {k: default for k, (_, default) in _KEYS.items()}
+def _section(cfg: dict, *prefixes: str, **fixed):
+    """The dataclass of sections ``prefixes`` plus the unexposed ``fixed`` fields."""
+    values = {name: cfg[p + name] for p in prefixes for name in _SECTIONS[p][1]}
+    return config_from(_SECTIONS[prefixes[0]][0], {**values, **fixed}, "resolved config")
+
+
+def _resolve(config_path, **overrides) -> tuple[dict, P.TrainConfig]:
+    """The run's keys (defaults, then the file, then the flags) and its recipe."""
+    cfg = dict(_KEYS)
     if config_path:
         cfg.update(_parse_config_file(config_path))
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("epochs", "images", "eval_n", "batch_size"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    if cfg["batch_size"] > cfg["images"]:
-        raise ConfigError(f"batch_size {cfg['batch_size']} exceeds images {cfg['images']}:"
-                          " an epoch would have no full batch")
-    return cfg
+    if cfg["dump_images"] < 0:
+        raise ConfigError(f"dump_images must be >= 0, got {cfg['dump_images']}")
+    return cfg, _section(cfg, "")
 
 
 def _out_dir(cfg: dict) -> Path:
+    """Create the output directory and write the resolved config into it."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
+    lines = [f"{k}={','.join(v) if isinstance(v, tuple) else v}"
+             for k, v in sorted(cfg.items())]
+    (out / "resolved.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
 
-def _write_resolved(cfg: dict, out: Path) -> None:
-    lines = [f"{k}={cfg[k]}" for k in sorted(cfg)]
-    (out / "resolved.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _host_config(cfg: dict) -> HostConfig:
-    return HostConfig(embed=cfg["host.embed"], layers=cfg["host.layers"],
-                      heads=cfg["host.heads"], mlp_ratio=cfg["host.mlp_ratio"],
-                      feat_h=cfg["host.feat_h"], feat_w=cfg["host.feat_w"],
-                      tasks=[t.strip() for t in cfg["host.tasks"].split(",") if t.strip()],
-                      seed=cfg["seed"])
+    return _section(cfg, "host.", seed=cfg["seed"])
 
 
 def _adapter_config(cfg: dict) -> AdaptIRConfig:
-    return AdaptIRConfig(channels=cfg["host.embed"], reduction=cfg["adapter.reduction"],
-                         lim_rank=cfg["adapter.lim_rank"], kernel=cfg["adapter.kernel"],
-                         position=cfg["insertion.position"], form=cfg["insertion.form"],
-                         seed=derive_seed(cfg["seed"], "init"))
+    return _section(cfg, "adapter.", "insertion.", channels=cfg["host.embed"],
+                    seed=derive_seed(cfg["seed"], "init"))
 
 
 def _load_host(cfg: dict):
@@ -177,14 +171,9 @@ def main():
 @_with_shared([click.option("--epochs", type=int, default=None)])
 def cmd_pretrain(config_path, seed, out, epochs):
     """Train the multi-task host from scratch and freeze it."""
-    cfg = _resolve(config_path, seed=seed, out=out, epochs=epochs)
+    cfg, train = _resolve(config_path, seed=seed, out=out, epochs=epochs)
     out_dir = _out_dir(cfg)
-    _write_resolved(cfg, out_dir)
-    host_cfg = _host_config(cfg)
-    model, log = P.pretrain(host_cfg, epochs=cfg["epochs"], seed=cfg["seed"],
-                            base_lr=cfg["base_lr"], batch_size=cfg["batch_size"],
-                            images_per_task=cfg["images"],
-                            weight_decay=cfg["weight_decay"])
+    model, log = P.pretrain(_host_config(cfg), train)
     P.save_host(out_dir / "host.ckpt", model)
     rows = ["epoch,task,loss"] + [f"{e},{t},{l:.6f}" for e, t, l in log]
     (out_dir / "pretrain_log.csv").write_text("\n".join(rows) + "\n",
@@ -199,16 +188,12 @@ def cmd_pretrain(config_path, seed, out, epochs):
                click.option("--epochs", type=int, default=None)])
 def cmd_finetune(config_path, seed, out, method, task, epochs):
     """Train one adapter method on a frozen host checkpoint."""
-    cfg = _resolve(config_path, seed=seed, out=out, method=method,
-                   task=task, epochs=epochs)
+    cfg, train = _resolve(config_path, seed=seed, out=out, method=method,
+                          task=task, epochs=epochs)
     out_dir = _out_dir(cfg)
-    _write_resolved(cfg, out_dir)
     model = _load_host(cfg)
-    res = P.finetune(model, cfg["method"], cfg["task"], epochs=cfg["epochs"],
-                     seed=cfg["seed"], base_lr=cfg["base_lr"],
-                     batch_size=cfg["batch_size"], images=cfg["images"],
-                     eval_n=cfg["eval_n"], adapter_config=_adapter_config(cfg),
-                     weight_decay=cfg["weight_decay"])
+    res = P.finetune(model, cfg["method"], cfg["task"], train,
+                     adapter_config=_adapter_config(cfg))
     P.save_adapter(out_dir / "adapter.ckpt", res.adapter, model.config)
     _write_reports(out_dir, "report.csv", [(cfg["method"], res.report)])
     _dump_qualitative(out_dir, model, res.adapter, cfg["task"], cfg)
@@ -226,16 +211,15 @@ def cmd_finetune(config_path, seed, out, method, task, epochs):
 @_with_shared([click.option("--task", type=str, default=None)])
 def cmd_eval(config_path, seed, out, task):
     """Evaluate a frozen host (plus optional adapter) on held-out images."""
-    cfg = _resolve(config_path, seed=seed, out=out, task=task)
+    cfg, train = _resolve(config_path, seed=seed, out=out, task=task)
     out_dir = _out_dir(cfg)
-    _write_resolved(cfg, out_dir)
     model = _load_host(cfg)
     adapter, trainable = None, 0
     if cfg["adapter_checkpoint"]:
         adapter = P.load_adapter(cfg["adapter_checkpoint"])
         trainable = adapter.param_count()
-    mean_psnr, mean_ssim = P.evaluate(model, adapter, cfg["task"], n=cfg["eval_n"],
-                                      seed=cfg["seed"])
+    mean_psnr, mean_ssim = P.evaluate(model, adapter, cfg["task"], n=train.eval_n,
+                                      seed=train.seed)
     report = MetricReport(task=cfg["task"], psnr=mean_psnr, ssim=mean_ssim,
                           trainable_params=trainable,
                           total_params=model.param_count() + trainable, steps=0)
@@ -264,7 +248,7 @@ def cmd_gradcheck(seed):
 @_with_shared()
 def cmd_paramcount(config_path, seed, out):
     """Print host and per-method trainable parameter counts."""
-    cfg = _resolve(config_path, seed=seed, out=out)
+    cfg, _ = _resolve(config_path, seed=seed, out=out)
     host_cfg = _host_config(cfg)
     total = HostModel(host_cfg).param_count()
     click.echo(f"host total: {total}")
@@ -280,16 +264,12 @@ def cmd_paramcount(config_path, seed, out):
                click.option("--axes", type=str, default=None)])
 def cmd_ablate(config_path, seed, out, task, epochs, axes):
     """Run one ablation axis (efficiency | components | insertion)."""
-    cfg = _resolve(config_path, seed=seed, out=out, task=task,
-                   epochs=epochs, axes=axes)
+    cfg, train = _resolve(config_path, seed=seed, out=out, task=task,
+                          epochs=epochs, axes=axes)
     out_dir = _out_dir(cfg)
-    _write_resolved(cfg, out_dir)
     model = _load_host(cfg)
-    rows = P.ablate(model, cfg["task"], cfg["axes"], epochs=cfg["epochs"],
-                    seed=cfg["seed"], base_lr=cfg["base_lr"],
-                    batch_size=cfg["batch_size"], images=cfg["images"],
-                    eval_n=cfg["eval_n"], adapter_config=_adapter_config(cfg),
-                    weight_decay=cfg["weight_decay"])
+    rows = P.ablate(model, cfg["task"], cfg["axes"], train,
+                    adapter_config=_adapter_config(cfg))
     _write_reports(out_dir, f"ablation_{cfg['axes']}.csv", rows)
     width = max(len(label) for label, _ in rows)
     for label, rep in rows:

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .adapter import AdaptIR, AdaptIRConfig, ConfigError, _uniform
+from .adapter import (AdaptIR, AdaptIRConfig, ConfigError, _uniform, check_type,
+                      config_from)
 from .baselines import BottleneckAdapter, LoRALayer
 from .data import parse_task
 
@@ -49,21 +50,20 @@ class HostConfig:
     layers: int = 4
     heads: int = 4
     mlp_ratio: int = 4
-    feat_h: int = 16
-    feat_w: int = 16
     tasks: tuple[str, ...] = ("sr2", "noise25")
     seed: int = 0
     dtype: str = "f32"
 
-    def __post_init__(self):
-        # checkpoint headers store tasks as a JSON list
-        self.tasks = tuple(self.tasks)
-
     def validate(self) -> None:
+        for key in ("embed", "layers", "heads", "mlp_ratio"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.embed % self.heads != 0:
             raise ConfigError(f"embed {self.embed} not divisible by heads {self.heads}")
         if not self.tasks:
             raise ConfigError("at least one task is required")
+        if self.dtype not in ("f32", "f64"):
+            raise ConfigError(f"dtype must be f32 or f64, got {self.dtype}")
         for t in self.tasks:
             parse_task(t)
 
@@ -170,7 +170,8 @@ class PETLMethod:
         return {}
 
     @classmethod
-    def from_config(cls, host_config: HostConfig, cfg: dict) -> "PETLMethod":
+    def from_config(cls, host_config: HostConfig, cfg: dict, where: str) -> "PETLMethod":
+        """Rebuild the stack that the header ``cfg`` of checkpoint ``where`` describes."""
         raise NotImplementedError
 
 
@@ -180,9 +181,7 @@ class AdapterStack(PETLMethod):
 
     method = "adaptir"
 
-    def __init__(self, host_config: HostConfig, adapter_config: AdaptIRConfig | None = None):
-        if adapter_config is None:
-            adapter_config = AdaptIRConfig(channels=host_config.embed)
+    def __init__(self, host_config: HostConfig, adapter_config: AdaptIRConfig):
         if adapter_config.channels != host_config.embed:
             raise ConfigError(
                 f"adapter channels {adapter_config.channels} != host embed {host_config.embed}")
@@ -214,8 +213,8 @@ class AdapterStack(PETLMethod):
         return {"adapter": asdict(self.config)}
 
     @classmethod
-    def from_config(cls, host_config, cfg):
-        return cls(host_config, AdaptIRConfig(**cfg["adapter"]))
+    def from_config(cls, host_config, cfg, where):
+        return cls(host_config, config_from(AdaptIRConfig, cfg.get("adapter"), where))
 
 
 class LoRAStack(PETLMethod):
@@ -253,9 +252,11 @@ class LoRAStack(PETLMethod):
                 "alpha": [l.alpha for l in self.layers]}
 
     @classmethod
-    def from_config(cls, host_config, cfg):
-        stack = cls(host_config, ranks=cfg["ranks"])
-        for layer, alpha in zip(stack.layers, cfg["alpha"]):
+    def from_config(cls, host_config, cfg, where):
+        ranks = check_type(cfg.get("ranks"), tuple[int, ...], f"{where}: LoRAStack.ranks")
+        alphas = check_type(cfg.get("alpha"), tuple[float, ...], f"{where}: LoRAStack.alpha")
+        stack = cls(host_config, ranks=ranks)
+        for layer, alpha in zip(stack.layers, alphas):
             layer.alpha = alpha
         return stack
 
@@ -300,8 +301,10 @@ class BottleneckStack(PETLMethod):
                            for pair in self.layers for ad in pair]}
 
     @classmethod
-    def from_config(cls, host_config, cfg):
-        return cls(host_config, hidden=cfg["hidden"])
+    def from_config(cls, host_config, cfg, where):
+        hidden = check_type(cfg.get("hidden"), tuple[int, ...],
+                            f"{where}: BottleneckStack.hidden")
+        return cls(host_config, hidden=hidden)
 
 
 METHODS = {cls.method: cls for cls in (AdapterStack, LoRAStack, BottleneckStack)}

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ContractError, Tensor, finite_diff_grad, no_grad
-from .adapter import AdaptIR, AdaptIRConfig, ConfigError
+from .adapter import AdaptIR, AdaptIRConfig, ConfigError, config_from
 from .host import (METHODS, HostConfig, HostModel, AdapterStack, PETLMethod,
                    host_forward, freeze, trainable_parameters, host_checksum)
 from .data import (DegradationSpec, parse_task, synth_image, degrade, derive_seed,
@@ -31,6 +31,7 @@ __all__ = [
     "load_adapter",
     "l1_loss",
     "lr_at",
+    "TrainConfig",
     "TrainState",
     "adamw_step",
     "pretrain",
@@ -64,6 +65,31 @@ def lr_at(epoch: int, base_lr: float, total_epochs: int,
         raise ValueError(f"epoch {epoch} outside [0, {total_epochs})")
     passed = sum(1 for frac in milestones if epoch >= frac * total_epochs)
     return base_lr * (0.5 ** passed)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """One run's recipe, defaulting to the CLI's (``images`` is per task
+    when pretraining)."""
+    seed: int = 0
+    epochs: int = 25
+    base_lr: float = 2e-3
+    batch_size: int = 8
+    weight_decay: float = 0.0
+    images: int = 16
+    eval_n: int = 8
+
+    def validate(self) -> None:
+        for key in ("epochs", "images", "eval_n", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.batch_size > self.images:
+            raise ConfigError(f"batch_size {self.batch_size} exceeds images {self.images}:"
+                              " an epoch would have no full batch")
+        if self.base_lr <= 0:
+            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -144,24 +170,24 @@ def _epoch_batches(corpus, spec: DegradationSpec, seed: int, epoch: int,
 
 
 def _fit(model: HostModel, adapter: PETLMethod | None, params: dict[str, Tensor],
-         runs, epochs: int, base_lr: float, batch_size: int, weight_decay: float):
+         runs, train: TrainConfig):
     """The one training recipe, shared by pretraining and fine-tuning: L1
     loss, AdamW on ``params`` and the milestone schedule.  Each epoch makes
     one pass over each ``(task, spec, corpus, data_seed)`` run in turn.
     Returns (steps taken, per-epoch per-task mean-loss log)."""
     state = TrainState()
     log: list[tuple[int, str, float]] = []
-    for epoch in range(epochs):
+    for epoch in range(train.epochs):
         state.epoch = epoch
-        lr = lr_at(epoch, base_lr, epochs)
+        lr = lr_at(epoch, train.base_lr, train.epochs)
         for task, spec, corpus, data_seed in runs:
             losses = []
-            for lq, hq in _epoch_batches(corpus, spec, data_seed, epoch, batch_size):
+            for lq, hq in _epoch_batches(corpus, spec, data_seed, epoch, train.batch_size):
                 pred = host_forward(lq, task, model, adapter=adapter)
                 loss = l1_loss(pred, hq)
                 loss.backward()
                 grads = {k: p.grad for k, p in params.items()}
-                adamw_step(state, params, grads, lr, weight_decay=weight_decay)
+                adamw_step(state, params, grads, lr, weight_decay=train.weight_decay)
                 for p in params.values():
                     p.grad = None
                 losses.append(loss.item())
@@ -169,16 +195,14 @@ def _fit(model: HostModel, adapter: PETLMethod | None, params: dict[str, Tensor]
     return state.step, log
 
 
-def pretrain(host_config: HostConfig, epochs: int = 30, seed: int = 0,
-             base_lr: float = 2e-3, batch_size: int = 8,
-             images_per_task: int = 16, weight_decay: float = 0.0):
+def pretrain(host_config: HostConfig, train: TrainConfig):
     """Train every host parameter on a round-robin multi-task mixture,
     then freeze.  Returns (frozen model, per-epoch loss log)."""
+    train.validate()
     model = HostModel(host_config)
-    runs = [_train_run(t, derive_seed(seed, "task", t), images_per_task)
+    runs = [_train_run(t, derive_seed(train.seed, "task", t), train.images)
             for t in host_config.tasks]
-    _, log = _fit(model, None, model.params, runs, epochs, base_lr, batch_size,
-                  weight_decay)
+    _, log = _fit(model, None, model.params, runs, train)
     return freeze(model), log
 
 
@@ -248,25 +272,22 @@ class FinetuneResult:
     steps: int
 
 
-def finetune(model: HostModel, method: str, task: str, epochs: int = 25,
-             seed: int = 0, base_lr: float = 2e-3, batch_size: int = 8,
-             images: int = 16, eval_n: int = 8,
-             adapter_config: AdaptIRConfig | None = None,
-             weight_decay: float = 0.0) -> FinetuneResult:
+def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
+             adapter_config: AdaptIRConfig | None = None) -> FinetuneResult:
     """Train only the adapter on a frozen host; reports held-out metrics
     before and after along with freeze-contract checksums."""
     if not model.frozen:
         raise ConfigError("finetune requires a frozen host")
+    train.validate()
     parse_task(task)  # validate early
-    adapter = build_adapter(model.config, method, seed=derive_seed(seed, "init"),
+    adapter = build_adapter(model.config, method, seed=derive_seed(train.seed, "init"),
                             adapter_config=adapter_config)
     checksum_before = host_checksum(model)
     t0 = time.perf_counter()
-    psnr_before, ssim_before = evaluate(model, None, task, n=eval_n, seed=seed)
+    psnr_before, ssim_before = evaluate(model, None, task, n=train.eval_n, seed=train.seed)
     steps, _ = _fit(model, adapter, trainable_parameters(model, adapter),
-                    [_train_run(task, derive_seed(seed, "ft"), images)],
-                    epochs, base_lr, batch_size, weight_decay)
-    psnr_after, ssim_after = evaluate(model, adapter, task, n=eval_n, seed=seed)
+                    [_train_run(task, derive_seed(train.seed, "ft"), train.images)], train)
+    psnr_after, ssim_after = evaluate(model, adapter, task, n=train.eval_n, seed=train.seed)
     wall = time.perf_counter() - t0
     trainable = adapter.param_count()
     report = MetricReport(task=task, psnr=psnr_after, ssim=ssim_after,
@@ -285,22 +306,18 @@ def finetune(model: HostModel, method: str, task: str, epochs: int = 25,
 ABLATION_AXES = ("efficiency", "components", "insertion")
 
 
-def ablate(model: HostModel, task: str, axes: str, epochs: int = 6, seed: int = 0,
-           base_lr: float = 2e-3, batch_size: int = 8, images: int = 8, eval_n: int = 4,
-           adapter_config: AdaptIRConfig | None = None, weight_decay: float = 0.0):
+def ablate(model: HostModel, task: str, axes: str, train: TrainConfig,
+           adapter_config: AdaptIRConfig | None = None):
     """One short fine-tune per configuration of the requested axis, with a
     shared seed; each row varies ``adapter_config`` along that axis alone.
     Emits (label, MetricReport) rows."""
     if adapter_config is None:
         adapter_config = AdaptIRConfig(channels=model.config.embed)
-    base = replace(adapter_config, seed=derive_seed(seed, "init"))
+    base = replace(adapter_config, seed=derive_seed(train.seed, "init"))
     rows: list[tuple[str, MetricReport]] = []
 
     def run(label, cfg=base):
-        res = finetune(model, "adaptir", task, epochs=epochs, seed=seed,
-                       base_lr=base_lr, batch_size=batch_size, images=images,
-                       eval_n=eval_n, adapter_config=cfg, weight_decay=weight_decay)
-        rows.append((label, res.report))
+        rows.append((label, finetune(model, "adaptir", task, train, cfg).report))
 
     if axes == "efficiency":
         run("(0) baseline")
@@ -335,13 +352,13 @@ def save_host(path, model: HostModel) -> None:
 
 def _load_module(path, kind: str, build):
     """Read a ``kind`` checkpoint, ``build`` its module from the header config
-    and copy the stored arrays into the module's parameters."""
+    and copy the stored arrays into the module's same-named, same-shaped parameters."""
     found, cfg, arrays = load_checkpoint(path)
     if found != kind:
         raise ConfigError(f"expected a {kind} checkpoint, got kind {found!r}")
     module = build(cfg)
     params = module.parameters()
-    if set(arrays) != set(params):
+    if {k: a.shape for k, a in arrays.items()} != {k: t.shape for k, t in params.items()}:
         raise ConfigError(f"checkpoint fields do not match the {kind} configuration")
     for name, arr in arrays.items():
         params[name].data = arr.astype(params[name].dtype)
@@ -349,7 +366,8 @@ def _load_module(path, kind: str, build):
 
 
 def load_host(path, frozen: bool = True) -> HostModel:
-    model = _load_module(path, "host", lambda cfg: HostModel(HostConfig(**cfg)))
+    model = _load_module(path, "host",
+                         lambda cfg: HostModel(config_from(HostConfig, cfg, str(path))))
     return freeze(model) if frozen else model
 
 
@@ -364,10 +382,12 @@ def load_adapter(path) -> PETLMethod:
     exactly the method config the rebuilt stack writes, so no saved setting
     (or one written by an older layout) is silently dropped."""
     def build(cfg):
-        adapter = _method_class(cfg["method"]).from_config(HostConfig(**cfg["host"]), cfg)
+        cls = _method_class(cfg.get("method"))
+        host_config = config_from(HostConfig, cfg.get("host"), str(path))
+        adapter = cls.from_config(host_config, cfg, str(path))
         saved = {k: v for k, v in cfg.items() if k not in ("method", "host")}
         if saved != adapter.to_config():
-            raise ConfigError(f"{cfg['method']} checkpoint header does not match the"
+            raise ConfigError(f"{cls.method} checkpoint header does not match the"
                               " configuration it rebuilds (saved by an older layout?)")
         return adapter
     return _load_module(path, "adapter", build)

@@ -3,8 +3,8 @@
 Layout: one JSON header line (kind, config, ordered field names + shapes)
 terminated by a newline, followed by the raw little-endian float32 data
 of every field in declared order.  Bit-exact by construction, which is
-what the determinism and freeze contracts hash.  A load rejects short
-data and bytes after the last declared field.
+what the determinism and freeze contracts hash.  A save refuses non-f32
+arrays; a load rejects a malformed header, short data and trailing bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ __all__ = ["save_checkpoint", "load_checkpoint"]
 
 
 def save_checkpoint(path, kind: str, config: dict, params: dict[str, Tensor]) -> None:
+    for k, v in params.items():
+        if v.data.dtype != np.float32:
+            raise ValueError(f"checkpoint field {k} is {v.data.dtype}, not float32")
     fields = [{"name": k, "shape": list(v.shape)} for k, v in params.items()]
     header = json.dumps({"kind": kind, "config": config, "fields": fields},
                         sort_keys=True)
@@ -28,9 +31,22 @@ def save_checkpoint(path, kind: str, config: dict, params: dict[str, Tensor]) ->
             f.write(np.ascontiguousarray(v.data, dtype="<f4").tobytes())
 
 
+def _well_formed(header) -> bool:
+    return (isinstance(header, dict) and isinstance(header.get("kind"), str)
+            and isinstance(header.get("config"), dict)
+            and isinstance(header.get("fields"), list)
+            and all(isinstance(f, dict) and isinstance(f.get("name"), str)
+                    and isinstance(f.get("shape"), list)
+                    and all(type(n) is int and n >= 0 for n in f["shape"])
+                    for f in header["fields"]))
+
+
 def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode())
+        if not _well_formed(header):
+            raise ValueError("corrupt checkpoint: the header is not an object of kind,"
+                             " config and fields (name, shape of non-negative ints)")
         out: dict[str, np.ndarray] = {}
         for fld in header["fields"]:
             shape = tuple(fld["shape"])

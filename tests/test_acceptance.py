@@ -27,7 +27,7 @@ from adaptir.tensor import Tensor, no_grad
 @pytest.fixture(scope="module")
 def pretrained():
     """Default-scale host pretrained on (sr2, noise25), then frozen."""
-    model, _ = P.pretrain(HostConfig(), epochs=30, seed=0)
+    model, _ = P.pretrain(HostConfig(), P.TrainConfig(epochs=30, seed=0))
     return model
 
 
@@ -38,7 +38,7 @@ def adaptation_run(pretrained):
     t0 = time.perf_counter()
     # 16 images / batch 8 -> 2 steps per epoch -> exactly 200 steps
     res = P.finetune(pretrained, "adaptir", "second_order_s2_sig25",
-                     epochs=100, seed=0, images=16, eval_n=8)
+                     P.TrainConfig(epochs=100, seed=0, images=16, eval_n=8))
     wall = time.perf_counter() - t0
     return res, wall
 
@@ -322,9 +322,9 @@ def test_criterion_10_schedule_exactness():
 def test_criterion_11_ablation_harness(pretrained):
     t0 = time.perf_counter()
     task = "second_order_s2_sig25"
-    common = dict(epochs=1, seed=0, images=8, eval_n=2)
+    train = P.TrainConfig(epochs=1, seed=0, images=8, eval_n=2)
 
-    eff = P.ablate(pretrained, task, "efficiency", **common)
+    eff = P.ablate(pretrained, task, "efficiency", train)
     labels = [l for l, _ in eff]
     assert labels == ["(0) baseline", "(1) w/o decomposition in LIM",
                       "(2) w/o depth-separable in LIM",
@@ -336,12 +336,12 @@ def test_criterion_11_ablation_harness(pretrained):
     assert counts["(3) w/o depth-separable in FAM"] > counts["(2) w/o depth-separable in LIM"]
     assert counts["(4) w/o CSM & w/o depth-separable"] < counts["(3) w/o depth-separable in FAM"]
 
-    comp = P.ablate(pretrained, task, "components", **common)
+    comp = P.ablate(pretrained, task, "components", train)
     assert [l for l, _ in comp] == ["csm", "fam+csm", "lim+fam", "lim+fam+csm"]
     cc = {l: rep.trainable_params for l, rep in comp}
     assert cc["csm"] < cc["fam+csm"] < cc["lim+fam+csm"]
 
-    ins = P.ablate(pretrained, task, "insertion", **common)
+    ins = P.ablate(pretrained, task, "insertion", train)
     assert [l for l, _ in ins] == ["mlp/parallel", "mlp/sequential",
                                    "attention/parallel", "attention/sequential"]
     assert len({rep.trainable_params for _, rep in ins}) == 1

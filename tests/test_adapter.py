@@ -8,7 +8,7 @@ import pytest
 
 from adaptir import fft as F
 from adaptir import tensor as T
-from adaptir.adapter import AdaptIR, AdaptIRConfig, ConfigError
+from adaptir.adapter import AdaptIR, AdaptIRConfig, ConfigError, config_from
 from adaptir.tensor import Tensor, no_grad
 
 
@@ -85,6 +85,32 @@ def test_config_validation():
         AdaptIRConfig(channels=64, position="ffn").validate()
     with pytest.raises(ConfigError, match="unknown insertion form 'serial'"):
         AdaptIRConfig(channels=64, form="serial").validate()
+
+
+def test_config_from_builds_checked_configs():
+    cfg = config_from(AdaptIRConfig, {"channels": 16, "reduction": 4, "lim_rank": 2,
+                                      "ffn_hidden": None}, "here")
+    assert cfg == AdaptIRConfig(channels=16, reduction=4, lim_rank=2)
+    from adaptir.host import HostConfig
+    host = config_from(HostConfig, {"tasks": ["sr2"]}, "here")
+    assert host.tasks == ("sr2",)  # a JSON list is accepted for a tuple field
+    for values, message in [
+        ({"gamma": 8}, "here: AdaptIRConfig has no key 'gamma'"),
+        ({"kernel": "3"}, "here: AdaptIRConfig.kernel expects int, got '3'"),
+        ({"kernel": 3.0}, "here: AdaptIRConfig.kernel expects int, got 3.0"),
+        ({"lim": 1}, "here: AdaptIRConfig.lim expects bool, got 1"),
+        ({"ffn_hidden": "4"}, "here: AdaptIRConfig.ffn_hidden expects int | None, got '4'"),
+        ({"kernel": 4}, "here: AdaptIRConfig: kernel must be odd and positive, got 4"),
+        ([("kernel", 3)], "here: AdaptIRConfig expects an object, got [('kernel', 3)]"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            config_from(AdaptIRConfig, values, "here")
+        assert str(err.value) == message
+    for tasks, message in [(["sr2", 2], "HostConfig.tasks[1] expects str, got 2"),
+                           ("sr2", "HostConfig.tasks expects tuple[str, ...], got 'sr2'")]:
+        with pytest.raises(ConfigError) as err:
+            config_from(HostConfig, {"tasks": tasks}, "here")
+        assert str(err.value) == f"here: {message}"
 
 
 # -- compositional branch oracles in plain numpy ---------------------------------

@@ -3,11 +3,13 @@ validation, nonzero exits on contract failure."""
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from adaptir import cli
 from adaptir.cli import main
 
 
@@ -15,8 +17,6 @@ TINY_HOST = """\
 host.embed=16
 host.layers=2
 host.heads=2
-host.feat_h=8
-host.feat_w=8
 adapter.reduction=4
 adapter.lim_rank=2
 images=8
@@ -218,6 +218,53 @@ def test_bad_batch_size_rejected(workspace, extra, fragment):
                   "--epochs", 1, "--task", "sr2"])
     assert_one_line_error(res, fragment)
     assert not (workspace / "badbatch" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["embed", "layers", "heads", "mlp_ratio"])
+def test_host_sizes_below_one_rejected(workspace, key):
+    path = workspace / "badhost.cfg"
+    path.write_text(TINY_HOST + f"host.{key}=0\n", encoding="utf-8")
+    res = invoke(["pretrain", "--config", path, "--out", workspace / "badhost",
+                  "--epochs", 1])
+    assert_one_line_error(res, f"HostConfig: {key} must be >= 1, got 0")
+    assert not (workspace / "badhost" / "host.ckpt").exists()
+
+
+@pytest.mark.parametrize("extra,fragment", [
+    ("base_lr=0", "TrainConfig: base_lr must be > 0, got 0.0"),
+    ("base_lr=-1", "TrainConfig: base_lr must be > 0, got -1.0"),
+    ("weight_decay=-5", "TrainConfig: weight_decay must be >= 0, got -5.0"),
+    ("dump_images=-1", "dump_images must be >= 0, got -1"),
+])
+def test_bad_recipe_rejected(workspace, extra, fragment):
+    path = workspace / "badrecipe.cfg"
+    path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8") + extra + "\n",
+                    encoding="utf-8")
+    res = invoke(["finetune", "--config", path, "--out", workspace / "badrecipe",
+                  "--epochs", 1, "--task", "sr2"])
+    assert_one_line_error(res, fragment)
+    assert not (workspace / "badrecipe" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("line,kind", [("epochs=abc", "int"), ("base_lr=fast", "float"),
+                                       ("host.layers=1.5", "int")])
+def test_unparsable_value_names_file_line_and_key(workspace, line, kind):
+    path = workspace / "unparsable.cfg"
+    path.write_text(f"seed=1\n{line}\n", encoding="utf-8")
+    res = invoke(["pretrain", "--config", path, "--out", workspace / "unparsable"])
+    key, _, value = line.partition("=")
+    message = assert_one_line_error(res, f"{path}:2: {key} expects {kind}, got {value!r}")
+    assert message == f"Error: ConfigError: {path}:2: {key} expects {kind}, got {value!r}"
+
+
+def test_readme_lists_exactly_the_config_keys():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Config keys", 1)[1]
+    rows = re.findall(r"^\| `([\w.]+)=([^`]*)` \|", text, re.MULTILINE)
+    shown = dict(rows)
+    assert len(rows) == len(shown) == 24
+    assert shown == {key: (",".join(d) if isinstance(d, tuple) else str(d))
+                     for key, d in cli._KEYS.items()}
 
 
 def test_ablate_honours_insertion_keys(workspace):

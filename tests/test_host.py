@@ -14,7 +14,7 @@ from adaptir.host import (HEAD_DOWNSAMPLE, HostConfig, HostModel, AdapterStack,
 from adaptir.tensor import Tensor, no_grad
 
 
-SMALL = HostConfig(embed=16, layers=2, heads=2, feat_h=8, feat_w=8,
+SMALL = HostConfig(embed=16, layers=2, heads=2,
                    tasks=("sr2", "noise25"), seed=0)
 
 
@@ -116,7 +116,7 @@ def test_parallel_mlp_insertion_oracle():
     the un-adapted forward must equal the adapter's contribution pushed
     through the (linear) tail, with the residual stream up to the MLP's
     layernorm recomputed independently in numpy."""
-    cfg = HostConfig(embed=16, layers=1, heads=2, feat_h=8, feat_w=8,
+    cfg = HostConfig(embed=16, layers=1, heads=2,
                      tasks=("noise25",), seed=1)
     model = HostModel(cfg)
     stack = AdapterStack(cfg, AdaptIRConfig(channels=16, reduction=4,

@@ -1,6 +1,8 @@
 """Training pipeline: optimizer closed forms, schedule exactness, budget
 equalizer, determinism, checkpoint round trips, gradient-audit teeth."""
 
+import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 from adaptir import pipeline as P
 from adaptir import tensor as tensor_mod
 from adaptir.adapter import AdaptIRConfig, ConfigError
-from adaptir.host import HostConfig, PETLMethod
+from adaptir.host import HostConfig, HostModel, PETLMethod
 from adaptir.serialize import load_checkpoint, save_checkpoint
 from adaptir.tensor import ContractError, Tensor
 
-TINY = HostConfig(embed=16, layers=2, heads=2, feat_h=8, feat_w=8,
+TINY = HostConfig(embed=16, layers=2, heads=2,
                   tasks=("sr2", "noise25"), seed=0)
 TINY_ADAPTER = AdaptIRConfig(channels=16, reduction=4, lim_rank=2, seed=0)
 
@@ -124,7 +126,7 @@ def test_build_adapter_rejects_unknown_method():
 
 @pytest.fixture(scope="module")
 def tiny_frozen():
-    model, log = P.pretrain(TINY, epochs=2, seed=11, images_per_task=8)
+    model, log = P.pretrain(TINY, P.TrainConfig(epochs=2, seed=11, images=8))
     return model, log
 
 
@@ -137,9 +139,9 @@ def test_pretrain_writes_log_and_freezes(tiny_frozen):
 
 def test_finetune_is_deterministic(tiny_frozen):
     model, _ = tiny_frozen
-    kwargs = dict(epochs=2, seed=3, images=8, eval_n=2, adapter_config=TINY_ADAPTER)
-    r1 = P.finetune(model, "adaptir", "second_order_s2_sig25", **kwargs)
-    r2 = P.finetune(model, "adaptir", "second_order_s2_sig25", **kwargs)
+    train = P.TrainConfig(epochs=2, seed=3, images=8, eval_n=2)
+    r1 = P.finetune(model, "adaptir", "second_order_s2_sig25", train, TINY_ADAPTER)
+    r2 = P.finetune(model, "adaptir", "second_order_s2_sig25", train, TINY_ADAPTER)
     assert r1.report.csv_row() == r2.report.csv_row()
     p1 = r1.adapter.parameters()
     p2 = r2.adapter.parameters()
@@ -150,7 +152,7 @@ def test_finetune_is_deterministic(tiny_frozen):
 def test_finetune_requires_frozen_host():
     from adaptir.host import HostModel
     with pytest.raises(ConfigError):
-        P.finetune(HostModel(TINY), "adaptir", "sr2", epochs=1)
+        P.finetune(HostModel(TINY), "adaptir", "sr2", P.TrainConfig(epochs=1))
 
 
 def test_evaluate_deterministic_and_modes(tiny_frozen):
@@ -171,8 +173,8 @@ def test_checkpoint_round_trips(tiny_frozen, tmp_path):
     attn_seq = replace(TINY_ADAPTER, position="attention", form="sequential")
     for method, adapter_cfg in (("adaptir", TINY_ADAPTER), ("adaptir", attn_seq),
                                 ("lora", TINY_ADAPTER), ("bottleneck", TINY_ADAPTER)):
-        res = P.finetune(model, method, "sr2", epochs=1, seed=0, images=8, eval_n=2,
-                         adapter_config=adapter_cfg)
+        res = P.finetune(model, method, "sr2",
+                         P.TrainConfig(epochs=1, seed=0, images=8, eval_n=2), adapter_cfg)
         path = tmp_path / f"{method}_{adapter_cfg.position}.ckpt"
         P.save_adapter(path, res.adapter, model.config)
         adapter = P.load_adapter(path)
@@ -223,10 +225,109 @@ def test_checkpoint_rejects_trailing_bytes(tiny_frozen, tmp_path):
         P.load_host(path)
 
 
+DELETE = object()
+
+
+def edit_header(path, keys, value):
+    """Set (or with ``DELETE`` remove) one entry of a checkpoint's JSON header."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    if keys:
+        *parents, last = keys
+        node = header
+        for k in parents:
+            node = node[k]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    else:
+        header = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+@pytest.mark.parametrize("kind,keys,value,error,fragment", [
+    ("host", (), [], ValueError, "header is not an object of kind, config and fields"),
+    ("host", ("fields",), DELETE, ValueError, "header is not an object of kind"),
+    ("host", ("kind",), DELETE, ValueError, "header is not an object of kind"),
+    ("host", ("fields", 0, "shape"), [-1], ValueError, "shape of non-negative ints"),
+    ("host", ("fields", 0, "shape"), [2.5], ValueError, "shape of non-negative ints"),
+    ("host", ("fields", 0, "shape"), [16, 3, 9], ConfigError,
+     "checkpoint fields do not match the host configuration"),
+    ("host", ("config", "layers"), 1.5, ConfigError, "HostConfig.layers expects int, got 1.5"),
+    ("host", ("config", "heads"), 0, ConfigError, "HostConfig: heads must be >= 1, got 0"),
+    ("host", ("config", "dtype"), "bf16", ConfigError,
+     "HostConfig: dtype must be f32 or f64, got bf16"),
+    # the layout written before the unread feat_h/feat_w fields were removed
+    ("host", ("config", "feat_h"), 16, ConfigError, "HostConfig has no key 'feat_h'"),
+    ("adaptir", ("config", "method"), DELETE, ConfigError, "unknown method None"),
+    ("adaptir", ("config", "host"), DELETE, ConfigError,
+     "HostConfig expects an object, got None"),
+    ("adaptir", ("config", "host", "feat_w"), 16, ConfigError,
+     "HostConfig has no key 'feat_w'"),
+    ("adaptir", ("config", "adapter", "kernel"), "3", ConfigError,
+     "AdaptIRConfig.kernel expects int, got '3'"),
+    ("adaptir", ("config", "adapter", "gamma"), 8, ConfigError,
+     "AdaptIRConfig has no key 'gamma'"),
+    ("adaptir", ("config", "adapter"), DELETE, ConfigError,
+     "AdaptIRConfig expects an object, got None"),
+    ("lora", ("config", "ranks"), DELETE, ConfigError,
+     "LoRAStack.ranks expects tuple[int, ...], got None"),
+    ("lora", ("config", "ranks"), ["a", "a"], ConfigError,
+     "LoRAStack.ranks[0] expects int, got 'a'"),
+    ("lora", ("config", "alpha"), [2.0, "a"], ConfigError,
+     "LoRAStack.alpha[1] expects float, got 'a'"),
+    ("bottleneck", ("config", "hidden"), DELETE, ConfigError,
+     "BottleneckStack.hidden expects tuple[int, ...], got None"),
+])
+def test_malformed_checkpoint_header_is_one_line(tmp_path, kind, keys, value, error,
+                                                 fragment):
+    path = tmp_path / "m.ckpt"
+    if kind == "host":
+        P.save_host(path, HostModel(TINY))
+        load = P.load_host
+    else:
+        P.save_adapter(path, P.build_adapter(TINY, kind, adapter_config=TINY_ADAPTER), TINY)
+        load = P.load_adapter
+    load(path)  # the unedited checkpoint loads
+    edit_header(path, keys, value)
+    with pytest.raises(error, match=re.escape(fragment)) as err:
+        load(path)
+    assert "\n" not in str(err.value)
+
+
+def test_checkpoint_saves_float32_only(tmp_path):
+    arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+    save_checkpoint(tmp_path / "a.ckpt", "test", {"n": 1}, {"a": Tensor(arr)})
+    header = json.dumps({"kind": "test", "config": {"n": 1},
+                         "fields": [{"name": "a", "shape": [2, 3]}]}, sort_keys=True)
+    assert (tmp_path / "a.ckpt").read_bytes() == header.encode() + b"\n" + arr.tobytes()
+    f64_host = HostModel(replace(TINY, dtype="f64"))
+    with pytest.raises(ValueError, match="checkpoint field head.sr2.conv1_w is float64,"
+                                         " not float32"):
+        P.save_host(tmp_path / "h.ckpt", f64_host)
+
+
+@pytest.mark.parametrize("changes,fragment", [
+    (dict(base_lr=0.0), "base_lr must be > 0, got 0.0"),
+    (dict(base_lr=-1.0), "base_lr must be > 0, got -1.0"),
+    (dict(weight_decay=-5.0), "weight_decay must be >= 0, got -5.0"),
+    (dict(epochs=0), "epochs must be >= 1, got 0"),
+    (dict(batch_size=16, images=8), "batch_size 16 exceeds images 8"),
+])
+def test_train_config_rejects_bad_recipes(tiny_frozen, changes, fragment):
+    model, _ = tiny_frozen
+    train = P.TrainConfig(**changes)
+    with pytest.raises(ConfigError, match=fragment):
+        P.finetune(model, "adaptir", "sr2", train, TINY_ADAPTER)
+    with pytest.raises(ConfigError, match=fragment):
+        P.pretrain(TINY, train)
+
+
 def test_ablation_rejects_unknown_axis(tiny_frozen):
     model, _ = tiny_frozen
     with pytest.raises(ConfigError):
-        P.ablate(model, "sr2", "typography")
+        P.ablate(model, "sr2", "typography", P.TrainConfig())
 
 
 # -- gradient audit -------------------------------------------------------------
