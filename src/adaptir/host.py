@@ -341,8 +341,7 @@ def _attention(x_norm: Tensor, p: dict[str, Tensor], pre: str, heads: int,
         return T.transpose(T.reshape(z, (n, t, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = split(q), split(k), split(v)
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    ctx = T.attention(q, k, v, 1.0 / np.sqrt(dh))
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, t, c))
     return _linear(ctx, p[pre + "wo"], p[pre + "bo"])
 

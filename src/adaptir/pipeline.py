@@ -105,22 +105,21 @@ def adamw_step(state: TrainState, params: dict[str, Tensor],
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.0) -> dict[str, Tensor]:
     """One decoupled-weight-decay Adam step, updating params in place.  A
-    non-finite update raises ``ContractError`` naming parameter, step and epoch."""
-    state.step += 1
-    t = state.step
+    non-finite update raises ``ContractError`` naming parameter, step and
+    epoch, and leaves params and ``state`` as they were: every update is
+    computed and checked before any is written."""
+    t = state.step + 1
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
+    updates = []
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
+        m = state.m.get(name, 0.0)
+        v = state.v.get(name, 0.0)
+        m = (m + (1.0 - beta1) * (g - m)).astype(p.dtype, copy=False)
+        v = (v + (1.0 - beta2) * (g * g - v)).astype(p.dtype, copy=False)
         update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         if weight_decay:
             update = update + lr * weight_decay * p.data
@@ -128,7 +127,12 @@ def adamw_step(state: TrainState, params: dict[str, Tensor],
         if not np.isfinite(new).all():
             raise ContractError(f"training diverged: {name} non-finite after step {t}"
                                 f" (epoch {state.epoch}); lower base_lr")
+        updates.append((name, p, new, m, v))
+    for name, p, new, m, v in updates:
         p.data = new
+        state.m[name] = m
+        state.v[name] = v
+    state.step = t
     return params
 
 

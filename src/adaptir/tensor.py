@@ -1,11 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The engine only needs a small operation set (matmul, grouped 2-D
-convolution, spatial softmax, layernorm, elementwise arithmetic, GELU and
-a few pointwise trig ops for the frequency branch), so the graph is kept
-deliberately simple: every op closes over its inputs and appends nothing
-global -- the graph *is* the tape, and ``backward`` walks it once in
-reverse topological order.
+convolution, spatial softmax, fused scaled dot-product attention,
+layernorm, elementwise arithmetic, GELU and a few pointwise trig ops for
+the frequency branch), so the graph is kept deliberately simple: every op
+closes over its inputs and appends nothing global -- the graph *is* the
+tape, and ``backward`` walks it once in reverse topological order.
 
 Conventions fixed here:
 
@@ -30,6 +30,7 @@ __all__ = [
     "depth_to_space",
     "softmax",
     "softmax_spatial",
+    "attention",
     "layernorm",
     "gelu",
     "tsum",
@@ -448,6 +449,38 @@ def softmax_spatial(x: Tensor) -> Tensor:
     n, _, h, w = x.shape
     flat = reshape(x, (n, 1, h * w))
     return reshape(softmax(flat, axis=-1), (n, 1, h, w))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """Scaled dot-product attention ``softmax(q @ k^T * scale) @ v`` as one node.
+
+    The scores are scaled, shifted, exponentiated and normalised in place on
+    one buffer, and only those probabilities stay on the tape.  Forward and
+    backward run the operations of the matmul -> scale -> softmax -> matmul
+    chain in the chain's order, so both are bit-identical to it.
+    """
+    _check_dtypes(q, k, "attention")
+    _check_dtypes(q, v, "attention")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not chain")
+    scale = q.dtype.type(scale)
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = np.matmul(p, v.data)
+
+    def backward(g):
+        gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= scale
+        gq = np.matmul(gs, k.data)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        return gq, gk, gv
+
+    return _node(data, (q, k, v), backward)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

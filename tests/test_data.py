@@ -5,9 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from adaptir.data import (DegradationSpec, PPMError, add_gaussian_noise, degrade,
-                          derive_seed, downsample_bicubic, epoch_order, load_ppm,
-                          parse_task, save_ppm, synth_image)
+from adaptir.data import (DegradationSpec, PPMError, _resample_matrix,
+                          add_gaussian_noise, degrade, derive_seed, downsample_bicubic,
+                          epoch_order, load_ppm, parse_task, save_ppm, synth_image)
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -100,6 +100,33 @@ def test_downsample_matches_separable_oracle(s):
                        for c in range(3)])
     expect = np.clip(expect, 0.0, 1.0)
     assert np.abs(got - expect).max() < 1e-5
+
+
+def einsum_downsample(img, s):
+    """The one-call three-operand einsum formula the two matmuls replaced."""
+    mh, mw = _resample_matrix(img.shape[1], s), _resample_matrix(img.shape[2], s)
+    out = np.einsum("oh,chw,pw->cop", mh, img.astype(np.float64), mw)
+    return np.clip(out, 0.0, 1.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("s", [2, 4])
+def test_downsample_is_bit_identical_to_einsum(s):
+    for seed in range(100):
+        img = synth_image(seed, 16 * s)
+        assert np.array_equal(downsample_bicubic(img, s), einsum_downsample(img, s)), seed
+
+
+def test_downsample_within_one_ulp_of_einsum_at_scale_3():
+    for seed in range(100):
+        img = synth_image(seed, 48)
+        assert np.abs(downsample_bicubic(img, 3) - einsum_downsample(img, 3)).max() <= 6e-8
+
+
+def test_resample_matrix_is_cached_and_read_only():
+    m = _resample_matrix(64, 2)
+    assert _resample_matrix(64, 2) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
 
 
 def test_downsample_preserves_constant_images():

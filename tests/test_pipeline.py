@@ -98,6 +98,24 @@ def test_adamw_rejects_non_finite_update():
     assert np.array_equal(p.data, [1.0, 2.0])  # the parameter is left as it was
 
 
+def test_adamw_failure_writes_nothing():
+    # "a" would update cleanly, "b" does not: neither parameter nor the state moves
+    a, b = Tensor(np.array([1.0])), Tensor(np.array([2.0]))
+    st = P.TrainState()
+    P.adamw_step(st, {"a": a, "b": b}, {"a": np.array([1.0]), "b": np.array([1.0])}, lr=0.1)
+
+    def snapshot():
+        return [a.data, b.data, st.m["a"], st.m["b"], st.v["a"], st.v["b"]]
+
+    before = [x.copy() for x in snapshot()]
+    with pytest.raises(ContractError, match=r"b non-finite after step 2"), \
+            np.errstate(invalid="ignore"):
+        P.adamw_step(st, {"a": a, "b": b},
+                     {"a": np.array([1.0]), "b": np.array([np.inf])}, lr=0.1)
+    assert all(np.array_equal(x, y) for x, y in zip(before, snapshot()))
+    assert st.step == 1
+
+
 # -- budget equalizer -----------------------------------------------------------
 
 

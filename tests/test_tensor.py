@@ -174,6 +174,46 @@ def test_softmax_rows_and_grad():
     fd_check(lambda t: T.tsum(T.softmax(t, axis=-1) * Tensor(w)), Tensor(x))
 
 
+def attention_chain(q, k, v, scale):
+    """The matmul -> scale -> softmax -> matmul chain ``T.attention`` fuses."""
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale
+    return T.matmul(T.softmax(scores, axis=-1), v)
+
+
+def test_attention_grads_finite_difference():
+    rng = np.random.default_rng(17)
+    q, k, v = (rng.standard_normal((2, 2, 5, 3)) for _ in range(3))
+    w = Tensor(rng.standard_normal((2, 2, 5, 3)))
+    scale = 1.0 / np.sqrt(3)
+    fd_check(lambda t: T.tsum(T.attention(t, Tensor(k), Tensor(v), scale) * w), Tensor(q))
+    fd_check(lambda t: T.tsum(T.attention(Tensor(q), t, Tensor(v), scale) * w), Tensor(k))
+    fd_check(lambda t: T.tsum(T.attention(Tensor(q), Tensor(k), t, scale) * w), Tensor(v))
+
+
+def test_attention_f32_is_bit_identical_to_the_op_chain():
+    rng = np.random.default_rng(18)
+    arrays = [rng.standard_normal((2, 4, 64, 16)).astype(np.float32) for _ in range(4)]
+    scale = 1.0 / np.sqrt(16)
+    results = []
+    for op in (T.attention, attention_chain):
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+        out = op(q, k, v, scale)
+        T.tsum(out * Tensor(arrays[3])).backward()
+        results.append((out.data, q.grad, k.grad, v.grad))
+    for fused, chain in zip(*results):
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused, chain)
+
+
+def test_attention_records_no_node_under_no_grad():
+    q = rt(np.ones((1, 1, 3, 2)))
+    with no_grad():
+        out = T.attention(q, q, q, 0.5)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    assert np.allclose(out.data, 1.0)
+
+
 def test_softmax_spatial_equals_flattened_softmax():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 1, 4, 5))
