@@ -5,7 +5,7 @@ harness."""
 
 from .tensor import Tensor, ShapeError, ContractError, no_grad
 from .adapter import AdaptIR, AdaptIRConfig, ConfigError, config_from
-from .baselines import LoRALayer, BottleneckAdapter, lora_apply, bottleneck_forward
+from .baselines import LoRALayer, BottleneckAdapter, bottleneck_forward
 from .host import (HostConfig, HostModel, PETLMethod, AdapterStack, LoRAStack,
                    BottleneckStack, METHODS, host_forward, freeze, trainable_parameters,
                    host_checksum)
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "ShapeError", "ContractError", "no_grad",
     "AdaptIR", "AdaptIRConfig", "ConfigError", "config_from",
-    "LoRALayer", "BottleneckAdapter", "lora_apply", "bottleneck_forward",
+    "LoRALayer", "BottleneckAdapter", "bottleneck_forward",
     "HostConfig", "HostModel", "PETLMethod", "AdapterStack",
     "LoRAStack", "BottleneckStack", "METHODS", "host_forward", "freeze",
     "trainable_parameters", "host_checksum",

@@ -35,13 +35,13 @@ class ConfigError(ValueError):
 
 
 def check_type(value, tp, what: str):
-    """``value`` if it is a ``tp`` (int, float or int, bool, str, ``X | None``,
-    or ``tuple[X, ...]`` from a list); else one ``ConfigError`` naming ``what``."""
-    args = typing.get_args(tp)
+    """``value`` if it is a ``tp`` (int, float or int, bool, str, or
+    ``tuple[X, ...]`` from a list); else one ``ConfigError`` naming ``what``."""
     if typing.get_origin(tp) is tuple:
         if isinstance(value, (list, tuple)):
-            return tuple(check_type(v, args[0], f"{what}[{i}]") for i, v in enumerate(value))
-    elif type(value) in (tp, *args) or (tp is float and type(value) is int):
+            item = typing.get_args(tp)[0]
+            return tuple(check_type(v, item, f"{what}[{i}]") for i, v in enumerate(value))
+    elif type(value) is tp or (tp is float and type(value) is int):
         return value
     name = tp.__name__ if isinstance(tp, type) else str(tp)
     raise ConfigError(f"{what} expects {name}, got {value!r}")
@@ -73,7 +73,6 @@ class AdaptIRConfig:
     reduction: int = 8
     lim_rank: int = 4
     kernel: int = 3
-    ffn_hidden: int | None = None  # defaults to channels // reduction
     seed: int = 0
     dtype: str = "f32"
     # ablation toggles (defaults reproduce the standard design)
@@ -116,10 +115,6 @@ class AdaptIRConfig:
         return self.channels // self.reduction
 
     @property
-    def hidden(self) -> int:
-        return self.ffn_hidden if self.ffn_hidden is not None else self.intrinsic
-
-    @property
     def np_dtype(self):
         return np.float32 if self.dtype == "f32" else np.float64
 
@@ -141,7 +136,7 @@ class AdaptIR:
 
     def _init_params(self) -> dict[str, Tensor]:
         cfg = self.config
-        c, cg, k, h = cfg.channels, cfg.intrinsic, cfg.kernel, cfg.hidden
+        c, cg, k = cfg.channels, cfg.intrinsic, cfg.kernel
         dt = cfg.np_dtype
         rng = np.random.default_rng(cfg.seed)
         p: dict[str, np.ndarray] = {}
@@ -175,9 +170,9 @@ class AdaptIR:
         if cfg.csm:
             p["csm_mask_w"] = _uniform(rng, (1, cg, 1, 1), cg, dt)
             p["csm_mask_b"] = np.zeros(1, dtype=dt)
-            p["csm_ffn_w1"] = _uniform(rng, (h, cg), cg, dt)
-            p["csm_ffn_b1"] = np.zeros(h, dtype=dt)
-            p["csm_ffn_w2"] = _uniform(rng, (cg, h), h, dt)
+            p["csm_ffn_w1"] = _uniform(rng, (cg, cg), cg, dt)
+            p["csm_ffn_b1"] = np.zeros(cg, dtype=dt)
+            p["csm_ffn_w2"] = _uniform(rng, (cg, cg), cg, dt)
             p["csm_ffn_b2"] = np.zeros(cg, dtype=dt)
         p["up_w"] = np.zeros((c, cg, 1, 1), dtype=dt)
         p["up_b"] = np.zeros(c, dtype=dt)

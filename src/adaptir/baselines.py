@@ -3,7 +3,7 @@
 Two methods from the comparison harness:
 
 * LoRA: low-rank increments on the query and value projections,
-  W_eff = W + (alpha/rank) * B A with B zero-initialized.
+  W_eff = W + B A with B zero-initialized and no scale.
 * Bottleneck adapter: residual down/up bottleneck applied after the
   attention and MLP sublayers, up-projection zero-initialized.
 
@@ -18,62 +18,47 @@ from . import tensor as T
 from .tensor import Tensor
 from .adapter import ConfigError, _uniform
 
-__all__ = ["LoRALayer", "BottleneckAdapter", "lora_apply", "bottleneck_forward"]
-
-
-def lora_apply(w_frozen: Tensor, a: Tensor, b: Tensor, alpha: float, rank: int) -> Tensor:
-    """Effective weight W + (alpha/rank) * B A."""
-    if rank < 1:
-        raise ConfigError(f"rank must be >= 1, got {rank}")
-    return w_frozen + (alpha / rank) * T.matmul(b, a)
+__all__ = ["LoRALayer", "BottleneckAdapter", "bottleneck_forward"]
 
 
 class LoRALayer:
     """Per-layer low-rank factors for the query and value projections."""
 
-    def __init__(self, dim: int, rank: int, alpha: float | None = None,
-                 seed: int = 0, dtype=np.float32):
+    def __init__(self, dim: int, rank: int, seed: int = 0):
         if rank < 1:
             raise ConfigError(f"rank must be >= 1, got {rank}")
         self.rank = rank
-        self.alpha = float(rank) if alpha is None else float(alpha)
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
         for key in ("q", "v"):
             self.params[f"a_{key}"] = Tensor(
-                _uniform(rng, (rank, dim), dim, dtype), requires_grad=True)
+                _uniform(rng, (rank, dim), dim, np.float32), requires_grad=True)
             self.params[f"b_{key}"] = Tensor(
-                np.zeros((dim, rank), dtype=dtype), requires_grad=True)
+                np.zeros((dim, rank), dtype=np.float32), requires_grad=True)
 
     def effective(self, key: str, w_frozen: Tensor) -> Tensor:
-        return lora_apply(w_frozen, self.params[f"a_{key}"],
-                          self.params[f"b_{key}"], self.alpha, self.rank)
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.params.values())
+        """Effective weight W + B A."""
+        return w_frozen + T.matmul(self.params[f"b_{key}"], self.params[f"a_{key}"])
 
 
 class BottleneckAdapter:
     """Residual bottleneck x + up(gelu(down(x))), inserted after a sublayer."""
 
-    def __init__(self, dim: int, hidden: int, seed: int = 0, dtype=np.float32):
+    def __init__(self, dim: int, hidden: int, seed: int = 0):
         if hidden < 1:
             raise ConfigError(f"hidden width must be >= 1, got {hidden}")
         rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {
-            "down_w": Tensor(_uniform(rng, (hidden, dim), dim, dtype), requires_grad=True),
-            "down_b": Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True),
-            "up_w": Tensor(np.zeros((dim, hidden), dtype=dtype), requires_grad=True),
-            "up_b": Tensor(np.zeros(dim, dtype=dtype), requires_grad=True),
+            "down_w": Tensor(_uniform(rng, (hidden, dim), dim, np.float32), requires_grad=True),
+            "down_b": Tensor(np.zeros(hidden, dtype=np.float32), requires_grad=True),
+            "up_w": Tensor(np.zeros((dim, hidden), dtype=np.float32), requires_grad=True),
+            "up_b": Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True),
         }
 
     def forward(self, x: Tensor) -> Tensor:
         return bottleneck_forward(x, self.params)
 
     __call__ = forward
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.params.values())
 
 
 def bottleneck_forward(x: Tensor, p: dict[str, Tensor], activation=T.gelu) -> Tensor:

@@ -216,7 +216,7 @@ def cmd_eval(config_path, seed, out, task):
     model = _load_host(cfg)
     adapter, trainable = None, 0
     if cfg["adapter_checkpoint"]:
-        adapter = P.load_adapter(cfg["adapter_checkpoint"])
+        adapter = P.load_adapter(cfg["adapter_checkpoint"], model.config)
         trainable = adapter.param_count()
     mean_psnr, mean_ssim = P.evaluate(model, adapter, cfg["task"], n=train.eval_n,
                                       seed=train.seed)

@@ -52,7 +52,6 @@ class HostConfig:
     mlp_ratio: int = 4
     tasks: tuple[str, ...] = ("sr2", "noise25")
     seed: int = 0
-    dtype: str = "f32"
 
     def validate(self) -> None:
         for key in ("embed", "layers", "heads", "mlp_ratio"):
@@ -62,14 +61,10 @@ class HostConfig:
             raise ConfigError(f"embed {self.embed} not divisible by heads {self.heads}")
         if not self.tasks:
             raise ConfigError("at least one task is required")
-        if self.dtype not in ("f32", "f64"):
-            raise ConfigError(f"dtype must be f32 or f64, got {self.dtype}")
         for t in self.tasks:
             parse_task(t)
-
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "f32" else np.float64
+            if self.tasks.count(t) > 1:
+                raise ConfigError(f"task {t!r} is listed more than once")
 
 
 class HostModel:
@@ -82,7 +77,7 @@ class HostModel:
 
     def _init_params(self) -> dict[str, Tensor]:
         cfg = self.config
-        c, dt = cfg.embed, cfg.np_dtype
+        c, dt = cfg.embed, np.float32
         rng = np.random.default_rng(cfg.seed)
         p: dict[str, np.ndarray] = {}
         for t in cfg.tasks:
@@ -222,14 +217,12 @@ class LoRAStack(PETLMethod):
 
     method = "lora"
 
-    def __init__(self, host_config: HostConfig, ranks: list[int] | int = 4,
-                 alpha: float | None = None, seed: int = 0):
+    def __init__(self, host_config: HostConfig, ranks: list[int] | int = 4, seed: int = 0):
         if isinstance(ranks, int):
             ranks = [ranks] * host_config.layers
         if len(ranks) != host_config.layers:
             raise ConfigError("one rank per layer required")
-        self.layers = [LoRALayer(host_config.embed, r, alpha, seed=seed + i,
-                                 dtype=host_config.np_dtype)
+        self.layers = [LoRALayer(host_config.embed, r, seed=seed + i)
                        for i, r in enumerate(ranks)]
 
     @classmethod
@@ -248,17 +241,12 @@ class LoRAStack(PETLMethod):
                 for k, v in l.params.items()}
 
     def to_config(self) -> dict:
-        return {"ranks": [l.rank for l in self.layers],
-                "alpha": [l.alpha for l in self.layers]}
+        return {"ranks": [l.rank for l in self.layers]}
 
     @classmethod
     def from_config(cls, host_config, cfg, where):
         ranks = check_type(cfg.get("ranks"), tuple[int, ...], f"{where}: LoRAStack.ranks")
-        alphas = check_type(cfg.get("alpha"), tuple[float, ...], f"{where}: LoRAStack.alpha")
-        stack = cls(host_config, ranks=ranks)
-        for layer, alpha in zip(stack.layers, alphas):
-            layer.alpha = alpha
-        return stack
+        return cls(host_config, ranks=ranks)
 
 
 class BottleneckStack(PETLMethod):
@@ -272,8 +260,8 @@ class BottleneckStack(PETLMethod):
         if len(hidden) != 2 * host_config.layers:
             raise ConfigError("two hidden widths per layer required (attn + mlp)")
         # (after attention, after MLP) per layer; the k-th adapter gets seed + k
-        ads = [BottleneckAdapter(host_config.embed, h, seed=seed + k,
-                                 dtype=host_config.np_dtype) for k, h in enumerate(hidden)]
+        ads = [BottleneckAdapter(host_config.embed, h, seed=seed + k)
+               for k, h in enumerate(hidden)]
         self.layers = list(zip(ads[0::2], ads[1::2]))
 
     @classmethod

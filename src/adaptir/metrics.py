@@ -23,7 +23,6 @@ class MetricReport:
     trainable_params: int
     total_params: int
     steps: int
-    wall_time: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.ssim <= 1.0:
@@ -31,8 +30,6 @@ class MetricReport:
         if self.psnr < 0.0:
             raise ValueError(f"psnr {self.psnr} must be >= 0")
 
-    # wall_time is intentionally not part of the CSV row: reports must be
-    # byte-reproducible under a fixed (seed, config).
     CSV_FIELDS = ("task", "psnr", "ssim", "trainable_params", "total_params", "steps")
 
     def csv_row(self) -> str:

@@ -9,7 +9,7 @@ fully determines every checkpoint byte and every report row.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -58,12 +58,11 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     return T.tmean(T.tabs(pred - target))
 
 
-def lr_at(epoch: int, base_lr: float, total_epochs: int,
-          milestones: tuple[float, ...] = MILESTONE_FRACTIONS) -> float:
+def lr_at(epoch: int, base_lr: float, total_epochs: int) -> float:
     """Step schedule: halve at each milestone fraction of the run."""
     if not 0 <= epoch < total_epochs:
         raise ValueError(f"epoch {epoch} outside [0, {total_epochs})")
-    passed = sum(1 for frac in milestones if epoch >= frac * total_epochs)
+    passed = sum(1 for frac in MILESTONE_FRACTIONS if epoch >= frac * total_epochs)
     return base_lr * (0.5 ** passed)
 
 
@@ -86,6 +85,9 @@ class TrainConfig:
         if self.batch_size > self.images:
             raise ConfigError(f"batch_size {self.batch_size} exceeds images {self.images}:"
                               " an epoch would have no full batch")
+        for key in ("base_lr", "weight_decay"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.base_lr <= 0:
             raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
         if self.weight_decay < 0:
@@ -287,17 +289,15 @@ def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
     adapter = build_adapter(model.config, method, seed=derive_seed(train.seed, "init"),
                             adapter_config=adapter_config)
     checksum_before = host_checksum(model)
-    t0 = time.perf_counter()
     psnr_before, ssim_before = evaluate(model, None, task, n=train.eval_n, seed=train.seed)
     steps, _ = _fit(model, adapter, trainable_parameters(model, adapter),
                     [_train_run(task, derive_seed(train.seed, "ft"), train.images)], train)
     psnr_after, ssim_after = evaluate(model, adapter, task, n=train.eval_n, seed=train.seed)
-    wall = time.perf_counter() - t0
     trainable = adapter.param_count()
     report = MetricReport(task=task, psnr=psnr_after, ssim=ssim_after,
                           trainable_params=trainable,
                           total_params=model.param_count() + trainable,
-                          steps=steps, wall_time=wall)
+                          steps=steps)
     return FinetuneResult(adapter=adapter, report=report,
                           psnr_before=psnr_before, ssim_before=ssim_before,
                           checksum_before=checksum_before,
@@ -381,13 +381,19 @@ def save_adapter(path, adapter: PETLMethod, host_config: HostConfig) -> None:
     save_checkpoint(path, "adapter", cfg, adapter.parameters())
 
 
-def load_adapter(path) -> PETLMethod:
-    """Rebuild an adapter stack from its checkpoint.  The header must hold
+def load_adapter(path, host_config: HostConfig) -> PETLMethod:
+    """Rebuild an adapter stack from its checkpoint for a host of
+    ``host_config``, the one the adapter was saved with.  The header must hold
     exactly the method config the rebuilt stack writes, so no saved setting
     (or one written by an older layout) is silently dropped."""
     def build(cfg):
         cls = _method_class(cfg.get("method"))
-        host_config = config_from(HostConfig, cfg.get("host"), str(path))
+        saved_host = asdict(config_from(HostConfig, cfg.get("host"), str(path)))
+        diff = [f"{k} {v!r} vs {getattr(host_config, k)!r}" for k, v in saved_host.items()
+                if v != getattr(host_config, k)]
+        if diff:
+            raise ConfigError(f"{path}: adapter saved for a different host"
+                              f" (saved vs loaded: {', '.join(diff)})")
         adapter = cls.from_config(host_config, cfg, str(path))
         saved = {k: v for k, v in cfg.items() if k not in ("method", "host")}
         if saved != adapter.to_config():

@@ -113,9 +113,6 @@ class Tensor:
 
     # -- grad plumbing ---------------------------------------------------
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Populate ``grad`` of every reachable leaf with requires_grad."""
         if self.data.size != 1:

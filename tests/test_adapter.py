@@ -14,9 +14,7 @@ from adaptir.tensor import Tensor, no_grad
 
 def count_oracle(cfg: AdaptIRConfig) -> int:
     """Independent arithmetic for the trainable parameter count."""
-    c, cg, k, r, h = (cfg.channels, cfg.channels // cfg.reduction, cfg.kernel,
-                      cfg.lim_rank, cfg.channels // cfg.reduction
-                      if cfg.ffn_hidden is None else cfg.ffn_hidden)
+    c, cg, k, r = cfg.channels, cfg.channels // cfg.reduction, cfg.kernel, cfg.lim_rank
     n = c * cg + cg                       # down projection 1x1 (+bias)
     if cfg.lim_decompose:
         n += cg * r + k * k * r           # U and V factors
@@ -30,7 +28,7 @@ def count_oracle(cfg: AdaptIRConfig) -> int:
         n += 2 * (cg * cg + cg)           # full-channel affine matrices
         n += cg * cg + cg                 # full-channel scale layer
     n += cg + 1                           # CSM mask conv 1x1 (cg -> 1 map)
-    n += h * cg + h + cg * h + cg         # CSM two-layer FFN
+    n += 2 * (cg * cg + cg)               # CSM two-layer FFN, width C/gamma
     n += cg * c + c                       # up projection 1x1 (+bias)
     return n
 
@@ -47,7 +45,7 @@ def test_default_count_is_1365_and_matches_oracle():
     {"lim_decompose": False, "lim_depthwise": False},
     {"fam_depthwise": False},
     {"channels": 32, "reduction": 4, "lim_rank": 2},
-    {"ffn_hidden": 16},
+    {"kernel": 5, "lim_rank": 3},
 ])
 def test_count_matches_oracle_across_configs(kwargs):
     cfg = AdaptIRConfig(channels=kwargs.pop("channels", 64), **kwargs)
@@ -88,8 +86,8 @@ def test_config_validation():
 
 
 def test_config_from_builds_checked_configs():
-    cfg = config_from(AdaptIRConfig, {"channels": 16, "reduction": 4, "lim_rank": 2,
-                                      "ffn_hidden": None}, "here")
+    cfg = config_from(AdaptIRConfig, {"channels": 16, "reduction": 4, "lim_rank": 2},
+                      "here")
     assert cfg == AdaptIRConfig(channels=16, reduction=4, lim_rank=2)
     from adaptir.host import HostConfig
     host = config_from(HostConfig, {"tasks": ["sr2"]}, "here")
@@ -99,7 +97,6 @@ def test_config_from_builds_checked_configs():
         ({"kernel": "3"}, "here: AdaptIRConfig.kernel expects int, got '3'"),
         ({"kernel": 3.0}, "here: AdaptIRConfig.kernel expects int, got 3.0"),
         ({"lim": 1}, "here: AdaptIRConfig.lim expects bool, got 1"),
-        ({"ffn_hidden": "4"}, "here: AdaptIRConfig.ffn_hidden expects int | None, got '4'"),
         ({"kernel": 4}, "here: AdaptIRConfig: kernel must be odd and positive, got 4"),
         ([("kernel", 3)], "here: AdaptIRConfig expects an object, got [('kernel', 3)]"),
     ]:

@@ -5,24 +5,11 @@ import pytest
 
 from adaptir import tensor as T
 from adaptir.adapter import ConfigError
-from adaptir.baselines import (LoRALayer, BottleneckAdapter, lora_apply,
-                               bottleneck_forward)
+from adaptir.baselines import LoRALayer, BottleneckAdapter, bottleneck_forward
 from adaptir.tensor import Tensor, no_grad
 
 
-def test_lora_apply_closed_form():
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal((6, 6))
-    a = rng.standard_normal((2, 6))
-    b = rng.standard_normal((6, 2))
-    got = lora_apply(Tensor(w), Tensor(a), Tensor(b), alpha=4.0, rank=2).data
-    assert np.allclose(got, w + 2.0 * (b @ a), atol=1e-12)
-
-
 def test_lora_rank_validation():
-    with pytest.raises(ConfigError):
-        lora_apply(Tensor(np.eye(2)), Tensor(np.zeros((1, 2))),
-                   Tensor(np.zeros((2, 1))), alpha=1.0, rank=0)
     with pytest.raises(ConfigError):
         LoRALayer(8, 0)
 
@@ -34,15 +21,13 @@ def test_lora_zero_init_is_identity_on_weights():
         assert np.all(layer.effective(key, w).data == w.data)
 
 
-def test_lora_default_alpha_equals_rank():
+def test_lora_update_is_unscaled_b_times_a():
     layer = LoRALayer(8, rank=3, seed=0)
-    assert layer.alpha == 3.0
-    # so alpha/rank == 1 and the update is exactly B @ A
     rng = np.random.default_rng(3)
     layer.params["b_q"].data = rng.standard_normal((8, 3)).astype(np.float32)
-    w = Tensor(np.zeros((8, 8), dtype=np.float32))
-    expect = layer.params["b_q"].data @ layer.params["a_q"].data
-    assert np.allclose(layer.effective("q", w).data, expect, atol=1e-6)
+    w = rng.standard_normal((8, 8)).astype(np.float32)
+    expect = w + layer.params["b_q"].data @ layer.params["a_q"].data
+    assert np.array_equal(layer.effective("q", Tensor(w)).data, expect)
 
 
 def test_lora_increment_is_low_rank():
@@ -104,7 +89,7 @@ def test_bottleneck_validation_and_count():
         BottleneckAdapter(8, hidden=0)
     ad = BottleneckAdapter(64, hidden=5)
     # 5*64 down + 5 + 64*5 up + 64
-    assert ad.param_count() == 5 * 64 + 5 + 64 * 5 + 64 == 709
+    assert sum(t.size for t in ad.params.values()) == 5 * 64 + 5 + 64 * 5 + 64 == 709
 
 
 def test_custom_activation_hook():

@@ -137,6 +137,39 @@ def test_eval_uses_saved_adapter(workspace):
     assert abs(shown - ft_psnr) < 5e-4
 
 
+@pytest.fixture(scope="module")
+def three_layer_host(workspace):
+    """The workspace host's config and seed with one more transformer layer."""
+    path = workspace / "host3.cfg"
+    path.write_text(TINY_HOST + "host.layers=3\n", encoding="utf-8")
+    res = invoke(["pretrain", "--config", path, "--out", workspace / "host3",
+                  "--epochs", 1, "--seed", 1])
+    assert res.exit_code == 0, res.output
+    return workspace / "host3" / "host.ckpt"
+
+
+@pytest.mark.parametrize("method,saved_layers,loaded_layers", [
+    ("lora", 2, 3),     # used to end in an IndexError traceback
+    ("adaptir", 3, 2),  # used to run on 2 of the 3 adapted layers
+])
+def test_eval_rejects_adapter_saved_for_another_host(workspace, three_layer_host, method,
+                                                     saved_layers, loaded_layers):
+    hosts = {2: workspace / "host" / "host.ckpt", 3: three_layer_host}
+    out = workspace / f"other_host_{method}"
+    ft = workspace / "other_host_ft.cfg"
+    ft.write_text(TINY_HOST + f"host_checkpoint={hosts[saved_layers]}\n", encoding="utf-8")
+    res = invoke(["finetune", "--config", ft, "--out", out / "ft", "--method", method,
+                  "--epochs", 1, "--task", "sr2", "--seed", 3])
+    assert res.exit_code == 0, res.output
+    ev = workspace / "other_host_ev.cfg"
+    ev.write_text(TINY_HOST + f"host_checkpoint={hosts[loaded_layers]}\n"
+                  f"adapter_checkpoint={out / 'ft' / 'adapter.ckpt'}\n", encoding="utf-8")
+    res = invoke(["eval", "--config", ev, "--out", out / "ev", "--task", "sr2"])
+    assert_one_line_error(res, "adapter saved for a different host (saved vs loaded:"
+                               f" layers {saved_layers} vs {loaded_layers})")
+    assert not (out / "ev" / "report.csv").exists()
+
+
 def test_unknown_config_key_rejected(workspace):
     bad = workspace / "bad.cfg"
     bad.write_text("not_a_key=1\n", encoding="utf-8")
@@ -235,6 +268,7 @@ def test_host_sizes_below_one_rejected(workspace, key):
     ("base_lr=-1", "TrainConfig: base_lr must be > 0, got -1.0"),
     ("weight_decay=-5", "TrainConfig: weight_decay must be >= 0, got -5.0"),
     ("dump_images=-1", "dump_images must be >= 0, got -1"),
+    ("base_lr=inf", "TrainConfig: base_lr must be finite, got inf"),
 ])
 def test_bad_recipe_rejected(workspace, extra, fragment):
     path = workspace / "badrecipe.cfg"
@@ -302,6 +336,16 @@ def test_pretrain_without_tasks_rejected(workspace):
     res = invoke(["pretrain", "--config", path, "--out", workspace / "notasks",
                   "--epochs", 1])
     assert_one_line_error(res, "at least one task is required")
+
+
+def test_pretrain_duplicate_task_rejected(workspace):
+    # used to train and draw the sr2 head twice and save tasks ["sr2", "sr2"]
+    path = workspace / "duptasks.cfg"
+    path.write_text(TINY_HOST + "host.tasks=sr2,noise25,sr2\n", encoding="utf-8")
+    res = invoke(["pretrain", "--config", path, "--out", workspace / "duptasks",
+                  "--epochs", 1])
+    assert_one_line_error(res, "HostConfig: task 'sr2' is listed more than once")
+    assert not (workspace / "duptasks" / "host.ckpt").exists()
 
 
 def test_ablate_honours_batch_size(workspace):

@@ -1,6 +1,7 @@
 """Training pipeline: optimizer closed forms, schedule exactness, budget
 equalizer, determinism, checkpoint round trips, gradient-audit teeth."""
 
+import functools
 import json
 import re
 from dataclasses import asdict, replace
@@ -11,7 +12,7 @@ import pytest
 from adaptir import pipeline as P
 from adaptir import tensor as tensor_mod
 from adaptir.adapter import AdaptIRConfig, ConfigError
-from adaptir.host import HostConfig, HostModel, PETLMethod
+from adaptir.host import AdapterStack, HostConfig, HostModel, PETLMethod
 from adaptir.serialize import load_checkpoint, save_checkpoint
 from adaptir.tensor import ContractError, Tensor
 
@@ -195,7 +196,7 @@ def test_checkpoint_round_trips(tiny_frozen, tmp_path):
                          P.TrainConfig(epochs=1, seed=0, images=8, eval_n=2), adapter_cfg)
         path = tmp_path / f"{method}_{adapter_cfg.position}.ckpt"
         P.save_adapter(path, res.adapter, model.config)
-        adapter = P.load_adapter(path)
+        adapter = P.load_adapter(path, model.config)
         assert adapter.method == res.adapter.method == method
         if method == "adaptir":
             assert adapter.config == adapter_cfg
@@ -212,7 +213,7 @@ def test_adapter_checkpoint_rejects_unknown_method(tmp_path):
     save_checkpoint(tmp_path / "a.ckpt", "adapter",
                     {"method": "prompt_tuning", "host": host_cfg}, {})
     with pytest.raises(ConfigError, match="prompt_tuning"):
-        P.load_adapter(tmp_path / "a.ckpt")
+        P.load_adapter(tmp_path / "a.ckpt", TINY)
     with pytest.raises(ConfigError):  # the bare slot is not a method
         P.save_adapter(tmp_path / "b.ckpt", PETLMethod(), TINY)
 
@@ -230,7 +231,7 @@ def test_adapter_checkpoint_rejects_unread_header_keys(tmp_path, method, extra):
                     {"method": method, "host": host_cfg, **stack.to_config(), **extra},
                     stack.parameters())
     with pytest.raises(ConfigError, match="header does not match"):
-        P.load_adapter(tmp_path / "a.ckpt")
+        P.load_adapter(tmp_path / "a.ckpt", TINY)
 
 
 def test_checkpoint_rejects_trailing_bytes(tiny_frozen, tmp_path):
@@ -274,8 +275,9 @@ def edit_header(path, keys, value):
      "checkpoint fields do not match the host configuration"),
     ("host", ("config", "layers"), 1.5, ConfigError, "HostConfig.layers expects int, got 1.5"),
     ("host", ("config", "heads"), 0, ConfigError, "HostConfig: heads must be >= 1, got 0"),
-    ("host", ("config", "dtype"), "bf16", ConfigError,
-     "HostConfig: dtype must be f32 or f64, got bf16"),
+    # headers written while dtype, alpha and ffn_hidden were settings fail on
+    # the key, whatever its value
+    ("host", ("config", "dtype"), "bf16", ConfigError, "HostConfig has no key 'dtype'"),
     # the layout written before the unread feat_h/feat_w fields were removed
     ("host", ("config", "feat_h"), 16, ConfigError, "HostConfig has no key 'feat_h'"),
     ("adaptir", ("config", "method"), DELETE, ConfigError, "unknown method None"),
@@ -293,10 +295,11 @@ def edit_header(path, keys, value):
      "LoRAStack.ranks expects tuple[int, ...], got None"),
     ("lora", ("config", "ranks"), ["a", "a"], ConfigError,
      "LoRAStack.ranks[0] expects int, got 'a'"),
-    ("lora", ("config", "alpha"), [2.0, "a"], ConfigError,
-     "LoRAStack.alpha[1] expects float, got 'a'"),
+    ("lora", ("config", "alpha"), [2.0, 2.0], ConfigError, "header does not match"),
     ("bottleneck", ("config", "hidden"), DELETE, ConfigError,
      "BottleneckStack.hidden expects tuple[int, ...], got None"),
+    ("adaptir", ("config", "adapter", "ffn_hidden"), None, ConfigError,
+     "AdaptIRConfig has no key 'ffn_hidden'"),
 ])
 def test_malformed_checkpoint_header_is_one_line(tmp_path, kind, keys, value, error,
                                                  fragment):
@@ -306,7 +309,7 @@ def test_malformed_checkpoint_header_is_one_line(tmp_path, kind, keys, value, er
         load = P.load_host
     else:
         P.save_adapter(path, P.build_adapter(TINY, kind, adapter_config=TINY_ADAPTER), TINY)
-        load = P.load_adapter
+        load = functools.partial(P.load_adapter, host_config=TINY)
     load(path)  # the unedited checkpoint loads
     edit_header(path, keys, value)
     with pytest.raises(error, match=re.escape(fragment)) as err:
@@ -320,10 +323,10 @@ def test_checkpoint_saves_float32_only(tmp_path):
     header = json.dumps({"kind": "test", "config": {"n": 1},
                          "fields": [{"name": "a", "shape": [2, 3]}]}, sort_keys=True)
     assert (tmp_path / "a.ckpt").read_bytes() == header.encode() + b"\n" + arr.tobytes()
-    f64_host = HostModel(replace(TINY, dtype="f64"))
-    with pytest.raises(ValueError, match="checkpoint field head.sr2.conv1_w is float64,"
+    f64_stack = AdapterStack(TINY, replace(TINY_ADAPTER, dtype="f64"))
+    with pytest.raises(ValueError, match="checkpoint field layer0.down_w is float64,"
                                          " not float32"):
-        P.save_host(tmp_path / "h.ckpt", f64_host)
+        P.save_adapter(tmp_path / "a.ckpt", f64_stack, TINY)
 
 
 @pytest.mark.parametrize("changes,fragment", [
@@ -332,6 +335,9 @@ def test_checkpoint_saves_float32_only(tmp_path):
     (dict(weight_decay=-5.0), "weight_decay must be >= 0, got -5.0"),
     (dict(epochs=0), "epochs must be >= 1, got 0"),
     (dict(batch_size=16, images=8), "batch_size 16 exceeds images 8"),
+    (dict(base_lr=float("nan")), "base_lr must be finite, got nan"),
+    (dict(base_lr=float("inf")), "base_lr must be finite, got inf"),
+    (dict(weight_decay=float("nan")), "weight_decay must be finite, got nan"),
 ])
 def test_train_config_rejects_bad_recipes(tiny_frozen, changes, fragment):
     model, _ = tiny_frozen
