@@ -87,11 +87,17 @@ def _resolve(config_path, **overrides) -> tuple[dict, P.TrainConfig]:
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     if cfg["dump_images"] < 0:
         raise ConfigError(f"dump_images must be >= 0, got {cfg['dump_images']}")
+    if cfg["method"] not in METHODS:
+        raise ConfigError(f"unknown method {cfg['method']!r} ({' | '.join(METHODS)})")
+    if cfg["axes"] not in P.ABLATION_AXES:
+        raise ConfigError(f"unknown ablation axis {cfg['axes']!r} (one of {P.ABLATION_AXES})")
     return cfg, _section(cfg, "")
 
 
 def _out_dir(cfg: dict) -> Path:
-    """Create the output directory and write the resolved config into it."""
+    """Create the output directory and write the resolved config into it.
+    Commands call it once every check that reads only their inputs has
+    passed, so a run refused for its inputs leaves no directory behind."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"{k}={','.join(v) if isinstance(v, tuple) else v}"
@@ -172,8 +178,9 @@ def main():
 def cmd_pretrain(config_path, seed, out, epochs):
     """Train the multi-task host from scratch and freeze it."""
     cfg, train = _resolve(config_path, seed=seed, out=out, epochs=epochs)
+    host_config = _host_config(cfg)
     out_dir = _out_dir(cfg)
-    model, log = P.pretrain(_host_config(cfg), train)
+    model, log = P.pretrain(host_config, train)
     P.save_host(out_dir / "host.ckpt", model)
     rows = ["epoch,task,loss"] + [f"{e},{t},{l:.6f}" for e, t, l in log]
     (out_dir / "pretrain_log.csv").write_text("\n".join(rows) + "\n",
@@ -190,10 +197,12 @@ def cmd_finetune(config_path, seed, out, method, task, epochs):
     """Train one adapter method on a frozen host checkpoint."""
     cfg, train = _resolve(config_path, seed=seed, out=out, method=method,
                           task=task, epochs=epochs)
-    out_dir = _out_dir(cfg)
+    adapter_config = _adapter_config(cfg)
     model = _load_host(cfg)
+    model.resolve_task(cfg["task"])
+    out_dir = _out_dir(cfg)
     res = P.finetune(model, cfg["method"], cfg["task"], train,
-                     adapter_config=_adapter_config(cfg))
+                     adapter_config=adapter_config)
     P.save_adapter(out_dir / "adapter.ckpt", res.adapter, model.config)
     _write_reports(out_dir, "report.csv", [(cfg["method"], res.report)])
     _dump_qualitative(out_dir, model, res.adapter, cfg["task"], cfg)
@@ -212,12 +221,13 @@ def cmd_finetune(config_path, seed, out, method, task, epochs):
 def cmd_eval(config_path, seed, out, task):
     """Evaluate a frozen host (plus optional adapter) on held-out images."""
     cfg, train = _resolve(config_path, seed=seed, out=out, task=task)
-    out_dir = _out_dir(cfg)
     model = _load_host(cfg)
+    model.resolve_task(cfg["task"])
     adapter, trainable = None, 0
     if cfg["adapter_checkpoint"]:
         adapter = P.load_adapter(cfg["adapter_checkpoint"], model.config)
         trainable = adapter.param_count()
+    out_dir = _out_dir(cfg)
     mean_psnr, mean_ssim = P.evaluate(model, adapter, cfg["task"], n=train.eval_n,
                                       seed=train.seed)
     report = MetricReport(task=cfg["task"], psnr=mean_psnr, ssim=mean_ssim,
@@ -266,10 +276,11 @@ def cmd_ablate(config_path, seed, out, task, epochs, axes):
     """Run one ablation axis (efficiency | components | insertion)."""
     cfg, train = _resolve(config_path, seed=seed, out=out, task=task,
                           epochs=epochs, axes=axes)
-    out_dir = _out_dir(cfg)
+    adapter_config = _adapter_config(cfg)
     model = _load_host(cfg)
-    rows = P.ablate(model, cfg["task"], cfg["axes"], train,
-                    adapter_config=_adapter_config(cfg))
+    model.resolve_task(cfg["task"])
+    out_dir = _out_dir(cfg)
+    rows = P.ablate(model, cfg["task"], cfg["axes"], train, adapter_config=adapter_config)
     _write_reports(out_dir, f"ablation_{cfg['axes']}.csv", rows)
     width = max(len(label) for label, _ in rows)
     for label, rep in rows:

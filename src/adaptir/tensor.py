@@ -5,14 +5,17 @@ convolution, spatial softmax, fused scaled dot-product attention,
 layernorm, elementwise arithmetic, GELU and a few pointwise trig ops for
 the frequency branch), so the graph is kept deliberately simple: every op
 closes over its inputs and appends nothing global -- the graph *is* the
-tape, and ``backward`` walks it once in reverse topological order.
+tape, and ``backward`` walks it once in reverse topological order and
+consumes it, freeing each node's closure and parents as it goes; a second
+``backward`` through that graph raises ``ContractError``.
 
 Conventions fixed here:
 
 * dtypes are float32 (training) or float64 (verification); binary ops
   require matching dtypes, python scalars are coerced.
 * conv2d uses the cross-correlation convention (no kernel flip).
-* gradients accumulate across ``backward`` calls until explicitly zeroed.
+* gradients accumulate across ``backward`` calls (each on a fresh graph)
+  until explicitly zeroed.
 """
 
 from __future__ import annotations
@@ -114,7 +117,12 @@ class Tensor:
     # -- grad plumbing ---------------------------------------------------
 
     def backward(self) -> None:
-        """Populate ``grad`` of every reachable leaf with requires_grad."""
+        """Populate ``grad`` of every reachable leaf with requires_grad.
+
+        The walk consumes the graph: every interior node it reaches loses its
+        closure and parents, which frees its forward arrays as the walk goes.
+        A later ``backward`` whose graph reaches such a node raises
+        ``ContractError`` before any leaf gradient changes."""
         if self.data.size != 1:
             raise ContractError(
                 f"backward() requires a scalar loss, got shape {self.shape}"
@@ -129,6 +137,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -136,23 +146,24 @@ class Tensor:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:  # popping, so the list does not keep walked nodes alive
+            node = topo.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
             if node._backward is None:
                 # leaf: accumulate into .grad
-                if node.requires_grad:
+                if g is not None and node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
                 continue
-            parent_grads = node._backward(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if pg is None or not p.requires_grad:
-                    continue
-                if id(p) in grads:
-                    grads[id(p)] = grads[id(p)] + pg
-                else:
-                    grads[id(p)] = pg
+            if g is not None:
+                for p, pg in zip(node._parents, node._backward(g)):
+                    if pg is None or not p.requires_grad:
+                        continue
+                    if id(p) in grads:
+                        grads[id(p)] = grads[id(p)] + pg
+                    else:
+                        grads[id(p)] = pg
+            node._backward = _consumed
+            node._parents = ()
 
     # -- operators -------------------------------------------------------
 
@@ -189,6 +200,11 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
+
+
+def _consumed(g):
+    """The backward of a node whose graph an earlier ``backward`` walked."""
+    raise ContractError("backward() through a graph an earlier backward() consumed")
 
 
 def _fail_scalar(t: Tensor):

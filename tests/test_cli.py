@@ -220,6 +220,7 @@ def test_ablate_unknown_axis_fails(workspace):
                   "--axes", "nonsense"])
     assert res.exit_code != 0
     assert "axis" in res.output
+    assert not (workspace / "abx").exists()
 
 
 def assert_one_line_error(res, fragment, kind="ConfigError"):
@@ -237,6 +238,7 @@ def test_finetune_unregistered_scale_is_config_error(workspace):
     res = invoke(["finetune", "--config", cfg, "--out", workspace / "sr3",
                   "--epochs", 1, "--task", "sr3"])
     assert_one_line_error(res, "no registered task has scale 3")
+    assert not (workspace / "sr3").exists()
 
 
 @pytest.mark.parametrize("extra,fragment", [
@@ -250,7 +252,7 @@ def test_bad_batch_size_rejected(workspace, extra, fragment):
     res = invoke(["finetune", "--config", path, "--out", workspace / "badbatch",
                   "--epochs", 1, "--task", "sr2"])
     assert_one_line_error(res, fragment)
-    assert not (workspace / "badbatch" / "report.csv").exists()
+    assert not (workspace / "badbatch").exists()
 
 
 @pytest.mark.parametrize("key", ["embed", "layers", "heads", "mlp_ratio"])
@@ -260,7 +262,7 @@ def test_host_sizes_below_one_rejected(workspace, key):
     res = invoke(["pretrain", "--config", path, "--out", workspace / "badhost",
                   "--epochs", 1])
     assert_one_line_error(res, f"HostConfig: {key} must be >= 1, got 0")
-    assert not (workspace / "badhost" / "host.ckpt").exists()
+    assert not (workspace / "badhost").exists()
 
 
 @pytest.mark.parametrize("extra,fragment", [
@@ -277,7 +279,7 @@ def test_bad_recipe_rejected(workspace, extra, fragment):
     res = invoke(["finetune", "--config", path, "--out", workspace / "badrecipe",
                   "--epochs", 1, "--task", "sr2"])
     assert_one_line_error(res, fragment)
-    assert not (workspace / "badrecipe" / "report.csv").exists()
+    assert not (workspace / "badrecipe").exists()
 
 
 @pytest.mark.parametrize("line,kind", [("epochs=abc", "int"), ("base_lr=fast", "float"),
@@ -327,7 +329,7 @@ def test_unknown_insertion_rejected(workspace, method, extra, fragment):
     res = invoke(["finetune", "--config", path, "--out", workspace / "badins",
                   "--method", method, "--epochs", 1, "--task", "sr2"])
     assert_one_line_error(res, fragment)
-    assert not (workspace / "badins" / "report.csv").exists()
+    assert not (workspace / "badins").exists()
 
 
 def test_pretrain_without_tasks_rejected(workspace):
@@ -340,12 +342,32 @@ def test_pretrain_without_tasks_rejected(workspace):
 
 def test_pretrain_duplicate_task_rejected(workspace):
     # used to train and draw the sr2 head twice and save tasks ["sr2", "sr2"]
-    path = workspace / "duptasks.cfg"
-    path.write_text(TINY_HOST + "host.tasks=sr2,noise25,sr2\n", encoding="utf-8")
-    res = invoke(["pretrain", "--config", path, "--out", workspace / "duptasks",
-                  "--epochs", 1])
-    assert_one_line_error(res, "HostConfig: task 'sr2' is listed more than once")
-    assert not (workspace / "duptasks" / "host.ckpt").exists()
+    for tasks in ("sr2,noise25,sr2", "sr2,sr2"):
+        path = workspace / "duptasks.cfg"
+        path.write_text(TINY_HOST + f"host.tasks={tasks}\n", encoding="utf-8")
+        res = invoke(["pretrain", "--config", path, "--out", workspace / "duptasks",
+                      "--epochs", 1])
+        assert res.exit_code == 1
+        assert_one_line_error(res, "HostConfig: task 'sr2' is listed more than once")
+        assert not (workspace / "duptasks").exists()
+
+
+@pytest.mark.parametrize("command,extra,fragment,kind", [
+    ("eval", "host_checkpoint={ws}/truncated.ckpt\n", "truncated checkpoint", "ValueError"),
+    ("finetune", "host_checkpoint={ws}/host/host.ckpt\nmethod=prefix\n",
+     "unknown method 'prefix'", "ConfigError"),
+])
+def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, kind):
+    # used to create --out and write resolved.cfg before the inputs were checked
+    host = (workspace / "host" / "host.ckpt").read_bytes()
+    (workspace / "truncated.ckpt").write_bytes(host[:-4])
+    path = workspace / "refused.cfg"
+    path.write_text(TINY_HOST + extra.format(ws=workspace), encoding="utf-8")
+    out = workspace / f"refused_{command}"
+    res = invoke([command, "--config", path, "--out", out])
+    assert res.exit_code == 1
+    assert_one_line_error(res, fragment, kind=kind)
+    assert not out.exists()
 
 
 def test_ablate_honours_batch_size(workspace):

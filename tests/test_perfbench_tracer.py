@@ -1,9 +1,13 @@
 """The benchmark's tracer patches adaptir names where callers look them up
 (``perfbench/tracer.py``).  Installing it here makes a refactor that renames
-or removes one of those names fail in this suite, not only in the benchmark."""
+or removes one of those names fail in this suite, not only in the benchmark,
+and one traced training step checks that its backward wrappers still run."""
 
 import importlib.util
 from pathlib import Path
+
+from adaptir import pipeline as P
+from adaptir.host import HostConfig, HostModel
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -29,3 +33,21 @@ def test_tracer_installs_and_uninstalls():
         tr.uninstall()
     assert all(owner.__dict__[attr] is orig
                for (owner, attr), orig in zip(sites, originals))
+
+
+def test_traced_training_step_charges_backward_time():
+    tracer = load_tracer()
+    model = HostModel(HostConfig(embed=16, layers=2, heads=2, mlp_ratio=2,
+                                 tasks=("noise25",)))
+    train = P.TrainConfig(epochs=1, images=8, batch_size=8)
+    runs = [P._train_run("noise25", 0, train.images)]
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        steps, _ = P._fit(model, None, model.params, runs, train)
+    finally:
+        tr.uninstall()
+    assert steps == 1
+    assert tr.counts["tensor.nodes"] > 0
+    assert any(s > 0.0 for (_, phase), s in tr.self_s.items() if phase == "bwd")
+    assert tr.negative_self == 0

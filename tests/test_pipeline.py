@@ -4,6 +4,7 @@ equalizer, determinism, checkpoint round trips, gradient-audit teeth."""
 import functools
 import json
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -147,6 +148,26 @@ def test_build_adapter_rejects_unknown_method():
 def tiny_frozen():
     model, log = P.pretrain(TINY, P.TrainConfig(epochs=2, seed=11, images=8))
     return model, log
+
+
+def traced_fit_peak(epochs: int) -> int:
+    """Peak traced bytes of ``_fit`` pretraining a fresh tiny host."""
+    model = HostModel(HostConfig(embed=16, layers=2, heads=2, mlp_ratio=2,
+                                 tasks=("noise25",)))
+    train = P.TrainConfig(epochs=epochs, images=8, batch_size=8)
+    runs = [P._train_run("noise25", 0, train.images)]
+    tracemalloc.start()
+    try:
+        P._fit(model, None, model.params, runs, train)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_steps_tape_does_not_outlive_the_step():
+    # one step per epoch: a step that kept the previous step's graph alive
+    # while building its own would peak with two tapes
+    assert traced_fit_peak(3) <= 1.1 * traced_fit_peak(1)
 
 
 def test_pretrain_writes_log_and_freezes(tiny_frozen):

@@ -1,6 +1,8 @@
 """Autodiff core: every op against brute-force oracles and central
 finite differences in float64."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -335,3 +337,27 @@ def test_shared_subexpression_grad():
     y = x * x
     (y + y).sum().backward()
     assert np.allclose(x.grad, [12.0])
+
+
+def test_backward_frees_the_graph_it_walks():
+    x = rt([1.0, 2.0])
+    h = x * 2.0
+    forward = weakref.ref(h.data)
+    loss = (h * h).sum()
+    del h
+    loss.backward()
+    assert forward() is None  # freed although loss is still referenced
+    assert np.allclose(x.grad, [8.0, 16.0])
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    x, y = rt([1.0, 2.0]), rt([3.0])
+    h = x * x
+    loss = h.sum()
+    loss.backward()
+    first = x.grad.copy()
+    # again on the same loss, and on a new graph that reuses a walked node
+    for again in (loss, (y * y).sum() + h.sum()):
+        with pytest.raises(ContractError, match="an earlier backward\\(\\) consumed"):
+            again.backward()
+        assert np.array_equal(x.grad, first) and y.grad is None
