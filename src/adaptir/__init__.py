@@ -7,8 +7,7 @@ from .tensor import Tensor, ShapeError, ContractError, no_grad
 from .adapter import AdaptIR, AdaptIRConfig, ConfigError, config_from
 from .baselines import LoRALayer, BottleneckAdapter, bottleneck_forward
 from .host import (HostConfig, HostModel, PETLMethod, AdapterStack, LoRAStack,
-                   BottleneckStack, METHODS, host_forward, freeze, trainable_parameters,
-                   host_checksum)
+                   BottleneckStack, METHODS, host_forward, freeze, host_checksum)
 from .data import DegradationSpec, parse_task, synth_image, degrade, derive_seed
 from .metrics import MetricReport, psnr, ssim, rgb_to_y
 from .pipeline import (l1_loss, lr_at, TrainConfig, TrainState, adamw_step, pretrain,
@@ -23,7 +22,7 @@ __all__ = [
     "LoRALayer", "BottleneckAdapter", "bottleneck_forward",
     "HostConfig", "HostModel", "PETLMethod", "AdapterStack",
     "LoRAStack", "BottleneckStack", "METHODS", "host_forward", "freeze",
-    "trainable_parameters", "host_checksum",
+    "host_checksum",
     "DegradationSpec", "parse_task", "synth_image", "degrade", "derive_seed",
     "MetricReport", "psnr", "ssim", "rgb_to_y",
     "l1_loss", "lr_at", "TrainConfig", "TrainState", "adamw_step", "pretrain", "finetune",

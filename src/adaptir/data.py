@@ -1,4 +1,4 @@
-"""Procedural image synthesis, degradation operators and PPM/PGM I/O.
+"""Procedural image synthesis, degradation operators and a PPM writer.
 
 Everything here is a pure, seeded function: images are CHW float32
 arrays in [0, 1], 8-bit quantization happens only at the file boundary,
@@ -21,16 +21,10 @@ __all__ = [
     "downsample_bicubic",
     "add_gaussian_noise",
     "degrade",
-    "load_ppm",
     "save_ppm",
     "derive_seed",
     "epoch_order",
-    "PPMError",
 ]
-
-
-class PPMError(ValueError):
-    pass
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -112,8 +106,8 @@ def parse_task(spec: str) -> DegradationSpec:
 # -- synthesis --------------------------------------------------------------
 
 
-def synth_image(seed: int, size: int, channels: int = 3) -> np.ndarray:
-    """Deterministic procedural texture with smooth and structured content.
+def synth_image(seed: int, size: int) -> np.ndarray:
+    """Deterministic procedural RGB texture with smooth and structured content.
 
     Mixes linear gradients, a band-limited cosine field, random rectangles
     and a hard edge, then normalizes into [0, 1].
@@ -122,22 +116,22 @@ def synth_image(seed: int, size: int, channels: int = 3) -> np.ndarray:
         raise ValueError(f"size must be >= 8, got {size}")
     rng = np.random.default_rng(derive_seed(seed, "synth"))
     yy, xx = np.meshgrid(np.linspace(0, 1, size), np.linspace(0, 1, size), indexing="ij")
-    img = np.zeros((channels, size, size))
+    img = np.zeros((3, size, size))
 
-    for c in range(channels):
+    for c in range(3):
         gx, gy = rng.uniform(-1, 1, 2)
         img[c] = gx * xx + gy * yy
     for _ in range(4):
         fx, fy = rng.uniform(0.5, 4.0, 2) * rng.choice([-1, 1], 2)
         phase = rng.uniform(0, 2 * np.pi)
-        amp = rng.uniform(0.1, 0.5, channels)
+        amp = rng.uniform(0.1, 0.5, 3)
         wave = np.cos(2 * np.pi * (fx * xx + fy * yy) + phase)
         img += amp[:, None, None] * wave
     for _ in range(rng.integers(3, 7)):
         y0, x0 = rng.integers(0, size - 4, 2)
         hgt = int(rng.integers(3, max(4, size // 2)))
         wdt = int(rng.integers(3, max(4, size // 2)))
-        img[:, y0:y0 + hgt, x0:x0 + wdt] += rng.uniform(-0.8, 0.8, channels)[:, None, None]
+        img[:, y0:y0 + hgt, x0:x0 + wdt] += rng.uniform(-0.8, 0.8, 3)[:, None, None]
     # one hard half-plane edge for sharp structure
     nx, ny = rng.uniform(-1, 1, 2)
     off = rng.uniform(0.3, 0.7)
@@ -151,7 +145,9 @@ def synth_image(seed: int, size: int, channels: int = 3) -> np.ndarray:
 # -- bicubic resampling -------------------------------------------------------
 
 
-def _cubic(x: np.ndarray, a: float = -0.5) -> np.ndarray:
+def _cubic(x: np.ndarray) -> np.ndarray:
+    """Keys' cubic convolution kernel with a = -0.5."""
+    a = -0.5
     ax = np.abs(x)
     ax2, ax3 = ax * ax, ax * ax * ax
     return np.where(ax <= 1,
@@ -218,62 +214,15 @@ def degrade(img: np.ndarray, spec: DegradationSpec) -> tuple[np.ndarray, np.ndar
     return lq, hq
 
 
-# -- portable pixmap I/O -------------------------------------------------------
+# -- portable pixmap output ----------------------------------------------------
 
 
 def save_ppm(img: np.ndarray, path) -> None:
-    """Write P6 (3-channel) or P5 (1-channel), maxval 255, binary payload."""
-    if img.ndim != 3 or img.shape[0] not in (1, 3):
-        raise ValueError(f"expected CHW with 1 or 3 channels, got {img.shape}")
-    c, h, w = img.shape
-    magic = b"P6" if c == 3 else b"P5"
+    """Write a 3 x H x W image as binary P6, maxval 255."""
+    if img.ndim != 3 or img.shape[0] != 3:
+        raise ValueError(f"expected 3 x H x W, got {img.shape}")
+    _, h, w = img.shape
     q = np.clip(np.floor(img * 255.0 + 0.5), 0, 255).astype(np.uint8)
-    payload = q.transpose(1, 2, 0).tobytes() if c == 3 else q[0].tobytes()
     with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (w, h))
-        f.write(payload)
-
-
-def load_ppm(path) -> np.ndarray:
-    """Read binary P6/P5 with maxval 255 back into CHW float32 in [0, 1]."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(raw):
-            if raw[pos:pos + 1].isspace():
-                pos += 1
-            elif raw[pos:pos + 1] == b"#":
-                while pos < len(raw) and raw[pos] != 0x0A:
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise PPMError(f"truncated header at byte {start}")
-        return raw[start:pos]
-
-    magic = token()
-    if magic == b"P3":
-        raise PPMError("ASCII PPM (P3) is not supported, use binary P6")
-    if magic not in (b"P6", b"P5"):
-        raise PPMError(f"unknown magic {magic!r} at byte 0")
-    channels = 3 if magic == b"P6" else 1
-    try:
-        w, h, maxval = int(token()), int(token()), int(token())
-    except ValueError as exc:
-        raise PPMError(f"malformed header near byte {pos}: {exc}") from None
-    if maxval != 255:
-        raise PPMError(f"unsupported maxval {maxval} (only 255)")
-    pos += 1  # single whitespace byte after maxval
-    need = w * h * channels
-    payload = raw[pos:pos + need]
-    if len(payload) != need:
-        raise PPMError(
-            f"truncated payload at byte {pos + len(payload)}: need {need} bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
-    return (arr.transpose(2, 0, 1).astype(np.float32) / 255.0)
+        f.write(b"P6\n%d %d\n255\n" % (w, h))
+        f.write(q.transpose(1, 2, 0).tobytes())

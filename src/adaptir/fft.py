@@ -51,10 +51,6 @@ class ComplexSpectrum:
     imag: Tensor
     original_width: int
 
-    @property
-    def shape(self):
-        return self.real.shape
-
 
 def rfft2(x: Tensor) -> ComplexSpectrum:
     """Half-spectrum DFT of (..., H, W) with the 1/(HW) forward factor."""

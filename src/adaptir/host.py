@@ -37,7 +37,6 @@ __all__ = [
     "METHODS",
     "host_forward",
     "freeze",
-    "trainable_parameters",
     "host_checksum",
 ]
 
@@ -71,7 +70,6 @@ class HostModel:
     def __init__(self, config: HostConfig):
         config.validate()
         self.config = config
-        self.frozen = False
         self.task_scales = {t: parse_task(t).sr_scale for t in config.tasks}
         self.params: dict[str, Tensor] = self._init_params()
 
@@ -387,16 +385,7 @@ def freeze(model: HostModel) -> HostModel:
     for t in model.params.values():
         t.requires_grad = False
         t.grad = None
-    model.frozen = True
     return model
-
-
-def trainable_parameters(model: HostModel,
-                         adapter: PETLMethod | None = None) -> dict[str, Tensor]:
-    """Exactly the adapter's parameters; host parameters are excluded."""
-    if not model.frozen:
-        raise ConfigError("host must be frozen before parameter-efficient training")
-    return {} if adapter is None else dict(adapter.parameters())
 
 
 def host_checksum(model: HostModel) -> str:

@@ -60,26 +60,30 @@ def psnr(a: np.ndarray, b: np.ndarray, mode: str = "rgb") -> float:
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    r = np.arange(size) - (size - 1) / 2.0
+SSIM_WINDOW = 11  # edge of the SSIM Gaussian window
+
+
+def _gaussian_window() -> np.ndarray:
+    sigma = 1.5
+    r = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
     g = np.exp(-(r * r) / (2.0 * sigma * sigma))
     w = np.outer(g, g)
     return w / w.sum()
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean local SSIM over valid 11x11 Gaussian windows, on luma."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     x = rgb_to_y(a)[0] if a.shape[0] == 3 else a[0]
     y = rgb_to_y(b)[0] if b.shape[0] == 3 else b[0]
-    if min(x.shape) < window:
-        raise ValueError(f"image {x.shape} smaller than the {window}x{window} window")
-    w = _gaussian_window(window, sigma)
+    if min(x.shape) < SSIM_WINDOW:
+        raise ValueError(f"image {x.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
+    w = _gaussian_window()
     c1, c2 = 0.01 ** 2, 0.03 ** 2
 
     def filt(z):
-        patches = np.lib.stride_tricks.sliding_window_view(z, (window, window))
+        patches = np.lib.stride_tricks.sliding_window_view(z, (SSIM_WINDOW, SSIM_WINDOW))
         return np.tensordot(patches, w, axes=([2, 3], [0, 1]))
 
     x = x.astype(np.float64)

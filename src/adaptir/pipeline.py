@@ -18,7 +18,7 @@ from . import tensor as T
 from .tensor import ContractError, Tensor, finite_diff_grad, no_grad
 from .adapter import AdaptIR, AdaptIRConfig, ConfigError, config_from
 from .host import (METHODS, HostConfig, HostModel, AdapterStack, PETLMethod,
-                   host_forward, freeze, trainable_parameters, host_checksum)
+                   host_forward, freeze, host_checksum)
 from .data import (DegradationSpec, parse_task, synth_image, degrade, derive_seed,
                    epoch_order)
 from .metrics import MetricReport, psnr, ssim
@@ -104,12 +104,12 @@ class TrainState:
 
 def adamw_step(state: TrainState, params: dict[str, Tensor],
                grads: dict[str, np.ndarray], lr: float,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                weight_decay: float = 0.0) -> dict[str, Tensor]:
     """One decoupled-weight-decay Adam step, updating params in place.  A
     non-finite update raises ``ContractError`` naming parameter, step and
     epoch, and leaves params and ``state`` as they were: every update is
     computed and checked before any is written."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's defaults
     t = state.step + 1
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
@@ -220,9 +220,9 @@ def _psnr_mode(spec: DegradationSpec) -> str:
 
 
 def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int = 16,
-             seed: int = 0):
+             seed: int = 0) -> MetricReport:
     """Mean PSNR/SSIM over a held-out synthetic set (seeds disjoint from
-    training by substream tag)."""
+    training by substream tag), as a zero-step report."""
     spec = parse_task(task)
     s = spec.sr_scale
     psnrs, ssims = [], []
@@ -235,7 +235,10 @@ def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int = 1
         pred_img = np.clip(pred.data[0], 0.0, 1.0).astype(np.float32)
         psnrs.append(psnr(pred_img, hq, mode=mode))
         ssims.append(ssim(pred_img, hq))
-    return float(np.mean(psnrs)), float(np.mean(ssims))
+    trainable = 0 if adapter is None else adapter.param_count()
+    return MetricReport(task=task, psnr=float(np.mean(psnrs)), ssim=float(np.mean(ssims)),
+                        trainable_params=trainable,
+                        total_params=model.param_count() + trainable, steps=0)
 
 
 # -- adapter construction with budget equalization ----------------------------
@@ -272,7 +275,6 @@ class FinetuneResult:
     adapter: PETLMethod
     report: MetricReport
     psnr_before: float
-    ssim_before: float
     checksum_before: str
     checksum_after: str
     steps: int
@@ -280,71 +282,72 @@ class FinetuneResult:
 
 def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
              adapter_config: AdaptIRConfig | None = None) -> FinetuneResult:
-    """Train only the adapter on a frozen host; reports held-out metrics
-    before and after along with freeze-contract checksums."""
-    if not model.frozen:
+    """Train only the adapter on a frozen host and report held-out metrics
+    before and after.  This is where the freeze contract is enforced: a host
+    with a trainable parameter is refused, and a host whose checksum moved
+    during training raises ``ContractError`` before the adapter is evaluated."""
+    if any(p.requires_grad for p in model.params.values()):
         raise ConfigError("finetune requires a frozen host")
     train.validate()
     parse_task(task)  # validate early
     adapter = build_adapter(model.config, method, seed=derive_seed(train.seed, "init"),
                             adapter_config=adapter_config)
     checksum_before = host_checksum(model)
-    psnr_before, ssim_before = evaluate(model, None, task, n=train.eval_n, seed=train.seed)
-    steps, _ = _fit(model, adapter, trainable_parameters(model, adapter),
+    before = evaluate(model, None, task, n=train.eval_n, seed=train.seed)
+    steps, _ = _fit(model, adapter, adapter.parameters(),
                     [_train_run(task, derive_seed(train.seed, "ft"), train.images)], train)
-    psnr_after, ssim_after = evaluate(model, adapter, task, n=train.eval_n, seed=train.seed)
-    trainable = adapter.param_count()
-    report = MetricReport(task=task, psnr=psnr_after, ssim=ssim_after,
-                          trainable_params=trainable,
-                          total_params=model.param_count() + trainable,
-                          steps=steps)
-    return FinetuneResult(adapter=adapter, report=report,
-                          psnr_before=psnr_before, ssim_before=ssim_before,
-                          checksum_before=checksum_before,
-                          checksum_after=host_checksum(model), steps=steps)
+    checksum_after = host_checksum(model)
+    if checksum_after != checksum_before:
+        raise ContractError("freeze contract violated: host parameters changed")
+    after = evaluate(model, adapter, task, n=train.eval_n, seed=train.seed)
+    return FinetuneResult(adapter=adapter, report=replace(after, steps=steps),
+                          psnr_before=before.psnr, checksum_before=checksum_before,
+                          checksum_after=checksum_after, steps=steps)
 
 
 # -- ablation harness ------------------------------------------------------------
 
 
-ABLATION_AXES = ("efficiency", "components", "insertion")
+_NO_LIM_DW = {"lim_decompose": False, "lim_depthwise": False}
+
+# axis -> its rows in order: (label, the AdaptIRConfig fields the row changes)
+ABLATIONS = {
+    "efficiency": (
+        ("(0) baseline", {}),
+        ("(1) w/o decomposition in LIM", {"lim_decompose": False}),
+        ("(2) w/o depth-separable in LIM", _NO_LIM_DW),
+        ("(3) w/o depth-separable in FAM", {**_NO_LIM_DW, "fam_depthwise": False}),
+        ("(4) w/o CSM & w/o depth-separable",
+         {**_NO_LIM_DW, "fam_depthwise": False, "csm": False}),
+    ),
+    "components": (
+        ("csm", {"lim": False, "fam": False, "csm": True}),
+        ("fam+csm", {"lim": False, "fam": True, "csm": True}),
+        ("lim+fam", {"lim": True, "fam": True, "csm": False}),
+        ("lim+fam+csm", {"lim": True, "fam": True, "csm": True}),
+    ),
+    "insertion": (
+        ("mlp/parallel", {"position": "mlp", "form": "parallel"}),
+        ("mlp/sequential", {"position": "mlp", "form": "sequential"}),
+        ("attention/parallel", {"position": "attention", "form": "parallel"}),
+        ("attention/sequential", {"position": "attention", "form": "sequential"}),
+    ),
+}
+ABLATION_AXES = tuple(ABLATIONS)
 
 
 def ablate(model: HostModel, task: str, axes: str, train: TrainConfig,
            adapter_config: AdaptIRConfig | None = None):
-    """One short fine-tune per configuration of the requested axis, with a
-    shared seed; each row varies ``adapter_config`` along that axis alone.
+    """One short ``finetune`` per row of ``ABLATIONS[axes]``, with a shared
+    seed; each row changes only its own fields of ``adapter_config``.
     Emits (label, MetricReport) rows."""
+    if axes not in ABLATIONS:
+        raise ConfigError(f"unknown ablation axis {axes!r} (one of {ABLATION_AXES})")
     if adapter_config is None:
         adapter_config = AdaptIRConfig(channels=model.config.embed)
     base = replace(adapter_config, seed=derive_seed(train.seed, "init"))
-    rows: list[tuple[str, MetricReport]] = []
-
-    def run(label, cfg=base):
-        rows.append((label, finetune(model, "adaptir", task, train, cfg).report))
-
-    if axes == "efficiency":
-        run("(0) baseline")
-        run("(1) w/o decomposition in LIM", replace(base, lim_decompose=False))
-        run("(2) w/o depth-separable in LIM",
-            replace(base, lim_decompose=False, lim_depthwise=False))
-        run("(3) w/o depth-separable in FAM",
-            replace(base, lim_decompose=False, lim_depthwise=False, fam_depthwise=False))
-        run("(4) w/o CSM & w/o depth-separable",
-            replace(base, lim_decompose=False, lim_depthwise=False, fam_depthwise=False,
-                    csm=False))
-    elif axes == "components":
-        for label in ("csm", "fam+csm", "lim+fam", "lim+fam+csm"):
-            enabled = label.split("+")
-            run(label, replace(base, lim="lim" in enabled, fam="fam" in enabled,
-                               csm="csm" in enabled))
-    elif axes == "insertion":
-        for pos in ("mlp", "attention"):
-            for form in ("parallel", "sequential"):
-                run(f"{pos}/{form}", replace(base, position=pos, form=form))
-    else:
-        raise ConfigError(f"unknown ablation axis {axes!r} (one of {ABLATION_AXES})")
-    return rows
+    return [(label, finetune(model, "adaptir", task, train, replace(base, **fields)).report)
+            for label, fields in ABLATIONS[axes]]
 
 
 # -- checkpoint glue --------------------------------------------------------------
@@ -369,10 +372,10 @@ def _load_module(path, kind: str, build):
     return module
 
 
-def load_host(path, frozen: bool = True) -> HostModel:
-    model = _load_module(path, "host",
-                         lambda cfg: HostModel(config_from(HostConfig, cfg, str(path))))
-    return freeze(model) if frozen else model
+def load_host(path) -> HostModel:
+    """Read a host checkpoint and freeze it."""
+    return freeze(_load_module(path, "host",
+                               lambda cfg: HostModel(config_from(HostConfig, cfg, str(path)))))
 
 
 def save_adapter(path, adapter: PETLMethod, host_config: HostConfig) -> None:

@@ -496,12 +496,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     return _node(data, (q, k, v), backward)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis with affine parameters."""
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Layer normalization over the last axis (eps 1e-5) with affine parameters."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
     d = x.shape[-1]

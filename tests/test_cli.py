@@ -370,6 +370,42 @@ def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, ki
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,extra,out,kind", [
+    ("eval", "", "{ws}/afile", "FileExistsError"),
+    ("pretrain", "", "{ws}/afile/sub", "NotADirectoryError"),
+    ("eval", "adapter_checkpoint={ws}\n", "{ws}/dir_adapter", "IsADirectoryError"),
+])
+def test_os_errors_are_one_line(workspace, command, extra, out, kind):
+    # each used to end in a traceback
+    (workspace / "afile").write_text("a file, not a directory\n", encoding="utf-8")
+    path = workspace / "oserror.cfg"
+    path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8")
+                    + extra.format(ws=workspace), encoding="utf-8")
+    res = invoke([command, "--config", path, "--out", out.format(ws=workspace)])
+    assert res.exit_code == 1
+    assert_one_line_error(res, "", kind=kind)
+    assert res.output.startswith("Error: ")
+
+
+def test_finetune_host_moved_writes_no_artifacts(workspace, monkeypatch):
+    fit = cli.P._fit
+
+    def moving_fit(model, *args):
+        out = fit(model, *args)
+        w = model.params["body.0.wq"]
+        w.data = w.data + np.float32(1e-3)
+        return out
+
+    monkeypatch.setattr(cli.P, "_fit", moving_fit)
+    out = workspace / "moved"
+    res = invoke(["finetune", "--config", write_ft_cfg(workspace), "--out", out,
+                  "--epochs", 1, "--task", "sr2"])
+    assert res.exit_code == 1
+    assert_one_line_error(res, "freeze contract violated", kind="ContractError")
+    assert not (out / "adapter.ckpt").exists()
+    assert not (out / "report.csv").exists()
+
+
 def test_ablate_honours_batch_size(workspace):
     path = workspace / "ab4.cfg"
     path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8") + "batch_size=4\n",

@@ -1,13 +1,13 @@
-"""Degradation pipeline and PPM I/O: separable-resampling oracle, noise
+"""Degradation pipeline and PPM output: separable-resampling oracle, noise
 statistics, task-spec parsing, byte-level image round trips."""
 
 import io
 import numpy as np
 import pytest
 
-from adaptir.data import (DegradationSpec, PPMError, _resample_matrix,
-                          add_gaussian_noise, degrade, derive_seed, downsample_bicubic,
-                          epoch_order, load_ppm, parse_task, save_ppm, synth_image)
+from adaptir.data import (DegradationSpec, _resample_matrix, add_gaussian_noise,
+                          degrade, derive_seed, downsample_bicubic, epoch_order,
+                          parse_task, save_ppm, synth_image)
 
 
 def test_derive_seed_is_stable_and_sensitive():
@@ -195,11 +195,15 @@ def test_ppm_round_trip(tmp_path):
     img = synth_image(5, 16)
     path = tmp_path / "x.ppm"
     save_ppm(img, path)
-    back = load_ppm(path)
+    raw = path.read_bytes()
+    header = b"P6\n16 16\n255\n"
+    assert raw.startswith(header)
+    pixels = np.frombuffer(raw[len(header):], dtype=np.uint8).reshape(16, 16, 3)
+    back = pixels.transpose(2, 0, 1).astype(np.float32) / 255.0
     # quantization to 8 bits is the only loss
     assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-7
     save_ppm(back, tmp_path / "y.ppm")
-    assert (tmp_path / "y.ppm").read_bytes() == path.read_bytes()
+    assert (tmp_path / "y.ppm").read_bytes() == raw
 
 
 def test_ppm_bytes_hand_fixture(tmp_path):
@@ -212,35 +216,8 @@ def test_ppm_bytes_hand_fixture(tmp_path):
     assert path.read_bytes() == expect
 
 
-def test_pgm_grayscale(tmp_path):
-    img = np.linspace(0, 1, 16, dtype=np.float32).reshape(1, 4, 4)
-    path = tmp_path / "g.pgm"
-    save_ppm(img, path)
-    assert path.read_bytes().startswith(b"P5\n4 4\n255\n")
-    back = load_ppm(path)
-    assert back.shape == (1, 4, 4)
-    assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-7
-
-
-def test_ppm_comments_and_whitespace(tmp_path):
-    raw = b"P6 # binary pixmap\n# comment line\n 2\t1 \n255\n" + bytes(6)
-    path = tmp_path / "c.ppm"
-    path.write_bytes(raw)
-    img = load_ppm(path)
-    assert img.shape == (3, 1, 2)
-    assert np.all(img == 0.0)
-
-
-def test_ppm_rejects_ascii_and_bad_maxval(tmp_path):
-    p3 = tmp_path / "a.ppm"
-    p3.write_bytes(b"P3\n1 1\n255\n255 0 0\n")
-    with pytest.raises(PPMError):
-        load_ppm(p3)
-    deep = tmp_path / "d.ppm"
-    deep.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))
-    with pytest.raises(PPMError):
-        load_ppm(deep)
-    short = tmp_path / "s.ppm"
-    short.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
-    with pytest.raises(PPMError):
-        load_ppm(short)
+def test_ppm_writes_only_rgb(tmp_path):
+    path = tmp_path / "g.ppm"
+    with pytest.raises(ValueError, match="expected 3 x H x W"):
+        save_ppm(np.zeros((1, 4, 4), dtype=np.float32), path)
+    assert not path.exists()

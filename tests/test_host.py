@@ -10,7 +10,7 @@ from adaptir import tensor as T
 from adaptir.adapter import AdaptIRConfig, ConfigError
 from adaptir.host import (HEAD_DOWNSAMPLE, HostConfig, HostModel, AdapterStack,
                           LoRAStack, BottleneckStack, host_forward, freeze,
-                          trainable_parameters, host_checksum)
+                          host_checksum)
 from adaptir.tensor import Tensor, no_grad
 
 
@@ -174,16 +174,17 @@ def test_parallel_mlp_insertion_oracle():
 
 def test_freeze_contract_and_trainable_parameters():
     model = small_model()
-    with pytest.raises(ConfigError):
-        trainable_parameters(model)  # must freeze first
+    assert all(p.requires_grad for p in model.params.values())
+    T.tsum(host_forward(rand_input(), "noise25", model)).backward()
+    assert model.params["body.0.wq"].grad is not None
     freeze(model)
-    assert model.frozen
-    assert all(not p.requires_grad for p in model.params.values())
-    assert trainable_parameters(model) == {}
+    assert all(not p.requires_grad and p.grad is None for p in model.params.values())
+    # with an adapter in the slot, gradient reaches only the adapter
     stack = ADAPTERS["adaptir"]()
-    named = trainable_parameters(model, stack)
-    assert set(named) == set(stack.parameters())
-    assert all(p.requires_grad for p in named.values())
+    assert all(p.requires_grad for p in stack.parameters().values())
+    T.tsum(host_forward(rand_input(), "noise25", model, adapter=stack)).backward()
+    assert all(p.grad is None for p in model.params.values())
+    assert any(p.grad is not None for p in stack.parameters().values())
 
 
 def test_checksum_detects_any_parameter_change():

@@ -13,7 +13,7 @@ import pytest
 from adaptir import pipeline as P
 from adaptir import tensor as tensor_mod
 from adaptir.adapter import AdaptIRConfig, ConfigError
-from adaptir.host import AdapterStack, HostConfig, HostModel, PETLMethod
+from adaptir.host import AdapterStack, HostConfig, HostModel, PETLMethod, freeze
 from adaptir.serialize import load_checkpoint, save_checkpoint
 from adaptir.tensor import ContractError, Tensor
 
@@ -172,7 +172,7 @@ def test_one_steps_tape_does_not_outlive_the_step():
 
 def test_pretrain_writes_log_and_freezes(tiny_frozen):
     model, log = tiny_frozen
-    assert model.frozen
+    assert not any(p.requires_grad for p in model.params.values())
     assert len(log) == 2 * 2  # epochs x tasks
     assert all(np.isfinite(l) for _, _, l in log)
 
@@ -193,6 +193,44 @@ def test_finetune_requires_frozen_host():
     from adaptir.host import HostModel
     with pytest.raises(ConfigError):
         P.finetune(HostModel(TINY), "adaptir", "sr2", P.TrainConfig(epochs=1))
+
+
+@pytest.fixture
+def host_moved_by_fit(monkeypatch):
+    """A frozen tiny host, with ``_fit`` patched to move one of its weights
+    after training, as a training step that wrote to the host would; counts
+    the ``evaluate`` calls."""
+    fit, evaluate = P._fit, P.evaluate
+    calls = []
+
+    def moving_fit(model, *args):
+        out = fit(model, *args)
+        w = model.params["body.0.wq"]
+        w.data = w.data + np.float32(1e-3)
+        return out
+
+    def counted_evaluate(*args, **kwargs):
+        calls.append(args[1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(P, "_fit", moving_fit)
+    monkeypatch.setattr(P, "evaluate", counted_evaluate)
+    return freeze(HostModel(TINY)), calls
+
+
+def test_finetune_raises_when_the_host_moved(host_moved_by_fit):
+    model, evaluated = host_moved_by_fit
+    train = P.TrainConfig(epochs=1, images=8, eval_n=1)
+    with pytest.raises(ContractError, match="freeze contract violated"):
+        P.finetune(model, "adaptir", "sr2", train, TINY_ADAPTER)
+    assert evaluated == [None]  # the adapted host is never evaluated
+
+
+def test_every_ablation_row_checks_the_freeze_contract(host_moved_by_fit):
+    model, _ = host_moved_by_fit
+    with pytest.raises(ContractError, match="freeze contract violated"):
+        P.ablate(model, "sr2", "insertion", P.TrainConfig(epochs=1, images=8, eval_n=1),
+                 TINY_ADAPTER)
 
 
 def test_evaluate_deterministic_and_modes(tiny_frozen):
