@@ -78,19 +78,36 @@ def _section(cfg: dict, *prefixes: str, **fixed):
     return config_from(_SECTIONS[prefixes[0]][0], {**values, **fixed}, "resolved config")
 
 
-def _resolve(config_path, **overrides) -> tuple[dict, P.TrainConfig]:
-    """The run's keys (defaults, then the file, then the flags) and its recipe."""
-    cfg = dict(_KEYS)
-    if config_path:
-        cfg.update(_parse_config_file(config_path))
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+def _resolve(config_path, **overrides) -> tuple[dict, dict, P.TrainConfig]:
+    """The run's keys (defaults, then the file, then the flags), the keys the
+    file and the flags set, and the run's recipe."""
+    given = _parse_config_file(config_path) if config_path else {}
+    given.update({k: v for k, v in overrides.items() if v is not None})
+    cfg = {**_KEYS, **given}
     if cfg["dump_images"] < 0:
         raise ConfigError(f"dump_images must be >= 0, got {cfg['dump_images']}")
     if cfg["method"] not in METHODS:
         raise ConfigError(f"unknown method {cfg['method']!r} ({' | '.join(METHODS)})")
     if cfg["axes"] not in P.ABLATION_AXES:
         raise ConfigError(f"unknown ablation axis {cfg['axes']!r} (one of {P.ABLATION_AXES})")
-    return cfg, _section(cfg, "")
+    return cfg, given, _section(cfg, "")
+
+
+def _resolve_on_host(config_path, **overrides) -> tuple[dict, P.TrainConfig, HostModel]:
+    """``_resolve`` for a command that runs a saved host, plus that host.
+    Its shape is its checkpoint's: a ``host.*`` key set to another value is
+    refused, and the run's keys record the loaded host's values."""
+    cfg, given, train = _resolve(config_path, **overrides)
+    path = cfg["host_checkpoint"] or str(Path(cfg["out"]) / "host.ckpt")
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"host checkpoint not found: {path}")
+    model = P.load_host(path)
+    names = _SECTIONS["host."][1]
+    P.check_host({n: given["host." + n] for n in names if "host." + n in given},
+                 model.config, f"{config_path}: host.* keys do not describe {path}")
+    cfg.update({"host." + n: getattr(model.config, n) for n in names})
+    model.resolve_task(cfg["task"])
+    return cfg, train, model
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -110,15 +127,10 @@ def _host_config(cfg: dict) -> HostConfig:
 
 
 def _adapter_config(cfg: dict) -> AdaptIRConfig:
+    """The adapter the run's keys describe, as wide as ``host.embed``: the
+    configured host's, or the loaded host's after ``_resolve_on_host``."""
     return _section(cfg, "adapter.", "insertion.", channels=cfg["host.embed"],
                     seed=derive_seed(cfg["seed"], "init"))
-
-
-def _load_host(cfg: dict):
-    path = cfg["host_checkpoint"] or str(Path(cfg["out"]) / "host.ckpt")
-    if not Path(path).is_file():
-        raise FileNotFoundError(f"host checkpoint not found: {path}")
-    return P.load_host(path)
 
 
 def _write_reports(out: Path, name: str, rows: list[tuple[str, MetricReport]]) -> None:
@@ -176,7 +188,7 @@ def main():
 @_with_shared([click.option("--epochs", type=int, default=None)])
 def cmd_pretrain(config_path, seed, out, epochs):
     """Train the multi-task host from scratch and freeze it."""
-    cfg, train = _resolve(config_path, seed=seed, out=out, epochs=epochs)
+    cfg, _, train = _resolve(config_path, seed=seed, out=out, epochs=epochs)
     host_config = _host_config(cfg)
     out_dir = _out_dir(cfg)
     model, log = P.pretrain(host_config, train)
@@ -194,11 +206,9 @@ def cmd_pretrain(config_path, seed, out, epochs):
                click.option("--epochs", type=int, default=None)])
 def cmd_finetune(config_path, seed, out, method, task, epochs):
     """Train one adapter method on a frozen host checkpoint."""
-    cfg, train = _resolve(config_path, seed=seed, out=out, method=method,
-                          task=task, epochs=epochs)
+    cfg, train, model = _resolve_on_host(config_path, seed=seed, out=out, method=method,
+                                         task=task, epochs=epochs)
     adapter_config = _adapter_config(cfg)
-    model = _load_host(cfg)
-    model.resolve_task(cfg["task"])
     out_dir = _out_dir(cfg)
     res = P.finetune(model, cfg["method"], cfg["task"], train,
                      adapter_config=adapter_config)
@@ -217,9 +227,7 @@ def cmd_finetune(config_path, seed, out, method, task, epochs):
 @_with_shared([click.option("--task", type=str, default=None)])
 def cmd_eval(config_path, seed, out, task):
     """Evaluate a frozen host (plus optional adapter) on held-out images."""
-    cfg, train = _resolve(config_path, seed=seed, out=out, task=task)
-    model = _load_host(cfg)
-    model.resolve_task(cfg["task"])
+    cfg, train, model = _resolve_on_host(config_path, seed=seed, out=out, task=task)
     adapter = None
     if cfg["adapter_checkpoint"]:
         adapter = P.load_adapter(cfg["adapter_checkpoint"], model.config)
@@ -250,7 +258,7 @@ def cmd_gradcheck(seed):
 @_with_shared()
 def cmd_paramcount(config_path, seed, out):
     """Print host and per-method trainable parameter counts."""
-    cfg, _ = _resolve(config_path, seed=seed, out=out)
+    cfg, _, _ = _resolve(config_path, seed=seed, out=out)
     host_cfg = _host_config(cfg)
     total = HostModel(host_cfg).param_count()
     click.echo(f"host total: {total}")
@@ -266,11 +274,9 @@ def cmd_paramcount(config_path, seed, out):
                click.option("--axes", type=str, default=None)])
 def cmd_ablate(config_path, seed, out, task, epochs, axes):
     """Run one ablation axis (efficiency | components | insertion)."""
-    cfg, train = _resolve(config_path, seed=seed, out=out, task=task,
-                          epochs=epochs, axes=axes)
+    cfg, train, model = _resolve_on_host(config_path, seed=seed, out=out, task=task,
+                                         epochs=epochs, axes=axes)
     adapter_config = _adapter_config(cfg)
-    model = _load_host(cfg)
-    model.resolve_task(cfg["task"])
     out_dir = _out_dir(cfg)
     rows = P.ablate(model, cfg["task"], cfg["axes"], train, adapter_config=adapter_config)
     _write_reports(out_dir, f"ablation_{cfg['axes']}.csv", rows)

@@ -84,22 +84,32 @@ def _fmt(x: float) -> str:
     return f"{x:g}"
 
 
+_NUM = r"(\d*\.?\d+(?:e[+-]\d+)?)"  # a number as ``_fmt`` may write it: 25, 0.5, 1e-05
+
 _TASK_RES = [
     (re.compile(r"^sr(\d+)$"), lambda m: DegradationSpec("sr", scale=int(m[1]))),
-    (re.compile(r"^noise([\d.]+)$"), lambda m: DegradationSpec("noise", sigma=float(m[1]))),
-    (re.compile(r"^second_order_s(\d+)_sig([\d.]+)$"),
+    (re.compile(rf"^noise{_NUM}$"), lambda m: DegradationSpec("noise", sigma=float(m[1]))),
+    (re.compile(rf"^second_order_s(\d+)_sig{_NUM}$"),
      lambda m: DegradationSpec("second_order", scale=int(m[1]), sigma=float(m[2]))),
-    (re.compile(r"^darken_f([\d.]+)_g([\d.]+)$"),
+    (re.compile(rf"^darken_f{_NUM}_g{_NUM}$"),
      lambda m: DegradationSpec("darken", factor=float(m[1]), gamma=float(m[2]))),
 ]
 
 
 def parse_task(spec: str) -> DegradationSpec:
-    """Parse task ids like sr2, noise25, second_order_s2_sig25, darken_f0.2_g1.2."""
+    """Parse task ids like sr2, noise25, second_order_s2_sig25, darken_f0.2_g1.2.
+    A degradation has one id, its ``task_id()``: images are seeded by the id,
+    so another spelling of it (``sr02``, ``noise.5``) is refused."""
     for pattern, build in _TASK_RES:
         m = pattern.match(spec)
         if m:
-            return build(m)
+            try:
+                parsed = build(m)
+            except ValueError as exc:
+                raise ValueError(f"task {spec!r}: {exc}") from None
+            if parsed.task_id() != spec:
+                raise ValueError(f"task {spec!r} is not canonical; write {parsed.task_id()!r}")
+            return parsed
     raise ValueError(f"unrecognized task spec {spec!r}")
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "load_host",
     "save_adapter",
     "load_adapter",
+    "check_host",
     "l1_loss",
     "lr_at",
     "TrainConfig",
@@ -122,13 +123,12 @@ def adamw_step(state: TrainState, params: dict[str, Tensor],
         v = state.v.get(name, 0.0)
         m = (m + (1.0 - beta1) * (g - m)).astype(p.dtype, copy=False)
         v = (v + (1.0 - beta2) * (g * g - v)).astype(p.dtype, copy=False)
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        if weight_decay:
-            update = update + lr * weight_decay * p.data
+        step = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        update = step + lr * weight_decay * p.data if weight_decay else step
         new = (p.data - update).astype(p.dtype, copy=False)
         if not np.isfinite(new).all():
             raise ContractError(f"training diverged: {name} non-finite after step {t}"
-                                f" (epoch {state.epoch}); lower base_lr")
+                                f" (epoch {state.epoch}); {_diverged_term(step, update)}")
         updates.append((name, p, new, m, v))
     for name, p, new, m, v in updates:
         p.data = new
@@ -136,6 +136,15 @@ def adamw_step(state: TrainState, params: dict[str, Tensor],
         state.v[name] = v
     state.step = t
     return params
+
+
+def _diverged_term(step: np.ndarray, update: np.ndarray) -> str:
+    """Which term of a non-finite AdamW update failed, and the key to lower."""
+    if not np.isfinite(step).all():
+        return "the Adam step went non-finite; lower base_lr"
+    if not np.isfinite(update).all():
+        return "the weight decay term went non-finite; lower weight_decay"
+    return "the updated weight overflowed; lower base_lr"
 
 
 # -- deterministic batching ---------------------------------------------------
@@ -277,32 +286,42 @@ class FinetuneResult:
     psnr_before: float
     checksum_before: str
     checksum_after: str
-    steps: int
+
+
+def _refuse_unfit(model: HostModel, train: TrainConfig) -> None:
+    """Refuse a host with a trainable parameter, or a bad recipe."""
+    if any(p.requires_grad for p in model.params.values()):
+        raise ConfigError("finetune requires a frozen host")
+    train.validate()
+
+
+def _adapt(model: HostModel, adapter: PETLMethod, task: str,
+           train: TrainConfig) -> tuple[MetricReport, str]:
+    """Train ``adapter`` on the frozen host, then evaluate it.  This is where
+    the freeze contract is enforced: a host whose checksum moved during
+    training raises ``ContractError`` before the adapter is evaluated.
+    Returns the report, with its step count, and the unmoved host checksum."""
+    checksum = host_checksum(model)
+    steps, _ = _fit(model, adapter, adapter.parameters(),
+                    [_train_run(task, derive_seed(train.seed, "ft"), train.images)], train)
+    if host_checksum(model) != checksum:
+        raise ContractError("freeze contract violated: host parameters changed")
+    report = evaluate(model, adapter, task, n=train.eval_n, seed=train.seed)
+    return replace(report, steps=steps), checksum
 
 
 def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
              adapter_config: AdaptIRConfig | None = None) -> FinetuneResult:
     """Train only the adapter on a frozen host and report held-out metrics
-    before and after.  This is where the freeze contract is enforced: a host
-    with a trainable parameter is refused, and a host whose checksum moved
-    during training raises ``ContractError`` before the adapter is evaluated."""
-    if any(p.requires_grad for p in model.params.values()):
-        raise ConfigError("finetune requires a frozen host")
-    train.validate()
-    parse_task(task)  # validate early
+    before and after.  A host with a trainable parameter is refused, and
+    ``_adapt`` enforces the freeze contract."""
+    _refuse_unfit(model, train)
     adapter = build_adapter(model.config, method, seed=derive_seed(train.seed, "init"),
                             adapter_config=adapter_config)
-    checksum_before = host_checksum(model)
     before = evaluate(model, None, task, n=train.eval_n, seed=train.seed)
-    steps, _ = _fit(model, adapter, adapter.parameters(),
-                    [_train_run(task, derive_seed(train.seed, "ft"), train.images)], train)
-    checksum_after = host_checksum(model)
-    if checksum_after != checksum_before:
-        raise ContractError("freeze contract violated: host parameters changed")
-    after = evaluate(model, adapter, task, n=train.eval_n, seed=train.seed)
-    return FinetuneResult(adapter=adapter, report=replace(after, steps=steps),
-                          psnr_before=before.psnr, checksum_before=checksum_before,
-                          checksum_after=checksum_after, steps=steps)
+    report, checksum = _adapt(model, adapter, task, train)
+    return FinetuneResult(adapter=adapter, report=report, psnr_before=before.psnr,
+                          checksum_before=checksum, checksum_after=checksum)
 
 
 # -- ablation harness ------------------------------------------------------------
@@ -338,16 +357,21 @@ ABLATION_AXES = tuple(ABLATIONS)
 
 def ablate(model: HostModel, task: str, axes: str, train: TrainConfig,
            adapter_config: AdaptIRConfig | None = None):
-    """One short ``finetune`` per row of ``ABLATIONS[axes]``, with a shared
-    seed; each row changes only its own fields of ``adapter_config``.
-    Emits (label, MetricReport) rows."""
+    """One short fine-tune per row of ``ABLATIONS[axes]``, with a shared
+    seed; each row changes only its own fields of ``adapter_config`` and
+    passes ``_adapt``'s freeze-contract check.  The bare host, which every
+    row shares, is not evaluated.  Emits (label, MetricReport) rows."""
     if axes not in ABLATIONS:
         raise ConfigError(f"unknown ablation axis {axes!r} (one of {ABLATION_AXES})")
+    _refuse_unfit(model, train)
     if adapter_config is None:
         adapter_config = AdaptIRConfig(channels=model.config.embed)
     base = replace(adapter_config, seed=derive_seed(train.seed, "init"))
-    return [(label, finetune(model, "adaptir", task, train, replace(base, **fields)).report)
-            for label, fields in ABLATIONS[axes]]
+    rows = []
+    for label, fields in ABLATIONS[axes]:
+        adapter = build_adapter(model.config, "adaptir", adapter_config=replace(base, **fields))
+        rows.append((label, _adapt(model, adapter, task, train)[0]))
+    return rows
 
 
 # -- checkpoint glue --------------------------------------------------------------
@@ -378,6 +402,15 @@ def load_host(path) -> HostModel:
                                lambda cfg: HostModel(config_from(HostConfig, cfg, str(path)))))
 
 
+def check_host(saved: dict, host_config: HostConfig, what: str) -> None:
+    """Refuse ``saved`` host fields that differ from ``host_config``, the
+    loaded host's, in one ``ConfigError`` line: ``what (saved vs loaded: ...)``."""
+    diff = [f"{k} {v!r} vs {getattr(host_config, k)!r}" for k, v in saved.items()
+            if v != getattr(host_config, k)]
+    if diff:
+        raise ConfigError(f"{what} (saved vs loaded: {', '.join(diff)})")
+
+
 def save_adapter(path, adapter: PETLMethod, host_config: HostConfig) -> None:
     _method_class(adapter.method)  # only a registered method loads back
     cfg = {"method": adapter.method, "host": asdict(host_config), **adapter.to_config()}
@@ -391,12 +424,8 @@ def load_adapter(path, host_config: HostConfig) -> PETLMethod:
     (or one written by an older layout) is silently dropped."""
     def build(cfg):
         cls = _method_class(cfg.get("method"))
-        saved_host = asdict(config_from(HostConfig, cfg.get("host"), str(path)))
-        diff = [f"{k} {v!r} vs {getattr(host_config, k)!r}" for k, v in saved_host.items()
-                if v != getattr(host_config, k)]
-        if diff:
-            raise ConfigError(f"{path}: adapter saved for a different host"
-                              f" (saved vs loaded: {', '.join(diff)})")
+        check_host(asdict(config_from(HostConfig, cfg.get("host"), str(path))), host_config,
+                   f"{path}: adapter saved for a different host")
         adapter = cls.from_config(host_config, cfg, str(path))
         saved = {k: v for k, v in cfg.items() if k not in ("method", "host")}
         if saved != adapter.to_config():

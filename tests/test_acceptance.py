@@ -267,18 +267,18 @@ def test_criterion_6_composed_kernel_low_rank():
 
 def test_criterion_7_freeze_contract_200_steps(adaptation_run, pretrained):
     res, _ = adaptation_run
-    assert res.steps == 200
+    assert res.report.steps == 200
     assert res.checksum_before == res.checksum_after == host_checksum(pretrained)
-    print(f"\n[criterion 7] host checksum bit-identical after {res.steps} steps")
+    print(f"\n[criterion 7] host checksum bit-identical after {res.report.steps} steps")
 
 
 def test_criterion_9_adaptation_trend(adaptation_run):
     res, wall = adaptation_run
     gain = res.report.psnr - res.psnr_before
     print(f"\n[criterion 9] second-order PSNR {res.psnr_before:.2f} -> "
-          f"{res.report.psnr:.2f} dB (gain {gain:.2f} >= 0.5) in {res.steps} steps, "
+          f"{res.report.psnr:.2f} dB (gain {gain:.2f} >= 0.5) in {res.report.steps} steps, "
           f"{wall / 60:.1f} min < 10 min")
-    assert res.steps <= 200
+    assert res.report.steps <= 200
     assert gain >= 0.5
     assert wall < 600.0
 

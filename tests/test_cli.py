@@ -25,6 +25,11 @@ batch_size=8
 dump_images=1
 """
 
+# TINY_HOST without its host.* keys: the run settings of a command that loads
+# a host checkpoint, which takes the host's shape from the checkpoint
+TINY_RUN = "".join(line + "\n" for line in TINY_HOST.splitlines()
+                   if not line.startswith("host."))
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -115,6 +120,25 @@ def test_finetune_rerun_is_byte_identical(workspace):
     assert ra == rb
 
 
+def test_finetune_takes_the_host_shape_from_its_checkpoint(workspace):
+    # used to fail with "adapter channels 64 != host embed 16" unless the
+    # config restated host.embed=16, and to leave --out behind
+    path = workspace / "no_host_keys.cfg"
+    path.write_text(TINY_RUN + f"host_checkpoint={workspace}/host/host.ckpt\n",
+                    encoding="utf-8")
+    outs = {"no_host_keys": path, "host_keys": write_ft_cfg(workspace)}
+    for out, cfg in outs.items():
+        res = invoke(["finetune", "--config", cfg, "--out", workspace / out,
+                      "--seed", 3, "--epochs", 1, "--task", "sr2"])
+        assert res.exit_code == 0, res.output
+    resolved = (workspace / "no_host_keys" / "resolved.cfg").read_text(encoding="utf-8")
+    assert {"host.embed=16", "host.layers=2", "host.heads=2",
+            "host.tasks=sr2,noise25"} <= set(resolved.splitlines())
+    for name in ("adapter.ckpt", "report.csv"):
+        assert ((workspace / "no_host_keys" / name).read_bytes()
+                == (workspace / "host_keys" / name).read_bytes()), name
+
+
 def test_finetune_missing_host_checkpoint_fails(workspace):
     res = invoke(["finetune", "--config", workspace / "tiny.cfg",
                   "--out", workspace / "nohost", "--method", "adaptir"])
@@ -157,12 +181,12 @@ def test_eval_rejects_adapter_saved_for_another_host(workspace, three_layer_host
     hosts = {2: workspace / "host" / "host.ckpt", 3: three_layer_host}
     out = workspace / f"other_host_{method}"
     ft = workspace / "other_host_ft.cfg"
-    ft.write_text(TINY_HOST + f"host_checkpoint={hosts[saved_layers]}\n", encoding="utf-8")
+    ft.write_text(TINY_RUN + f"host_checkpoint={hosts[saved_layers]}\n", encoding="utf-8")
     res = invoke(["finetune", "--config", ft, "--out", out / "ft", "--method", method,
                   "--epochs", 1, "--task", "sr2", "--seed", 3])
     assert res.exit_code == 0, res.output
     ev = workspace / "other_host_ev.cfg"
-    ev.write_text(TINY_HOST + f"host_checkpoint={hosts[loaded_layers]}\n"
+    ev.write_text(TINY_RUN + f"host_checkpoint={hosts[loaded_layers]}\n"
                   f"adapter_checkpoint={out / 'ft' / 'adapter.ckpt'}\n", encoding="utf-8")
     res = invoke(["eval", "--config", ev, "--out", out / "ev", "--task", "sr2"])
     assert_one_line_error(res, "adapter saved for a different host (saved vs loaded:"
@@ -352,10 +376,22 @@ def test_pretrain_duplicate_task_rejected(workspace):
         assert not (workspace / "duptasks").exists()
 
 
+STALE_HOST_KEYS = "host.layers=7\nhost.heads=1\nhost.tasks=sr3\n"
+
+
 @pytest.mark.parametrize("command,extra,fragment,kind", [
     ("eval", "host_checkpoint={ws}/truncated.ckpt\n", "truncated checkpoint", "ValueError"),
     ("finetune", "host_checkpoint={ws}/host/host.ckpt\nmethod=prefix\n",
      "unknown method 'prefix'", "ConfigError"),
+    # host.* keys that disagree with the loaded host used to be recorded as its shape
+    *[(command, "host_checkpoint={ws}/host/host.ckpt\n" + STALE_HOST_KEYS,
+       "(saved vs loaded: layers 7 vs 2, heads 1 vs 2, tasks ('sr3',) vs ('sr2', 'noise25'))",
+       "ConfigError") for command in ("finetune", "eval", "ablate")],
+    # a second spelling of a task used to be evaluated on other images
+    ("eval", "host_checkpoint={ws}/host/host.ckpt\ntask=noise.5\n",
+     "task 'noise.5' is not canonical; write 'noise0.5'", "ValueError"),
+    ("finetune", "host_checkpoint={ws}/host/host.ckpt\ntask=sr02\n",
+     "task 'sr02' is not canonical; write 'sr2'", "ValueError"),
 ])
 def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, kind):
     # used to create --out and write resolved.cfg before the inputs were checked

@@ -2,6 +2,8 @@
 statistics, task-spec parsing, byte-level image round trips."""
 
 import io
+import re
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ def test_parse_task_round_trips():
     assert parse_task("sr2").sr_scale == 2
     assert parse_task("noise25").sr_scale == 1
     assert parse_task("second_order_s3_sig10").scale == 3
-    d = parse_task("darken_f0.5_g1.0")
+    d = parse_task("darken_f0.5_g1")
     assert (d.factor, d.gamma) == (0.5, 1.0)
 
 
@@ -54,6 +56,28 @@ def test_parse_task_rejects_garbage():
     for bad in ("sr", "sr0", "noise", "blur3", "second_order", "darken_f_g"):
         with pytest.raises(ValueError):
             parse_task(bad)
+
+
+@pytest.mark.parametrize("spelling,canonical", [
+    ("noise.5", "noise0.5"), ("sr02", "sr2"), ("darken_f0.5_g1.0", "darken_f0.5_g1"),
+    ("second_order_s2_sig25.0", "second_order_s2_sig25"), ("noise0.00001", "noise1e-05"),
+])
+def test_parse_task_refuses_a_second_spelling(spelling, canonical):
+    # evaluation seeds its images by the task string, so two spellings of one
+    # degradation used to be evaluated on different images
+    with pytest.raises(ValueError, match=re.escape(
+            f"task {spelling!r} is not canonical; write {canonical!r}")):
+        parse_task(spelling)
+    assert parse_task(canonical).task_id() == canonical
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("noise.", "unrecognized task spec 'noise.'"),  # used to end in a bare float error
+    ("sr0", "task 'sr0': scale must be >= 1, got 0"),
+])
+def test_parse_task_errors_name_the_task(bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_task(bad)
 
 
 # -- bicubic downsampling -----------------------------------------------------------

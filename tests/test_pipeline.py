@@ -100,6 +100,21 @@ def test_adamw_rejects_non_finite_update():
     assert np.array_equal(p.data, [1.0, 2.0])  # the parameter is left as it was
 
 
+@pytest.mark.parametrize("grad,weight_decay,term", [
+    (np.nan, 0.0, "the Adam step went non-finite; lower base_lr"),
+    # a sane lr, but lr * weight_decay * p overflows float32
+    (1.0, 1e300, "the weight decay term went non-finite; lower weight_decay"),
+])
+def test_adamw_divergence_names_the_term(grad, weight_decay, term):
+    p = Tensor(np.array([1.0, 2.0], dtype=np.float32))
+    st = P.TrainState()
+    with pytest.raises(ContractError, match=f"w non-finite after step 1 \\(epoch 0\\); {term}$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        P.adamw_step(st, {"w": p}, {"w": np.full(2, grad, dtype=np.float32)}, lr=2e-3,
+                     weight_decay=weight_decay)
+    assert np.array_equal(p.data, [1.0, 2.0])
+
+
 def test_adamw_failure_writes_nothing():
     # "a" would update cleanly, "b" does not: neither parameter nor the state moves
     a, b = Tensor(np.array([1.0])), Tensor(np.array([2.0]))
@@ -231,6 +246,22 @@ def test_every_ablation_row_checks_the_freeze_contract(host_moved_by_fit):
     with pytest.raises(ContractError, match="freeze contract violated"):
         P.ablate(model, "sr2", "insertion", P.TrainConfig(epochs=1, images=8, eval_n=1),
                  TINY_ADAPTER)
+
+
+def test_ablate_evaluates_no_bare_host(tiny_frozen, monkeypatch):
+    # every row used to evaluate the un-adapted host and drop the result
+    evaluate, adapters = P.evaluate, []
+
+    def counted_evaluate(*args, **kwargs):
+        adapters.append(args[1])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(P, "evaluate", counted_evaluate)
+    model, _ = tiny_frozen
+    rows = P.ablate(model, "sr2", "insertion", P.TrainConfig(epochs=1, images=8, eval_n=1),
+                    TINY_ADAPTER)
+    assert len(rows) == len(adapters) == 4
+    assert sum(a is None for a in adapters) == 0
 
 
 def test_evaluate_deterministic_and_modes(tiny_frozen):
