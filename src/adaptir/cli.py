@@ -219,8 +219,8 @@ def cmd_finetune(config_path, seed, out, method, task, epochs):
     click.echo(f"psnr before {res.psnr_before:.3f} dB -> after {res.report.psnr:.3f} dB")
     click.echo(f"trainable/total: {res.report.trainable_params}/"
                f"{res.report.total_params} ({100 * ratio:.2f}%)")
-    click.echo(f"host checksum before {res.checksum_before}")
-    click.echo(f"host checksum after  {res.checksum_after}")
+    click.echo(f"host checksum before {res.checksum}")
+    click.echo(f"host checksum after  {res.checksum}")
 
 
 @main.command("eval")

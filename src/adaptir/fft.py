@@ -64,12 +64,13 @@ def rfft2(x: Tensor) -> ComplexSpectrum:
     for (r, c) in zero_bins:
         im[..., r, c] = 0.0
     weight = _hermitian_weight(w)
+    dtype = x.dtype
 
     def _adjoint(ghat: np.ndarray) -> np.ndarray:
         # irfft2 counts each interior column twice (it and its mirror), so
         # dividing by the weight gives Re(ifft2) of the zero-padded ghat;
         # ifft2's own 1/(HW) is the adjoint of the forward factor
-        return np.fft.irfft2(ghat / weight, s=(h, w)).astype(x.dtype, copy=False)
+        return np.fft.irfft2(ghat / weight, s=(h, w)).astype(dtype, copy=False)
 
     def backward_re(g):
         return (_adjoint(g),)
@@ -104,10 +105,10 @@ def irfft2(s: ComplexSpectrum) -> Tensor:
     half = re.data.astype(np.complex128) + 1j * im.data.astype(np.complex128)
     out = np.fft.irfft2(half, s=(h, w), norm="forward")
     weight = _hermitian_weight(w)
+    re_dtype, im_dtype = re.dtype, im.dtype
 
     def backward(g):
         f = weight * np.fft.rfft2(g.astype(np.float64))
-        return (f.real.astype(re.dtype, copy=False),
-                f.imag.astype(im.dtype, copy=False))
+        return f.real.astype(re_dtype, copy=False), f.imag.astype(im_dtype, copy=False)
 
     return _node(out.astype(re.dtype, copy=False), (re, im), backward)

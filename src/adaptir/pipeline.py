@@ -284,8 +284,7 @@ class FinetuneResult:
     adapter: PETLMethod
     report: MetricReport
     psnr_before: float
-    checksum_before: str
-    checksum_after: str
+    checksum: str  # the host's, equal before and after training (``_adapt`` checks)
 
 
 def _refuse_unfit(model: HostModel, train: TrainConfig) -> None:
@@ -321,7 +320,7 @@ def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
     before = evaluate(model, None, task, n=train.eval_n, seed=train.seed)
     report, checksum = _adapt(model, adapter, task, train)
     return FinetuneResult(adapter=adapter, report=report, psnr_before=before.psnr,
-                          checksum_before=checksum, checksum_after=checksum)
+                          checksum=checksum)
 
 
 # -- ablation harness ------------------------------------------------------------

@@ -4,10 +4,15 @@ The engine only needs a small operation set (matmul, grouped 2-D
 convolution, spatial softmax, fused scaled dot-product attention,
 layernorm, elementwise arithmetic, GELU and a few pointwise trig ops for
 the frequency branch), so the graph is kept deliberately simple: every op
-closes over its inputs and appends nothing global -- the graph *is* the
-tape, and ``backward`` walks it once in reverse topological order and
-consumes it, freeing each node's closure and parents as it goes; a second
-``backward`` through that graph raises ``ContractError``.
+records a ``_Node`` holding its parents' nodes and its backward closure,
+and appends nothing global -- the graph *is* the tape.  A node holds no
+values: each closure captures only the arrays its backward reads, and
+an input whose partner operand did not require grad is not kept at all,
+so an intermediate tensor is freed as soon as the forward code drops it
+unless a backward reads it.  ``backward`` walks the nodes once in reverse
+topological order and consumes them, freeing each closure and parent
+link as it goes; a second ``backward`` through that graph raises
+``ContractError``.
 
 Conventions fixed here:
 
@@ -16,6 +21,11 @@ Conventions fixed here:
 * conv2d uses the cross-correlation convention (no kernel flip).
 * gradients accumulate across ``backward`` calls (each on a fresh graph)
   until explicitly zeroed.
+* whether an input requires grad is read when its op is recorded, and
+  ``backward`` passes no gradient to an input that did not.  The ops that
+  take a frozen weight or a constant (``mul``, ``matmul``, ``conv2d``,
+  ``attention``, ``layernorm``) return ``None`` for such an input and keep
+  nothing for it; the others hand back a gradient, which the walk drops.
 """
 
 from __future__ import annotations
@@ -75,10 +85,23 @@ class ContractError(RuntimeError):
     pass
 
 
+class _Node:
+    """One recorded op: its parents' nodes and its backward closure.
+
+    A parent that did not require grad when the op was recorded is ``None``.
+    A leaf tensor is its own node."""
+
+    __slots__ = ("_parents", "_backward")
+
+    def __init__(self, parents, backward):
+        self._parents = parents
+        self._backward = backward
+
+
 class Tensor:
     """N-dimensional real array participating in the autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_fn")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -87,8 +110,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._grad_fn: _Node | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -114,6 +136,22 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
+    # -- graph node ------------------------------------------------------
+
+    @property
+    def _parents(self) -> tuple:
+        """Nodes of the recorded op's parents; ``()`` for a leaf."""
+        return () if self._grad_fn is None else self._grad_fn._parents
+
+    @property
+    def _backward(self):
+        """The recorded op's backward closure; ``None`` for a leaf."""
+        return None if self._grad_fn is None else self._grad_fn._backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._grad_fn._backward = fn
+
     # -- grad plumbing ---------------------------------------------------
 
     def backward(self) -> None:
@@ -127,9 +165,10 @@ class Tensor:
             raise ContractError(
                 f"backward() requires a scalar loss, got shape {self.shape}"
             )
-        topo: list[Tensor] = []
+        root = _graph_node(self)
+        topo: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -142,10 +181,10 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+                if p is not None and id(p) not in seen:
                     stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         while topo:  # popping, so the list does not keep walked nodes alive
             node = topo.pop()
             g = grads.pop(id(node), None)
@@ -156,7 +195,7 @@ class Tensor:
                 continue
             if g is not None:
                 for p, pg in zip(node._parents, node._backward(g)):
-                    if pg is None or not p.requires_grad:
+                    if p is None or pg is None:
                         continue
                     if id(p) in grads:
                         grads[id(p)] = grads[id(p)] + pg
@@ -186,21 +225,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if len(axes) > 1 else axes[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 def _consumed(g):
     """The backward of a node whose graph an earlier ``backward`` walked."""
@@ -222,12 +246,16 @@ def _check_dtypes(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
+def _graph_node(t: Tensor):
+    return t if t._grad_fn is None else t._grad_fn
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._grad_fn = _Node(
+            tuple(_graph_node(p) if p.requires_grad else None for p in parents), backward)
     return out
 
 
@@ -261,9 +289,10 @@ def _binary(a: Tensor, b, op: str):
 def add(a, b) -> Tensor:
     a, b = _binary(a, b, "add")
     data = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _node(data, (a, b), backward)
 
@@ -271,9 +300,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _binary(a, b, "sub")
     data = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _node(data, (a, b), backward)
 
@@ -282,9 +312,14 @@ def mul(a, b) -> Tensor:
     """Hadamard product (or scalar scaling) with broadcasting."""
     a, b = _binary(a, b, "mul")
     data = a.data * b.data
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
+    # each factor is kept only for the gradient of the other
+    ad = a.data if rb else None
+    bd = b.data if ra else None
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * bd, sa) if ra else None,
+                _unbroadcast(g * ad, sb) if rb else None)
 
     return _node(data, (a, b), backward)
 
@@ -294,13 +329,14 @@ def mul(a, b) -> Tensor:
 
 def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
+    shape, dtype = x.shape, x.dtype
 
     def backward(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=False),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
     return _node(data, (x,), backward)
 
@@ -316,37 +352,41 @@ def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def tabs(x: Tensor) -> Tensor:
-    data = np.abs(x.data)
+    xd = x.data
+    data = np.abs(xd)
 
     def backward(g):
-        return (g * np.sign(x.data),)
+        return (g * np.sign(xd),)
 
     return _node(data, (x,), backward)
 
 
 def sqrt(x: Tensor) -> Tensor:
     data = np.sqrt(x.data)
+    tiny = np.finfo(x.dtype).tiny
 
     def backward(g):
-        return (g * (0.5 / np.maximum(data, np.finfo(x.dtype).tiny)),)
+        return (g * (0.5 / np.maximum(data, tiny)),)
 
     return _node(data, (x,), backward)
 
 
 def cos(x: Tensor) -> Tensor:
-    data = np.cos(x.data)
+    xd = x.data
+    data = np.cos(xd)
 
     def backward(g):
-        return (-g * np.sin(x.data),)
+        return (-g * np.sin(xd),)
 
     return _node(data, (x,), backward)
 
 
 def sin(x: Tensor) -> Tensor:
-    data = np.sin(x.data)
+    xd = x.data
+    data = np.sin(xd)
 
     def backward(g):
-        return (g * np.cos(x.data),)
+        return (g * np.cos(xd),)
 
     return _node(data, (x,), backward)
 
@@ -354,14 +394,15 @@ def sin(x: Tensor) -> Tensor:
 def atan2(y: Tensor, x: Tensor) -> Tensor:
     """Four-quadrant arctangent; atan2(0, 0) is defined as 0 with zero grad."""
     _check_dtypes(y, x, "atan2")
-    data = np.arctan2(y.data, x.data)
-    r2 = y.data * y.data + x.data * x.data
+    yd, xd = y.data, x.data
+    data = np.arctan2(yd, xd)
 
     def backward(g):
+        r2 = yd * yd + xd * xd
         safe = np.where(r2 == 0.0, 1.0, r2)
-        gy = np.where(r2 == 0.0, 0.0, g * x.data / safe)
-        gx = np.where(r2 == 0.0, 0.0, -g * y.data / safe)
-        return gy.astype(y.dtype, copy=False), gx.astype(x.dtype, copy=False)
+        gy = np.where(r2 == 0.0, 0.0, g * xd / safe)
+        gx = np.where(r2 == 0.0, 0.0, -g * yd / safe)
+        return gy.astype(yd.dtype, copy=False), gx.astype(xd.dtype, copy=False)
 
     return _node(data, (y, x), backward)
 
@@ -369,13 +410,14 @@ def atan2(y: Tensor, x: Tensor) -> Tensor:
 def hypot(a: Tensor, b: Tensor) -> Tensor:
     """sqrt(a^2 + b^2) with a zero subgradient at the origin."""
     _check_dtypes(a, b, "hypot")
-    data = np.hypot(a.data, b.data)
+    ad, bd = a.data, b.data
+    data = np.hypot(ad, bd)
 
     def backward(g):
         safe = np.where(data == 0.0, 1.0, data)
-        ga = np.where(data == 0.0, 0.0, g * a.data / safe)
-        gb = np.where(data == 0.0, 0.0, g * b.data / safe)
-        return ga.astype(a.dtype, copy=False), gb.astype(b.dtype, copy=False)
+        ga = np.where(data == 0.0, 0.0, g * ad / safe)
+        gb = np.where(data == 0.0, 0.0, g * bd / safe)
+        return ga.astype(ad.dtype, copy=False), gb.astype(bd.dtype, copy=False)
 
     return _node(data, (a, b), backward)
 
@@ -404,9 +446,10 @@ def gelu(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
+    in_shape = x.shape
 
     def backward(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(in_shape),)
 
     return _node(data, (x,), backward)
 
@@ -431,11 +474,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner extents differ for shapes {a.shape} and {b.shape}")
     data = np.matmul(a.data, b.data)
+    sa, sb, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
+    # each operand is kept only for the gradient of the other, so a frozen
+    # weight keeps no activations
+    ad = a.data if rb else None
+    bd = b.data if ra else None
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa) if ra else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb) if rb else None
+        return ga, gb
 
     return _node(data, (a, b), backward)
 
@@ -464,33 +512,53 @@ def softmax_spatial(x: Tensor) -> Tensor:
     return reshape(softmax(flat, axis=-1), (n, 1, h, w))
 
 
+def _attention_probs(q: np.ndarray, k: np.ndarray, scale, rmax=None, rsum=None):
+    """``softmax(q @ k^T * scale)`` on one buffer, with its row max and sum.
+
+    Given the row max and sum of an earlier call on the same q and k, both
+    reductions are skipped and the probabilities are bit-identical."""
+    p = np.matmul(q, np.swapaxes(k, -1, -2))
+    p *= scale
+    if rmax is None:
+        rmax = p.max(axis=-1, keepdims=True)
+    p -= rmax
+    np.exp(p, out=p)
+    if rsum is None:
+        rsum = p.sum(axis=-1, keepdims=True)
+    p /= rsum
+    return p, rmax, rsum
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """Scaled dot-product attention ``softmax(q @ k^T * scale) @ v`` as one node.
 
     The scores are scaled, shifted, exponentiated and normalised in place on
-    one buffer, and only those probabilities stay on the tape.  Forward and
-    backward run the operations of the matmul -> scale -> softmax -> matmul
-    chain in the chain's order, so both are bit-identical to it.
+    one buffer.  The tape keeps q, k, v and the row max and sum, not the
+    probabilities: the backward recomputes them with the forward's own ops,
+    as FlashAttention's backward does, and forms the score gradient in
+    place.  Forward and backward run the operations of the matmul -> scale
+    -> softmax -> matmul chain in the chain's order, so both are
+    bit-identical to it.
     """
     _check_dtypes(q, k, "attention")
     _check_dtypes(q, v, "attention")
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not chain")
     scale = q.dtype.type(scale)
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    data = np.matmul(p, v.data)
+    qd, kd, vd = q.data, k.data, v.data
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
+    p, rmax, rsum = _attention_probs(qd, kd, scale)
+    data = np.matmul(p, vd)
 
     def backward(g):
-        gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        gs *= scale
-        gq = np.matmul(gs, k.data)
-        gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        p = _attention_probs(qd, kd, scale, rmax, rsum)[0]
+        gv = np.matmul(np.swapaxes(p, -1, -2), g) if rv else None
+        gp = np.matmul(g, np.swapaxes(vd, -1, -2))
+        gp -= (gp * p).sum(axis=-1, keepdims=True)
+        gp *= p
+        gp *= scale
+        gq = np.matmul(gp, kd) if rq else None
+        gk = np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gp), -1, -2) if rk else None
         return gq, gk, gv
 
     return _node(data, (q, k, v), backward)
@@ -504,18 +572,22 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
-    d = x.shape[-1]
+    gd, dtype = gamma.data, x.dtype
+    rx, rg, rb = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def backward(g):
-        gg = g * gamma.data
-        gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))
-        ggamma = (g * xhat).sum(axis=axes)
-        gbeta = g.sum(axis=axes)
-        return (gx.astype(x.dtype, copy=False),
-                ggamma.astype(x.dtype, copy=False),
-                gbeta.astype(x.dtype, copy=False))
+        gx = ggamma = gbeta = None
+        if rx:
+            gg = g * gd
+            gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                        - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+            gx = gx.astype(dtype, copy=False)
+        if rg:
+            ggamma = (g * xhat).sum(axis=axes).astype(dtype, copy=False)
+        if rb:
+            gbeta = g.sum(axis=axes).astype(dtype, copy=False)
+        return gx, ggamma, gbeta
 
     return _node(data.astype(x.dtype, copy=False), (x, gamma, beta), backward)
 
@@ -562,25 +634,36 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     w2 = w.data.reshape(groups, cout // groups, cin_g * k * k)
     out = np.matmul(w2, cols2)  # (n, groups, cout/groups, ho*wo)
     out = out.reshape(n, cout, ho, wo)
-    if bias is not None:
+    has_bias = bias is not None
+    if has_bias:
         out = out + bias.data.reshape(1, cout, 1, 1)
+    rx, rw, rb = x.requires_grad, w.requires_grad, has_bias and bias.requires_grad
+    xp_shape, dtype = xp.shape, x.dtype
+    # the columns are kept only for the weight gradient, the weight only for
+    # the input gradient; the padded input is never kept
+    kept_cols = cols2 if rw else None
+    kept_w = w2 if rx else None
 
     def backward(g):
         gl = g.reshape(n, groups, cout // groups, ho * wo)
-        gw = np.matmul(gl, np.swapaxes(cols2, -1, -2)).sum(axis=0)
-        gw = gw.reshape(w.shape).astype(w.dtype, copy=False)
-        gcols = np.matmul(np.swapaxes(w2, -1, -2), gl)
-        gcols = gcols.reshape(n, cin, k, k, ho, wo)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
-        gx = gxp[:, :, pad:pad + h, pad:pad + wd].astype(x.dtype, copy=False)
-        if bias is None:
+        gx = gw = None
+        if rw:
+            gw = np.matmul(gl, np.swapaxes(kept_cols, -1, -2)).sum(axis=0)
+            gw = gw.reshape(cout, cin_g, k, k).astype(dtype, copy=False)
+        if rx:
+            gcols = np.matmul(np.swapaxes(kept_w, -1, -2), gl)
+            gcols = gcols.reshape(n, cin, k, k, ho, wo)
+            gxp = np.zeros(xp_shape, dtype=dtype)
+            for i in range(k):
+                for j in range(k):
+                    gxp[:, :, i:i + stride * ho:stride,
+                        j:j + stride * wo:stride] += gcols[:, :, i, j]
+            gx = gxp[:, :, pad:pad + h, pad:pad + wd].astype(dtype, copy=False)
+        if not has_bias:
             return (gx, gw)
-        return (gx, gw, g.sum(axis=(0, 2, 3)).astype(x.dtype, copy=False))
+        return (gx, gw, g.sum(axis=(0, 2, 3)).astype(dtype, copy=False) if rb else None)
 
-    parents = (x, w) if bias is None else (x, w, bias)
+    parents = (x, w, bias) if has_bias else (x, w)
     return _node(out.astype(x.dtype, copy=False), parents, backward)
 
 
@@ -596,7 +679,7 @@ def depth_to_space(x: Tensor, factor: int) -> Tensor:
 
     def backward(g):
         gg = g.reshape(n, co, h, f, w, f).transpose(0, 1, 3, 5, 2, 4)
-        return (gg.reshape(x.shape),)
+        return (gg.reshape(n, c, h, w),)
 
     return _node(np.ascontiguousarray(data), (x,), backward)
 

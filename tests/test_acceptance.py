@@ -268,7 +268,7 @@ def test_criterion_6_composed_kernel_low_rank():
 def test_criterion_7_freeze_contract_200_steps(adaptation_run, pretrained):
     res, _ = adaptation_run
     assert res.report.steps == 200
-    assert res.checksum_before == res.checksum_after == host_checksum(pretrained)
+    assert res.checksum == host_checksum(pretrained)
     print(f"\n[criterion 7] host checksum bit-identical after {res.report.steps} steps")
 
 

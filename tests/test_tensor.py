@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from adaptir import tensor as T
+from adaptir.fft import irfft2, rfft2
 from adaptir.tensor import Tensor, ShapeError, ContractError, finite_diff_grad, no_grad
 
 
@@ -196,15 +197,21 @@ def test_attention_f32_is_bit_identical_to_the_op_chain():
     rng = np.random.default_rng(18)
     arrays = [rng.standard_normal((2, 4, 64, 16)).astype(np.float32) for _ in range(4)]
     scale = 1.0 / np.sqrt(16)
-    results = []
-    for op in (T.attention, attention_chain):
-        q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
-        out = op(q, k, v, scale)
-        T.tsum(out * Tensor(arrays[3])).backward()
-        results.append((out.data, q.grad, k.grad, v.grad))
-    for fused, chain in zip(*results):
-        assert fused.dtype == np.float32
-        assert np.array_equal(fused, chain)
+    # which of q, k, v require grad
+    for needs in ((True, True, True), (False, False, True), (True, False, False),
+                  (False, True, False)):
+        results = []
+        for op in (T.attention, attention_chain):
+            q, k, v = (Tensor(a, requires_grad=r) for a, r in zip(arrays, needs))
+            out = op(q, k, v, scale)
+            T.tsum(out * Tensor(arrays[3])).backward()
+            results.append((out.data, q.grad, k.grad, v.grad))
+        for fused, chain, need in zip(*results, (True,) + needs):
+            if not need:
+                assert fused is None and chain is None
+                continue
+            assert fused.dtype == np.float32
+            assert np.array_equal(fused, chain)
 
 
 def test_attention_records_no_node_under_no_grad():
@@ -311,9 +318,9 @@ def test_conv2d_shape_errors():
 
 def test_backward_accumulates_across_calls():
     x = rt([1.0, 2.0])
-    (x * x).sum().backward()
+    T.tsum(x * x).backward()
     first = x.grad.copy()
-    (x * x).sum().backward()
+    T.tsum(x * x).backward()
     assert np.allclose(x.grad, 2.0 * first)
 
 
@@ -326,7 +333,7 @@ def test_backward_requires_scalar():
 def test_no_grad_builds_no_graph():
     x = rt([1.0, 2.0])
     with no_grad():
-        y = (x * x).sum()
+        y = T.tsum(x * x)
     assert not y.requires_grad
     assert y._parents == ()
 
@@ -335,7 +342,7 @@ def test_shared_subexpression_grad():
     # d/dx of (x*x + x*x) = 4x exercises fan-out accumulation
     x = rt([3.0])
     y = x * x
-    (y + y).sum().backward()
+    T.tsum(y + y).backward()
     assert np.allclose(x.grad, [12.0])
 
 
@@ -343,7 +350,7 @@ def test_backward_frees_the_graph_it_walks():
     x = rt([1.0, 2.0])
     h = x * 2.0
     forward = weakref.ref(h.data)
-    loss = (h * h).sum()
+    loss = T.tsum(h * h)
     del h
     loss.backward()
     assert forward() is None  # freed although loss is still referenced
@@ -353,11 +360,108 @@ def test_backward_frees_the_graph_it_walks():
 def test_second_backward_through_a_consumed_graph_raises():
     x, y = rt([1.0, 2.0]), rt([3.0])
     h = x * x
-    loss = h.sum()
+    loss = T.tsum(h)
     loss.backward()
     first = x.grad.copy()
     # again on the same loss, and on a new graph that reuses a walked node
-    for again in (loss, (y * y).sum() + h.sum()):
+    for again in (loss, T.tsum(y * y) + T.tsum(h)):
         with pytest.raises(ContractError, match="an earlier backward\\(\\) consumed"):
             again.backward()
         assert np.array_equal(x.grad, first) and y.grad is None
+
+
+# -- what the tape keeps -------------------------------------------------------------
+
+
+def closure_values(fn):
+    """Everything a backward closure keeps, through its cells, containers and
+    nested closures."""
+    found, stack = [], [c.cell_contents for c in fn.__closure__ or ()]
+    while stack:
+        v = stack.pop()
+        found.append(v)
+        if isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            stack.extend(c.cell_contents for c in v.__closure__)
+    return found
+
+
+def closure_arrays(fn):
+    return [v for v in closure_values(fn) if isinstance(v, np.ndarray)]
+
+
+def _recorded_ops():
+    rng = np.random.default_rng(40)
+
+    def t(*shape):
+        return rt(rng.standard_normal(shape) + 2.0)
+
+    spec = rfft2(t(2, 4, 6))
+    return {
+        "add": T.add(t(2, 3), t(3)), "sub": T.sub(t(2, 3), t(2, 3)),
+        "mul": T.mul(t(2, 3), t(2, 3)), "tsum": T.tsum(t(2, 3), axis=0),
+        "tabs": T.tabs(t(3)), "sqrt": T.sqrt(t(3)), "cos": T.cos(t(3)),
+        "sin": T.sin(t(3)), "atan2": T.atan2(t(3), t(3)), "hypot": T.hypot(t(3), t(3)),
+        "gelu": T.gelu(t(3)), "reshape": T.reshape(t(2, 3), (3, 2)),
+        "transpose": T.transpose(t(2, 3), (1, 0)), "matmul": T.matmul(t(2, 3), t(3, 4)),
+        "softmax": T.softmax(t(2, 3)),
+        "attention": T.attention(t(1, 2, 4, 3), t(1, 2, 4, 3), t(1, 2, 4, 3), 0.5),
+        "layernorm": T.layernorm(t(2, 4), t(4), t(4)),
+        "conv2d": T.conv2d(t(1, 2, 4, 4), t(2, 2, 3, 3), t(2)),
+        "depth_to_space": T.depth_to_space(t(1, 4, 2, 2), 2),
+        "rfft2.real": spec.real, "rfft2.imag": spec.imag, "irfft2": irfft2(spec),
+    }
+
+
+def test_no_backward_closure_keeps_a_tensor():
+    for name, out in _recorded_ops().items():
+        kept = [type(v).__name__ for v in closure_values(out._backward)
+                if isinstance(v, Tensor)]
+        assert not kept, f"{name} keeps {kept}"
+
+
+@pytest.mark.parametrize("consume", [
+    lambda h: h * 3.0 - 1.0,
+    lambda h: T.reshape(T.transpose(h, (0, 1, 3, 2)), (1, 32)),
+    lambda h: T.matmul(h, Tensor(np.eye(4))),
+    lambda h: T.conv2d(h, Tensor(np.ones((2, 2, 3, 3))), Tensor(np.zeros(2))),
+], ids=["arithmetic", "shape", "matmul-frozen", "conv2d-frozen"])
+def test_a_value_no_backward_reads_is_freed_before_backward(consume):
+    x = rt(np.random.default_rng(41).standard_normal((1, 2, 4, 4)))
+    h = T.gelu(x)  # gelu keeps x, not its output
+    value = weakref.ref(h.data)
+    loss = T.tsum(consume(h))
+    del h
+    assert value() is None
+    loss.backward()
+    assert x.grad.shape == x.shape
+
+
+@pytest.mark.parametrize("frozen", ["weight", "input"])
+def test_matmul_and_conv2d_keep_only_what_the_trainable_side_needs(frozen):
+    rng = np.random.default_rng(42)
+    x = Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=frozen == "weight")
+    w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=frozen == "input")
+    xm = Tensor(rng.standard_normal((3, 4)), requires_grad=frozen == "weight")
+    wm = Tensor(rng.standard_normal((4, 5)), requires_grad=frozen == "input")
+    for out, inp, weight in ((T.conv2d(x, w, Tensor(np.zeros(4))), x, w),
+                             (T.matmul(xm, wm), xm, wm)):
+        grads = out._backward(np.ones_like(out.data))
+        kept = closure_arrays(out._backward)
+        if frozen == "weight":
+            # no gradient for the weight, and no input or im2col columns kept
+            assert grads[1] is None and grads[0].shape == inp.shape
+            assert all(np.shares_memory(a, weight.data) for a in kept)
+        else:
+            assert grads[0] is None and grads[1].shape == weight.shape
+            assert not any(np.shares_memory(a, weight.data) for a in kept)
+
+
+def test_attention_keeps_no_token_by_token_array():
+    rng = np.random.default_rng(43)
+    q, k, v = (rt(rng.standard_normal((2, 2, 8, 3))) for _ in range(3))
+    out = T.attention(q, k, v, 0.5)
+    shapes = [a.shape for a in closure_arrays(out._backward)]
+    assert not [s for s in shapes if s[-2:] == (8, 8)], shapes
+
