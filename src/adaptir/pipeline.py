@@ -51,6 +51,11 @@ MILESTONE_FRACTIONS = (0.5, 0.8, 0.9, 0.95)
 
 LQ_SIZE = 32  # training crop / evaluation input edge on the degraded side
 
+# the gradient audit's finite-difference step, relative-error bound and NCHW input
+GRADCHECK_EPS = 1e-5
+GRADCHECK_THRESHOLD = 1e-4
+GRADCHECK_SHAPE = (2, 8, 8, 8)
+
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean absolute difference over all elements."""
@@ -105,7 +110,7 @@ class TrainState:
 
 def adamw_step(state: TrainState, params: dict[str, Tensor],
                grads: dict[str, np.ndarray], lr: float,
-               weight_decay: float = 0.0) -> dict[str, Tensor]:
+               weight_decay: float = 0.0) -> None:
     """One decoupled-weight-decay Adam step, updating params in place.  A
     non-finite update raises ``ContractError`` naming parameter, step and
     epoch, and leaves params and ``state`` as they were: every update is
@@ -135,7 +140,6 @@ def adamw_step(state: TrainState, params: dict[str, Tensor],
         state.m[name] = m
         state.v[name] = v
     state.step = t
-    return params
 
 
 def _diverged_term(step: np.ndarray, update: np.ndarray) -> str:
@@ -224,30 +228,29 @@ def pretrain(host_config: HostConfig, train: TrainConfig):
 # -- evaluation -----------------------------------------------------------------
 
 
-def _psnr_mode(spec: DegradationSpec) -> str:
-    return "rgb" if spec.kind == "noise" else "y_channel"
-
-
-def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int = 16,
-             seed: int = 0) -> MetricReport:
-    """Mean PSNR/SSIM over a held-out synthetic set (seeds disjoint from
-    training by substream tag), as a zero-step report."""
+def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int,
+             seed: int, keep: int = 0) -> tuple[MetricReport, list]:
+    """Mean PSNR/SSIM over the first ``n`` of a held-out synthetic set (seeds
+    disjoint from training by substream tag) as a zero-step report, and the
+    (lq, hq, clipped f32 prediction) of its first ``keep``, which may pass ``n``."""
     spec = parse_task(task)
-    s = spec.sr_scale
-    psnrs, ssims = [], []
-    mode = _psnr_mode(spec)
-    for i in range(n):
-        hq = synth_image(derive_seed(seed, "eval", task, i), LQ_SIZE * s)
+    mode = "rgb" if spec.kind == "noise" else "y_channel"
+    psnrs, ssims, samples = [], [], []
+    for i in range(max(n, keep)):
+        hq = synth_image(derive_seed(seed, "eval", task, i), LQ_SIZE * spec.sr_scale)
         lq, hq = degrade(hq, replace(spec, seed=derive_seed(seed, "eval-noise", i)))
         with no_grad():
             pred = host_forward(Tensor(lq[None]), task, model, adapter=adapter)
         pred_img = np.clip(pred.data[0], 0.0, 1.0).astype(np.float32)
-        psnrs.append(psnr(pred_img, hq, mode=mode))
-        ssims.append(ssim(pred_img, hq))
+        if i < keep:
+            samples.append((lq, hq, pred_img))
+        if i < n:
+            psnrs.append(psnr(pred_img, hq, mode=mode))
+            ssims.append(ssim(pred_img, hq))
     trainable = 0 if adapter is None else adapter.param_count()
     return MetricReport(task=task, psnr=float(np.mean(psnrs)), ssim=float(np.mean(ssims)),
                         trainable_params=trainable,
-                        total_params=model.param_count() + trainable, steps=0)
+                        total_params=model.param_count() + trainable, steps=0), samples
 
 
 # -- adapter construction with budget equalization ----------------------------
@@ -285,6 +288,7 @@ class FinetuneResult:
     report: MetricReport
     psnr_before: float
     checksum: str  # the host's, equal before and after training (``_adapt`` checks)
+    samples: list  # ``evaluate``'s kept (lq, hq, prediction) triples of the adapted host
 
 
 def _refuse_unfit(model: HostModel, train: TrainConfig) -> None:
@@ -294,33 +298,33 @@ def _refuse_unfit(model: HostModel, train: TrainConfig) -> None:
     train.validate()
 
 
-def _adapt(model: HostModel, adapter: PETLMethod, task: str,
-           train: TrainConfig) -> tuple[MetricReport, str]:
+def _adapt(model: HostModel, adapter: PETLMethod, task: str, train: TrainConfig,
+           keep: int = 0) -> tuple[MetricReport, list, str]:
     """Train ``adapter`` on the frozen host, then evaluate it.  This is where
     the freeze contract is enforced: a host whose checksum moved during
     training raises ``ContractError`` before the adapter is evaluated.
-    Returns the report, with its step count, and the unmoved host checksum."""
+    Returns the report with its step count, its samples, and the host checksum."""
     checksum = host_checksum(model)
     steps, _ = _fit(model, adapter, adapter.parameters(),
                     [_train_run(task, derive_seed(train.seed, "ft"), train.images)], train)
     if host_checksum(model) != checksum:
         raise ContractError("freeze contract violated: host parameters changed")
-    report = evaluate(model, adapter, task, n=train.eval_n, seed=train.seed)
-    return replace(report, steps=steps), checksum
+    report, samples = evaluate(model, adapter, task, train.eval_n, train.seed, keep)
+    return replace(report, steps=steps), samples, checksum
 
 
 def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
-             adapter_config: AdaptIRConfig | None = None) -> FinetuneResult:
+             adapter_config: AdaptIRConfig | None = None, keep: int = 0) -> FinetuneResult:
     """Train only the adapter on a frozen host and report held-out metrics
-    before and after.  A host with a trainable parameter is refused, and
-    ``_adapt`` enforces the freeze contract."""
+    before and after, and ``keep`` samples after.  A host with a trainable
+    parameter is refused, and ``_adapt`` enforces the freeze contract."""
     _refuse_unfit(model, train)
     adapter = build_adapter(model.config, method, seed=derive_seed(train.seed, "init"),
                             adapter_config=adapter_config)
-    before = evaluate(model, None, task, n=train.eval_n, seed=train.seed)
-    report, checksum = _adapt(model, adapter, task, train)
+    before, _ = evaluate(model, None, task, train.eval_n, train.seed)
+    report, samples, checksum = _adapt(model, adapter, task, train, keep)
     return FinetuneResult(adapter=adapter, report=report, psnr_before=before.psnr,
-                          checksum=checksum)
+                          checksum=checksum, samples=samples)
 
 
 # -- ablation harness ------------------------------------------------------------
@@ -437,21 +441,20 @@ def load_adapter(path, host_config: HostConfig) -> PETLMethod:
 # -- gradient audit ---------------------------------------------------------------
 
 
-def gradcheck(seed: int = 0, eps: float = 1e-5, threshold: float = 1e-4,
-              input_shape: tuple[int, int, int, int] = (2, 8, 8, 8)):
+def gradcheck(seed: int = 0):
     """Autodiff vs central finite differences on a fixed f64 adapter.
 
     Parameters are jittered away from the zero-output initialization so
     every branch carries gradient.  Returns (name, rel_err, ok) rows.
     """
-    cfg = AdaptIRConfig(channels=input_shape[1], reduction=2, lim_rank=2,
+    cfg = AdaptIRConfig(channels=GRADCHECK_SHAPE[1], reduction=2, lim_rank=2,
                         seed=seed, dtype="f64")
     adapter = AdaptIR(cfg)
     rng = np.random.default_rng(derive_seed(seed, "gradcheck"))
     for p in adapter.params.values():
         p.data = p.data + 0.3 * rng.standard_normal(p.shape)
-    x = Tensor(rng.standard_normal(input_shape))
-    target = Tensor(rng.standard_normal(input_shape))
+    x = Tensor(rng.standard_normal(GRADCHECK_SHAPE))
+    target = Tensor(rng.standard_normal(GRADCHECK_SHAPE))
 
     def loss_value() -> Tensor:
         return l1_loss(adapter(x), target)
@@ -460,9 +463,9 @@ def gradcheck(seed: int = 0, eps: float = 1e-5, threshold: float = 1e-4,
     loss.backward()
     rows = []
     for name, p in adapter.params.items():
-        fd = finite_diff_grad(lambda _t: loss_value(), p, eps)
+        fd = finite_diff_grad(lambda _t: loss_value(), p, GRADCHECK_EPS)
         ad = p.grad if p.grad is not None else np.zeros_like(p.data)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(ad)), 1e-6)
         rel = float((np.abs(ad - fd) / denom).max())
-        rows.append((name, rel, rel <= threshold))
+        rows.append((name, rel, rel <= GRADCHECK_THRESHOLD))
     return rows

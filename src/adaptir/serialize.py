@@ -10,6 +10,8 @@ arrays; a load rejects a malformed header, short data and trailing bytes.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -47,14 +49,14 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         if not _well_formed(header):
             raise ValueError("corrupt checkpoint: the header is not an object of kind,"
                              " config and fields (name, shape of non-negative ints)")
-        out: dict[str, np.ndarray] = {}
+        # sizes in Python ints, checked before any read: no header outgrows its file
+        left = os.fstat(f.fileno()).st_size - f.tell()
         for fld in header["fields"]:
-            shape = tuple(fld["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(4 * n)
-            if len(buf) != 4 * n:
+            left -= 4 * math.prod(fld["shape"])
+            if left < 0:
                 raise ValueError(f"truncated checkpoint: field {fld['name']}")
-            out[fld["name"]] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float32)
-        if f.read(1):
+        if left:
             raise ValueError("corrupt checkpoint: bytes after the last declared field")
+        out = {fld["name"]: np.frombuffer(f.read(4 * math.prod(fld["shape"])), dtype="<f4")
+               .reshape(fld["shape"]).astype(np.float32) for fld in header["fields"]}
     return header["kind"], header["config"], out

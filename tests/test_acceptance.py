@@ -89,7 +89,7 @@ def test_criterion_1b_zero_init_all_insertion_variants():
 
 def test_criterion_2_gradients_match_finite_differences():
     t0 = time.perf_counter()
-    rows = P.gradcheck(seed=0, eps=1e-5, threshold=1e-4, input_shape=(2, 8, 8, 8))
+    rows = P.gradcheck(seed=0)
     wall = time.perf_counter() - t0
     worst = max(rel for _, rel, _ in rows)
     print(f"\n[criterion 2] worst rel err {worst:.2e} <= 1e-4 over {len(rows)} "

@@ -3,14 +3,17 @@ validation, nonzero exits on contract failure."""
 
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from adaptir import cli
+from adaptir import cli, host, pipeline
 from adaptir.cli import main
+from adaptir.data import derive_seed, degrade, parse_task, save_ppm, synth_image
+from adaptir.tensor import Tensor, no_grad
 
 
 TINY_HOST = """\
@@ -381,6 +384,9 @@ STALE_HOST_KEYS = "host.layers=7\nhost.heads=1\nhost.tasks=sr3\n"
 
 @pytest.mark.parametrize("command,extra,fragment,kind", [
     ("eval", "host_checkpoint={ws}/truncated.ckpt\n", "truncated checkpoint", "ValueError"),
+    # used to read the declared 4 TiB field and end in a MemoryError traceback
+    ("eval", "host_checkpoint={ws}/huge.ckpt\n", "truncated checkpoint: field w",
+     "ValueError"),
     ("finetune", "host_checkpoint={ws}/host/host.ckpt\nmethod=prefix\n",
      "unknown method 'prefix'", "ConfigError"),
     # host.* keys that disagree with the loaded host used to be recorded as its shape
@@ -397,6 +403,9 @@ def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, ki
     # used to create --out and write resolved.cfg before the inputs were checked
     host = (workspace / "host" / "host.ckpt").read_bytes()
     (workspace / "truncated.ckpt").write_bytes(host[:-4])
+    (workspace / "huge.ckpt").write_bytes(
+        b'{"config": {}, "fields": [{"name": "w", "shape": [1099511627776]}],'
+        b' "kind": "host"}\n' + bytes(16))
     path = workspace / "refused.cfg"
     path.write_text(TINY_HOST + extra.format(ws=workspace), encoding="utf-8")
     out = workspace / f"refused_{command}"
@@ -503,3 +512,74 @@ def test_finetune_honours_weight_decay(workspace):
         assert res.exit_code == 0, res.output
         ckpts.append((workspace / f"wd{wd}" / "adapter.ckpt").read_bytes())
     assert ckpts[0] != ckpts[1]
+
+
+def test_eval_runs_one_host_forward_per_held_out_image(workspace, monkeypatch):
+    # the qualitative dump used to re-run the host on its images after evaluate
+    calls = []
+
+    def counted(original):
+        def host_forward(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+        return host_forward
+
+    for owner in (host, pipeline, cli):
+        monkeypatch.setattr(owner, "host_forward", counted(owner.host_forward))
+    res = invoke(["eval", "--config", write_ft_cfg(workspace), "--out",
+                  workspace / "ev_forwards", "--task", "noise25"])  # eval_n=2, dump_images=1
+    assert res.exit_code == 0, res.output
+    assert calls == ["noise25"] * 2
+    assert (workspace / "ev_forwards" / "sample0_pred.ppm").is_file()
+
+
+def dump_qualitative(out, model, adapter, task, seed, dump_images):
+    """The CLI's former qualitative dump: its own loop over the held-out images."""
+    spec = parse_task(task)
+    for i in range(dump_images):
+        hq = synth_image(derive_seed(seed, "eval", task, i), pipeline.LQ_SIZE * spec.sr_scale)
+        lq, hq = degrade(hq, replace(spec, seed=derive_seed(seed, "eval-noise", i)))
+        with no_grad():
+            pred = host.host_forward(Tensor(lq[None]), task, model, adapter=adapter)
+        save_ppm(lq, out / f"sample{i}_lq.ppm")
+        save_ppm(hq, out / f"sample{i}_hq.ppm")
+        save_ppm(np.clip(pred.data[0], 0, 1).astype(np.float32), out / f"sample{i}_pred.ppm")
+
+
+@pytest.mark.parametrize("command,task,dump_images", [
+    ("finetune", "sr2", 2),    # the adapted host, dump_images == eval_n
+    ("eval", "noise25", 3),    # the bare host, dump_images > eval_n
+])
+def test_samples_match_the_former_dump_byte_for_byte(workspace, tmp_path, command, task,
+                                                     dump_images):
+    path = workspace / f"samples_{command}.cfg"
+    path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8")
+                    + f"dump_images={dump_images}\nepochs=1\n", encoding="utf-8")
+    out = workspace / f"samples_{command}"
+    res = invoke([command, "--config", path, "--out", out, "--task", task, "--seed", 6])
+    assert res.exit_code == 0, res.output
+    model = pipeline.load_host(workspace / "host" / "host.ckpt")
+    adapter = (pipeline.load_adapter(out / "adapter.ckpt", model.config)
+               if command == "finetune" else None)
+    dump_qualitative(tmp_path, model, adapter, task, 6, dump_images)
+    expected = sorted(p.name for p in tmp_path.iterdir())
+    assert len(expected) == 3 * dump_images
+    assert sorted(p.name for p in out.glob("sample*.ppm")) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_dump_images_past_eval_n_leaves_the_report_alone(workspace):
+    reports = []
+    for dump in (5, 0):
+        path = workspace / f"dump{dump}.cfg"
+        path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8")
+                        + f"dump_images={dump}\n", encoding="utf-8")  # eval_n=2
+        out = workspace / f"dump{dump}"
+        res = invoke(["eval", "--config", path, "--out", out, "--task", "sr2"])
+        assert res.exit_code == 0, res.output
+        assert len(list(out.glob("sample*.ppm"))) == 3 * dump
+        for i in range(dump):
+            assert all((out / f"sample{i}_{kind}.ppm").is_file() for kind in ("lq", "hq", "pred"))
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
