@@ -46,7 +46,7 @@ _KEYS = {
        for prefix, (cls, names) in _SECTIONS.items() for name in names},
 }
 
-_ERRORS = (ConfigError, ContractError, ShapeError, ValueError, OSError)
+_ERRORS = (ConfigError, ContractError, ShapeError, ValueError, OSError, MemoryError)
 
 
 def _parse_config_file(path: str) -> dict:

@@ -9,9 +9,11 @@ and appends nothing global -- the graph *is* the tape.  A node holds no
 values: each closure captures only the arrays its backward reads, and
 an input whose partner operand did not require grad is not kept at all,
 so an intermediate tensor is freed as soon as the forward code drops it
-unless a backward reads it.  ``backward`` walks the nodes once in reverse
-topological order and consumes them, freeing each closure and parent
-link as it goes; a second ``backward`` through that graph raises
+unless a backward reads it.  ``attention`` walks its leading (batch) axis
+one index at a time, so no batch-sized score matrix is ever alive, and
+``gelu`` keeps one array, its slope.  ``backward`` walks the nodes once in
+reverse topological order and consumes them, freeing each closure and
+parent link as it goes; a second ``backward`` through that graph raises
 ``ContractError``.
 
 Conventions fixed here:
@@ -250,9 +252,15 @@ def _graph_node(t: Tensor):
     return t if t._grad_fn is None else t._grad_fn
 
 
+def _records(*parents: Tensor) -> bool:
+    """Whether an op on ``parents`` records a node: an op whose backward keeps
+    a derived array builds it only then."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(*parents):
         out.requires_grad = True
         out._grad_fn = _Node(
             tuple(_graph_node(p) if p.requires_grad else None for p in parents), backward)
@@ -429,14 +437,28 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with Phi the standard normal CDF."""
+    """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
+
+    The tape keeps one array, the slope ``Phi(x) + x * pdf(x)``, built in
+    place only when the op is recorded, so a ``no_grad`` forward computes
+    none.  It is formed with the operations of ``phi + xd * pdf`` in their
+    order, so the gradient is bit-identical to that expression's."""
     xd = x.data
-    phi = 0.5 * (1.0 + _erf(xd / _SQRT2))
+    phi = _erf(xd / _SQRT2)
+    phi += 1.0
+    phi *= 0.5
     data = xd * phi
+    slope = None
+    if _records(x):
+        slope = np.multiply(-0.5, xd, out=np.empty_like(xd))  # an array, even 0-d
+        slope *= xd
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        slope *= xd
+        slope += phi
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        return (g * (phi + xd * pdf),)
+        return (g * slope,)
 
     return _node(data, (x,), backward)
 
@@ -512,54 +534,79 @@ def softmax_spatial(x: Tensor) -> Tensor:
     return reshape(softmax(flat, axis=-1), (n, 1, h, w))
 
 
-def _attention_probs(q: np.ndarray, k: np.ndarray, scale, rmax=None, rsum=None):
-    """``softmax(q @ k^T * scale)`` on one buffer, with its row max and sum.
+def _attention_probs(q: np.ndarray, k: np.ndarray, scale, p: np.ndarray,
+                     rmax: np.ndarray, rsum: np.ndarray, reduce: bool) -> np.ndarray:
+    """Write one block's ``softmax(q @ k^T * scale)`` into ``p`` in place.
 
-    Given the row max and sum of an earlier call on the same q and k, both
-    reductions are skipped and the probabilities are bit-identical."""
-    p = np.matmul(q, np.swapaxes(k, -1, -2))
+    With ``reduce`` the row max and sum are written into ``rmax`` and
+    ``rsum``; without, those of an earlier call on the same q and k are
+    read, both reductions are skipped and the probabilities are
+    bit-identical."""
+    np.matmul(q, np.swapaxes(k, -1, -2), out=p)
     p *= scale
-    if rmax is None:
-        rmax = p.max(axis=-1, keepdims=True)
+    if reduce:
+        np.max(p, axis=-1, keepdims=True, out=rmax)
     p -= rmax
     np.exp(p, out=p)
-    if rsum is None:
-        rsum = p.sum(axis=-1, keepdims=True)
+    if reduce:
+        np.sum(p, axis=-1, keepdims=True, out=rsum)
     p /= rsum
-    return p, rmax, rsum
+    return p
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """Scaled dot-product attention ``softmax(q @ k^T * scale) @ v`` as one node.
 
-    The scores are scaled, shifted, exponentiated and normalised in place on
-    one buffer.  The tape keeps q, k, v and the row max and sum, not the
-    probabilities: the backward recomputes them with the forward's own ops,
-    as FlashAttention's backward does, and forms the score gradient in
-    place.  Forward and backward run the operations of the matmul -> scale
-    -> softmax -> matmul chain in the chain's order, so both are
-    bit-identical to it.
+    q, k and v share their leading (batch) axes.  Forward and backward walk
+    the first axis one index at a time and write each block's output and
+    gradients into full-size results, so only one block's scores, not the
+    whole batch's, are ever alive.  A block's scores are scaled, shifted,
+    exponentiated and normalised in place on one buffer.  The tape keeps q,
+    k, v and the row max and sum, not the probabilities: the backward
+    recomputes them with the forward's own ops, as FlashAttention's backward
+    does, and forms the score gradient in place.  Every block runs the
+    operations of the matmul -> scale -> softmax -> matmul chain in the
+    chain's order, and a stacked matmul or row reduction treats each 2-D
+    slice on its own, so forward and backward are bit-identical to the
+    chain.
     """
     _check_dtypes(q, k, "attention")
     _check_dtypes(q, v, "attention")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+    if (q.ndim < 3 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+            or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not chain")
     scale = q.dtype.type(scale)
     qd, kd, vd = q.data, k.data, v.data
     rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
-    p, rmax, rsum = _attention_probs(qd, kd, scale)
-    data = np.matmul(p, vd)
+    dtype, blocks = q.dtype, q.shape[0]
+    score_shape = q.shape[1:-1] + k.shape[-2:-1]
+    data = np.empty(q.shape[:-1] + v.shape[-1:], dtype)
+    rmax = np.empty(q.shape[:-1] + (1,), dtype)
+    rsum = np.empty_like(rmax)
+    p = np.empty(score_shape, dtype)
+    for i in range(blocks):
+        np.matmul(_attention_probs(qd[i], kd[i], scale, p, rmax[i], rsum[i], True), vd[i],
+                  out=data[i])
 
     def backward(g):
-        p = _attention_probs(qd, kd, scale, rmax, rsum)[0]
-        gv = np.matmul(np.swapaxes(p, -1, -2), g) if rv else None
-        gp = np.matmul(g, np.swapaxes(vd, -1, -2))
-        gp -= (gp * p).sum(axis=-1, keepdims=True)
-        gp *= p
-        gp *= scale
-        gq = np.matmul(gp, kd) if rq else None
-        gk = np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), gp), -1, -2) if rk else None
-        return gq, gk, gv
+        # k's gradient is formed transposed, as the chain's matmul forms it
+        gq = np.empty(qd.shape, dtype) if rq else None
+        gkt = np.empty(kd.shape[:-2] + (kd.shape[-1], kd.shape[-2]), dtype) if rk else None
+        gv = np.empty(vd.shape, dtype) if rv else None
+        p, gp = np.empty(score_shape, dtype), np.empty(score_shape, dtype)
+        for i in range(blocks):
+            _attention_probs(qd[i], kd[i], scale, p, rmax[i], rsum[i], False)
+            if rv:
+                np.matmul(np.swapaxes(p, -1, -2), g[i], out=gv[i])
+            np.matmul(g[i], np.swapaxes(vd[i], -1, -2), out=gp)
+            gp -= (gp * p).sum(axis=-1, keepdims=True)
+            gp *= p
+            gp *= scale
+            if rq:
+                np.matmul(gp, kd[i], out=gq[i])
+            if rk:
+                np.matmul(np.swapaxes(qd[i], -1, -2), gp, out=gkt[i])
+        return gq, None if gkt is None else np.swapaxes(gkt, -1, -2), gv
 
     return _node(data, (q, k, v), backward)
 

@@ -432,6 +432,24 @@ def test_os_errors_are_one_line(workspace, command, extra, out, kind):
     assert res.output.startswith("Error: ")
 
 
+@pytest.mark.parametrize("command", ["paramcount", "pretrain"])
+def test_a_failed_allocation_is_one_line(workspace, monkeypatch, command):
+    # host.embed=400000 asks for a 10.5 TiB weight; that used to end in a
+    # traceback.  The allocation is refused here rather than attempted, as a
+    # system that overcommits memory might grant it
+    def refuse(rng, shape, fan_in, dtype):
+        raise MemoryError(f"Unable to allocate 10.5 TiB for an array with shape {shape}")
+
+    monkeypatch.setattr(host, "_uniform", refuse)
+    path = workspace / "huge_host.cfg"
+    path.write_text(TINY_HOST.replace("host.embed=16", "host.embed=400000"),
+                    encoding="utf-8")
+    res = invoke([command, "--config", path, "--out", workspace / f"huge_{command}"])
+    assert res.exit_code == 1
+    line = assert_one_line_error(res, "Unable to allocate 10.5 TiB", kind="MemoryError")
+    assert line.startswith("Error: MemoryError: ")
+
+
 def test_finetune_host_moved_writes_no_artifacts(workspace, monkeypatch):
     fit = cli.P._fit
 

@@ -1,6 +1,9 @@
 """Autodiff core: every op against brute-force oracles and central
 finite differences in float64."""
 
+import contextlib
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,6 +28,16 @@ def fd_check(f, x, tol=1e-6, eps=1e-6):
 
 def rt(arr):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and python allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- elementwise ops -----------------------------------------------------------
@@ -71,6 +84,47 @@ def test_gelu_matches_exact_formula():
     x = np.linspace(-4, 4, 41)
     expect = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
     assert np.allclose(T.gelu(Tensor(x)).data, expect, atol=1e-12)
+
+
+def gelu_formula(xd, g):
+    """GELU's value and gradient as one expression each, with python-float
+    constants, which NEP 50 keeps in the input's dtype."""
+    from scipy.special import erf
+    phi = 0.5 * (1.0 + erf(xd / math.sqrt(2.0)))
+    pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * xd * xd)
+    return xd * phi, g * (phi + xd * pdf)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_is_bit_identical_to_its_formula(dtype):
+    sub = np.finfo(dtype).smallest_subnormal
+    edges = np.array([0.0, -0.0, sub, -sub, 40.0, -40.0], dtype=dtype)
+    xd = np.concatenate([edges, np.random.default_rng(3).standard_normal(64).astype(dtype) * 3])
+    g = np.random.default_rng(4).standard_normal(xd.shape).astype(dtype)
+    x = Tensor(xd, requires_grad=True)
+    out = T.gelu(x)
+    T.tsum(out * Tensor(g)).backward()
+    want_out, want_grad = gelu_formula(xd, g)
+    assert out.dtype == want_out.dtype == dtype and x.grad.dtype == want_grad.dtype
+    assert np.array_equal(out.data, want_out) and np.array_equal(x.grad, want_grad)
+    assert np.array_equal(np.signbit(out.data), np.signbit(want_out))
+
+
+def test_gelu_keeps_one_array_shaped_like_its_input():
+    x = rt(np.random.default_rng(5).standard_normal((2, 3, 4)))
+    kept = closure_arrays(T.gelu(x)._backward)
+    assert [a.shape for a in kept] == [x.shape]
+
+
+@pytest.mark.parametrize("recorded", ["no_grad", "frozen input"])
+def test_gelu_builds_no_slope_when_no_node_is_recorded(recorded):
+    # the value and Phi(x) are two arrays; a slope would be a third
+    xd = np.random.default_rng(6).standard_normal((64, 1024))
+    x = Tensor(xd, requires_grad=recorded == "no_grad")
+    with no_grad() if recorded == "no_grad" else contextlib.nullcontext():
+        assert traced_peak(lambda: T.gelu(x)) < 2.5 * xd.nbytes
+    x.requires_grad = True
+    assert traced_peak(lambda: T.gelu(x)) > 2.5 * xd.nbytes
 
 
 def test_gelu_keeps_f32_graph_in_f32(monkeypatch):
@@ -195,23 +249,47 @@ def test_attention_grads_finite_difference():
 
 def test_attention_f32_is_bit_identical_to_the_op_chain():
     rng = np.random.default_rng(18)
-    arrays = [rng.standard_normal((2, 4, 64, 16)).astype(np.float32) for _ in range(4)]
     scale = 1.0 / np.sqrt(16)
-    # which of q, k, v require grad
-    for needs in ((True, True, True), (False, False, True), (True, False, False),
-                  (False, True, False)):
-        results = []
-        for op in (T.attention, attention_chain):
-            q, k, v = (Tensor(a, requires_grad=r) for a, r in zip(arrays, needs))
-            out = op(q, k, v, scale)
-            T.tsum(out * Tensor(arrays[3])).backward()
-            results.append((out.data, q.grad, k.grad, v.grad))
-        for fused, chain, need in zip(*results, (True,) + needs):
-            if not need:
-                assert fused is None and chain is None
-                continue
-            assert fused.dtype == np.float32
-            assert np.array_equal(fused, chain)
+    # the fused op walks the leading axis one index at a time
+    for batch in (1, 2, 3):
+        arrays = [rng.standard_normal((batch, 4, 64, 16)).astype(np.float32)
+                  for _ in range(4)]
+        # which of q, k, v require grad
+        for needs in ((True, True, True), (False, False, True), (True, False, False),
+                      (False, True, False)):
+            results = []
+            for op in (T.attention, attention_chain):
+                q, k, v = (Tensor(a, requires_grad=r) for a, r in zip(arrays, needs))
+                out = op(q, k, v, scale)
+                T.tsum(out * Tensor(arrays[3])).backward()
+                results.append((out.data, q.grad, k.grad, v.grad))
+            for fused, chain, need in zip(*results, (True,) + needs):
+                if not need:
+                    assert fused is None and chain is None
+                    continue
+                assert fused.dtype == np.float32
+                assert np.array_equal(fused, chain)
+
+
+def test_attention_never_holds_the_whole_batch_of_scores():
+    # the whole batch's (8, 4, 256, 256) f32 scores; forward and backward
+    # peaked at 9.0 and 25.7 MB when they were formed at once
+    shape, scores = (8, 4, 256, 16), 8 * 4 * 256 * 256 * 4
+    rng = np.random.default_rng(19)
+    q, k, v = (Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    g = np.ones(shape, dtype=np.float32)
+    outs = []
+    assert traced_peak(lambda: outs.append(T.attention(q, k, v, 0.25))) < scores
+    assert traced_peak(lambda: outs[0]._backward(g)) < scores
+
+
+def test_attention_rejects_unshared_leading_axes():
+    q = rt(np.ones((2, 1, 3, 2)))
+    with pytest.raises(ShapeError, match="do not chain"):
+        T.attention(q, rt(np.ones((1, 1, 3, 2))), q, 0.5)
+    with pytest.raises(ShapeError, match="do not chain"):
+        T.attention(rt(np.ones((3, 2))), rt(np.ones((3, 2))), rt(np.ones((3, 2))), 0.5)
 
 
 def test_attention_records_no_node_under_no_grad():
@@ -429,7 +507,7 @@ def test_no_backward_closure_keeps_a_tensor():
 ], ids=["arithmetic", "shape", "matmul-frozen", "conv2d-frozen"])
 def test_a_value_no_backward_reads_is_freed_before_backward(consume):
     x = rt(np.random.default_rng(41).standard_normal((1, 2, 4, 4)))
-    h = T.gelu(x)  # gelu keeps x, not its output
+    h = T.gelu(x)  # gelu keeps its slope, not its output
     value = weakref.ref(h.data)
     loss = T.tsum(consume(h))
     del h
