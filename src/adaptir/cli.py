@@ -79,16 +79,15 @@ def _section(cfg: dict, *prefixes: str, **fixed):
 
 def _resolve(config_path, **overrides) -> tuple[dict, dict, P.TrainConfig]:
     """The run's keys (defaults, then the file, then the flags), the keys the
-    file and the flags set, and the run's recipe."""
+    file and the flags set, and the run's recipe.  ``pipeline``'s own checks
+    refuse an unknown method or axis here, before any ``--out`` exists."""
     given = _parse_config_file(config_path) if config_path else {}
     given.update({k: v for k, v in overrides.items() if v is not None})
     cfg = {**_KEYS, **given}
     if cfg["dump_images"] < 0:
         raise ConfigError(f"dump_images must be >= 0, got {cfg['dump_images']}")
-    if cfg["method"] not in METHODS:
-        raise ConfigError(f"unknown method {cfg['method']!r} ({' | '.join(METHODS)})")
-    if cfg["axes"] not in P.ABLATION_AXES:
-        raise ConfigError(f"unknown ablation axis {cfg['axes']!r} (one of {P.ABLATION_AXES})")
+    P.method_class(cfg["method"])
+    P.ablation_rows(cfg["axes"])
     return cfg, given, _section(cfg, "")
 
 
@@ -180,9 +179,9 @@ def main():
 def cmd_pretrain(config_path, seed, out, epochs):
     """Train the multi-task host from scratch and freeze it."""
     cfg, _, train = _resolve(config_path, seed=seed, out=out, epochs=epochs)
-    host_config = _host_config(cfg)
+    model = HostModel(_host_config(cfg))
     out_dir = _out_dir(cfg)
-    model, log = P.pretrain(host_config, train)
+    _, log = P.pretrain(model, train)
     P.save_host(out_dir / "host.ckpt", model)
     rows = ["epoch,task,loss"] + [f"{e},{t},{l:.6f}" for e, t, l in log]
     (out_dir / "pretrain_log.csv").write_text("\n".join(rows) + "\n",

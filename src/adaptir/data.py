@@ -43,7 +43,7 @@ def epoch_order(corpus_seed: int, epoch: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DegradationSpec:
-    """Declarative degradation chain.
+    """Declarative degradation chain: the task it names, not its noise seed.
 
     kinds: ``sr`` (bicubic downsample by ``scale``), ``noise`` (Gaussian,
     ``sigma`` on the 0-255 scale), ``second_order`` (downsample THEN
@@ -55,7 +55,6 @@ class DegradationSpec:
     sigma: float = 0.0
     factor: float = 1.0
     gamma: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("sr", "noise", "second_order", "darken"):
@@ -209,19 +208,17 @@ def add_gaussian_noise(img: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     return np.clip(noisy, 0.0, 1.0).astype(np.float32)
 
 
-def degrade(img: np.ndarray, spec: DegradationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a degradation chain; returns (low-quality, high-quality)."""
-    hq = img
+def degrade(img: np.ndarray, spec: DegradationSpec, seed: int) -> np.ndarray:
+    """Apply a degradation chain to ``img``, drawing any noise from ``seed``;
+    returns the low-quality image."""
     if spec.kind == "sr":
-        lq = downsample_bicubic(img, spec.scale)
-    elif spec.kind == "noise":
-        lq = add_gaussian_noise(img, spec.sigma, spec.seed)
-    elif spec.kind == "second_order":
+        return downsample_bicubic(img, spec.scale)
+    if spec.kind == "noise":
+        return add_gaussian_noise(img, spec.sigma, seed)
+    if spec.kind == "second_order":
         # downsample strictly before noise
-        lq = add_gaussian_noise(downsample_bicubic(img, spec.scale), spec.sigma, spec.seed)
-    else:  # darken
-        lq = np.clip((img * spec.factor) ** spec.gamma, 0.0, 1.0).astype(np.float32)
-    return lq, hq
+        return add_gaussian_noise(downsample_bicubic(img, spec.scale), spec.sigma, seed)
+    return np.clip((img * spec.factor) ** spec.gamma, 0.0, 1.0).astype(np.float32)  # darken
 
 
 # -- portable pixmap output ----------------------------------------------------

@@ -16,6 +16,7 @@ bottleneck adapters after the attention and MLP sublayers.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -215,9 +216,7 @@ class LoRAStack(PETLMethod):
 
     method = "lora"
 
-    def __init__(self, host_config: HostConfig, ranks: list[int] | int = 4, seed: int = 0):
-        if isinstance(ranks, int):
-            ranks = [ranks] * host_config.layers
+    def __init__(self, host_config: HostConfig, ranks: Sequence[int], seed: int = 0):
         if len(ranks) != host_config.layers:
             raise ConfigError("one rank per layer required")
         self.layers = [LoRALayer(host_config.embed, r, seed=seed + i)
@@ -252,9 +251,7 @@ class BottleneckStack(PETLMethod):
 
     method = "bottleneck"
 
-    def __init__(self, host_config: HostConfig, hidden: list[int] | int = 4, seed: int = 0):
-        if isinstance(hidden, int):
-            hidden = [hidden] * (2 * host_config.layers)
+    def __init__(self, host_config: HostConfig, hidden: Sequence[int], seed: int = 0):
         if len(hidden) != 2 * host_config.layers:
             raise ConfigError("two hidden widths per layer required (attn + mlp)")
         # (after attention, after MLP) per layer; the k-th adapter gets seed + k

@@ -72,11 +72,10 @@ def _gaussian_window() -> np.ndarray:
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean local SSIM over valid 11x11 Gaussian windows, on luma."""
+    """Mean local SSIM over valid 11x11 Gaussian windows, on the luma of 3 x H x W images."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    x = rgb_to_y(a)[0] if a.shape[0] == 3 else a[0]
-    y = rgb_to_y(b)[0] if b.shape[0] == 3 else b[0]
+    x, y = rgb_to_y(a)[0], rgb_to_y(b)[0]
     if min(x.shape) < SSIM_WINDOW:
         raise ValueError(f"image {x.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
     w = _gaussian_window()

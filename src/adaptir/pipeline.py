@@ -178,9 +178,7 @@ def _epoch_batches(corpus, spec: DegradationSpec, seed: int, epoch: int,
             max_off = img.shape[1] - hq_crop
             oy, ox = (crop_rng.integers(0, max_off // s + 1, 2) * s)
             hq = img[:, oy:oy + hq_crop, ox:ox + hq_crop]
-            per_sample = replace(spec, seed=derive_seed(seed, "degrade", epoch, int(idx)))
-            lq, hq = degrade(hq, per_sample)
-            lqs.append(lq)
+            lqs.append(degrade(hq, spec, derive_seed(seed, "degrade", epoch, int(idx))))
             hqs.append(hq)
         yield (Tensor(np.stack(lqs)), Tensor(np.stack(hqs)))
 
@@ -214,13 +212,15 @@ def _fit(model: HostModel, adapter: PETLMethod | None, params: dict[str, Tensor]
     return state.step, log
 
 
-def pretrain(host_config: HostConfig, train: TrainConfig):
-    """Train every host parameter on a round-robin multi-task mixture,
-    then freeze.  Returns (frozen model, per-epoch loss log)."""
+def pretrain(model: HostModel, train: TrainConfig):
+    """Train every parameter of ``model``, which must have none frozen, on a
+    round-robin multi-task mixture, then freeze it.  Returns (frozen model,
+    per-epoch loss log)."""
+    if not all(p.requires_grad for p in model.params.values()):
+        raise ConfigError("pretrain requires a host with no frozen parameter")
     train.validate()
-    model = HostModel(host_config)
     runs = [_train_run(t, derive_seed(train.seed, "task", t), train.images)
-            for t in host_config.tasks]
+            for t in model.config.tasks]
     _, log = _fit(model, None, model.params, runs, train)
     return freeze(model), log
 
@@ -238,7 +238,7 @@ def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int,
     psnrs, ssims, samples = [], [], []
     for i in range(max(n, keep)):
         hq = synth_image(derive_seed(seed, "eval", task, i), LQ_SIZE * spec.sr_scale)
-        lq, hq = degrade(hq, replace(spec, seed=derive_seed(seed, "eval-noise", i)))
+        lq = degrade(hq, spec, derive_seed(seed, "eval-noise", i))
         with no_grad():
             pred = host_forward(Tensor(lq[None]), task, model, adapter=adapter)
         pred_img = np.clip(pred.data[0], 0.0, 1.0).astype(np.float32)
@@ -256,7 +256,8 @@ def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int,
 # -- adapter construction with budget equalization ----------------------------
 
 
-def _method_class(method: str) -> type[PETLMethod]:
+def method_class(method: str) -> type[PETLMethod]:
+    """The stack class registered for ``method``; an unknown one is refused."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r} ({' | '.join(METHODS)})")
     return METHODS[method]
@@ -270,7 +271,7 @@ def build_adapter(host_config: HostConfig, method: str, seed: int = 0,
     AdaptIR stack's trainable count within a few percent, mirroring
     equal-budget comparisons.
     """
-    cls = _method_class(method)
+    cls = method_class(method)
     if adapter_config is None:
         adapter_config = AdaptIRConfig(channels=host_config.embed, seed=seed)
     stack = AdapterStack(host_config, adapter_config)
@@ -355,7 +356,13 @@ ABLATIONS = {
         ("attention/sequential", {"position": "attention", "form": "sequential"}),
     ),
 }
-ABLATION_AXES = tuple(ABLATIONS)
+
+
+def ablation_rows(axes: str):
+    """The rows of ablation axis ``axes``; an unknown axis is refused."""
+    if axes not in ABLATIONS:
+        raise ConfigError(f"unknown ablation axis {axes!r} (one of {tuple(ABLATIONS)})")
+    return ABLATIONS[axes]
 
 
 def ablate(model: HostModel, task: str, axes: str, train: TrainConfig,
@@ -364,14 +371,13 @@ def ablate(model: HostModel, task: str, axes: str, train: TrainConfig,
     seed; each row changes only its own fields of ``adapter_config`` and
     passes ``_adapt``'s freeze-contract check.  The bare host, which every
     row shares, is not evaluated.  Emits (label, MetricReport) rows."""
-    if axes not in ABLATIONS:
-        raise ConfigError(f"unknown ablation axis {axes!r} (one of {ABLATION_AXES})")
+    variants = ablation_rows(axes)
     _refuse_unfit(model, train)
     if adapter_config is None:
         adapter_config = AdaptIRConfig(channels=model.config.embed)
     base = replace(adapter_config, seed=derive_seed(train.seed, "init"))
     rows = []
-    for label, fields in ABLATIONS[axes]:
+    for label, fields in variants:
         adapter = build_adapter(model.config, "adaptir", adapter_config=replace(base, **fields))
         rows.append((label, _adapt(model, adapter, task, train)[0]))
     return rows
@@ -415,7 +421,7 @@ def check_host(saved: dict, host_config: HostConfig, what: str) -> None:
 
 
 def save_adapter(path, adapter: PETLMethod, host_config: HostConfig) -> None:
-    _method_class(adapter.method)  # only a registered method loads back
+    method_class(adapter.method)  # only a registered method loads back
     cfg = {"method": adapter.method, "host": asdict(host_config), **adapter.to_config()}
     save_checkpoint(path, "adapter", cfg, adapter.parameters())
 
@@ -426,7 +432,7 @@ def load_adapter(path, host_config: HostConfig) -> PETLMethod:
     exactly the method config the rebuilt stack writes, so no saved setting
     (or one written by an older layout) is silently dropped."""
     def build(cfg):
-        cls = _method_class(cfg.get("method"))
+        cls = method_class(cfg.get("method"))
         check_host(asdict(config_from(HostConfig, cfg.get("host"), str(path))), host_config,
                    f"{path}: adapter saved for a different host")
         adapter = cls.from_config(host_config, cfg, str(path))

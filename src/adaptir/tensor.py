@@ -18,8 +18,8 @@ parent link as it goes; a second ``backward`` through that graph raises
 
 Conventions fixed here:
 
-* dtypes are float32 (training) or float64 (verification); binary ops
-  require matching dtypes, python scalars are coerced.
+* dtypes are float32 (training) or float64 (verification); binary ops take
+  a tensor first, coerce a python scalar second and require matching dtypes.
 * conv2d uses the cross-correlation convention (no kernel flip).
 * gradients accumulate across ``backward`` calls (each on a fresh graph)
   until explicitly zeroed.
@@ -211,21 +211,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_coerce(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def _consumed(g):
@@ -235,12 +225,6 @@ def _consumed(g):
 
 def _fail_scalar(t: Tensor):
     raise ContractError(f"item() called on non-scalar tensor of shape {t.shape}")
-
-
-def _coerce(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _check_dtypes(a: Tensor, b: Tensor, op: str) -> None:
@@ -284,8 +268,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _binary(a: Tensor, b, op: str):
-    a = a if isinstance(a, Tensor) else _coerce(a, b.dtype)
-    b = _coerce(b, a.dtype)
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
     _check_dtypes(a, b, op)
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -335,25 +319,22 @@ def mul(a, b) -> Tensor:
 # -- reductions -----------------------------------------------------------
 
 
-def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def tsum(x: Tensor, axis=None) -> Tensor:
+    data = x.data.sum(axis=axis)
     shape, dtype = x.shape, x.dtype
 
     def backward(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
     return _node(data, (x,), backward)
 
 
-def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = x.size if axis is None else np.prod(
-        [x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / float(n))
+def tmean(x: Tensor) -> Tensor:
+    """Mean over every element."""
+    return mul(tsum(x), 1.0 / x.size)
 
 
 # -- pointwise nonlinearities ---------------------------------------------
@@ -513,13 +494,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- softmax / layernorm -----------------------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:  # over the last axis
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
+        dot = (g * data).sum(axis=-1, keepdims=True)
         return (data * (g - dot),)
 
     return _node(data, (x,), backward)
@@ -531,7 +512,7 @@ def softmax_spatial(x: Tensor) -> Tensor:
         raise ShapeError(f"softmax_spatial expects N x 1 x H x W, got {x.shape}")
     n, _, h, w = x.shape
     flat = reshape(x, (n, 1, h * w))
-    return reshape(softmax(flat, axis=-1), (n, 1, h, w))
+    return reshape(softmax(flat), (n, 1, h, w))
 
 
 def _attention_probs(q: np.ndarray, k: np.ndarray, scale, p: np.ndarray,

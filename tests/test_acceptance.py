@@ -27,7 +27,7 @@ from adaptir.tensor import Tensor, no_grad
 @pytest.fixture(scope="module")
 def pretrained():
     """Default-scale host pretrained on (sr2, noise25), then frozen."""
-    model, _ = P.pretrain(HostConfig(), P.TrainConfig(epochs=30, seed=0))
+    model, _ = P.pretrain(HostModel(HostConfig()), P.TrainConfig(epochs=30, seed=0))
     return model
 
 
@@ -52,8 +52,8 @@ def test_criterion_1_zero_init_transparency():
     model = HostModel(cfg)
     adapters = {
         "adaptir": AdapterStack(cfg, AdaptIRConfig(channels=64, seed=1)),
-        "lora": LoRAStack(cfg, ranks=4, seed=1),
-        "bottleneck": BottleneckStack(cfg, hidden=4, seed=1),
+        "lora": LoRAStack(cfg, ranks=[4] * cfg.layers, seed=1),
+        "bottleneck": BottleneckStack(cfg, hidden=[4] * (2 * cfg.layers), seed=1),
     }
     rng = np.random.default_rng(1)
     for i in range(10):

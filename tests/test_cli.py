@@ -3,7 +3,6 @@ validation, nonzero exits on contract failure."""
 
 import re
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +449,20 @@ def test_a_failed_allocation_is_one_line(workspace, monkeypatch, command):
     assert line.startswith("Error: MemoryError: ")
 
 
+def test_pretrain_failing_to_build_its_host_leaves_no_out_dir(workspace, monkeypatch):
+    # the host used to be built after --out and resolved.cfg were written
+    def refuse(self):
+        raise MemoryError("Unable to allocate 10.5 TiB for an array")
+
+    monkeypatch.setattr(host.HostModel, "_init_params", refuse)
+    out = workspace / "unbuilt_host"
+    res = invoke(["pretrain", "--config", workspace / "tiny.cfg", "--out", out])
+    assert res.exit_code == 1
+    line = assert_one_line_error(res, "Unable to allocate 10.5 TiB", kind="MemoryError")
+    assert line.startswith("Error: MemoryError: ")
+    assert not out.exists()
+
+
 def test_finetune_host_moved_writes_no_artifacts(workspace, monkeypatch):
     fit = cli.P._fit
 
@@ -556,7 +569,7 @@ def dump_qualitative(out, model, adapter, task, seed, dump_images):
     spec = parse_task(task)
     for i in range(dump_images):
         hq = synth_image(derive_seed(seed, "eval", task, i), pipeline.LQ_SIZE * spec.sr_scale)
-        lq, hq = degrade(hq, replace(spec, seed=derive_seed(seed, "eval-noise", i)))
+        lq = degrade(hq, spec, derive_seed(seed, "eval-noise", i))
         with no_grad():
             pred = host.host_forward(Tensor(lq[None]), task, model, adapter=adapter)
         save_ppm(lq, out / f"sample{i}_lq.ppm")

@@ -58,8 +58,8 @@ def test_resolve_task_reuses_matching_scale():
 ADAPTERS = {
     "adaptir": lambda: AdapterStack(SMALL, AdaptIRConfig(channels=16, reduction=4,
                                                          lim_rank=2, seed=5)),
-    "lora": lambda: LoRAStack(SMALL, ranks=2, seed=5),
-    "bottleneck": lambda: BottleneckStack(SMALL, hidden=3, seed=5),
+    "lora": lambda: LoRAStack(SMALL, ranks=[2] * SMALL.layers, seed=5),
+    "bottleneck": lambda: BottleneckStack(SMALL, hidden=[3] * (2 * SMALL.layers), seed=5),
 }
 
 

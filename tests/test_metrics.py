@@ -118,6 +118,13 @@ def test_ssim_window_bound():
         ssim(a, a)  # image smaller than the window
 
 
+def test_ssim_refuses_a_single_channel_image():
+    # used to score channel 0 of any input without 3 channels
+    a = np.random.default_rng(6).random((1, 16, 16)).astype(np.float32)
+    with pytest.raises(ValueError, match=r"expected 3 x H x W, got \(1, 16, 16\)"):
+        ssim(a, a)
+
+
 # -- MetricReport --------------------------------------------------------------
 
 

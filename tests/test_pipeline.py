@@ -161,7 +161,7 @@ def test_build_adapter_rejects_unknown_method():
 
 @pytest.fixture(scope="module")
 def tiny_frozen():
-    model, log = P.pretrain(TINY, P.TrainConfig(epochs=2, seed=11, images=8))
+    model, log = P.pretrain(HostModel(TINY), P.TrainConfig(epochs=2, seed=11, images=8))
     return model, log
 
 
@@ -230,9 +230,19 @@ def test_finetune_is_deterministic(tiny_frozen):
 
 
 def test_finetune_requires_frozen_host():
-    from adaptir.host import HostModel
     with pytest.raises(ConfigError):
         P.finetune(HostModel(TINY), "adaptir", "sr2", P.TrainConfig(epochs=1))
+
+
+def test_pretrain_refuses_a_frozen_host(monkeypatch):
+    # a frozen parameter would never update: a silent zero-update run
+    monkeypatch.setattr(P, "_fit", lambda *args: pytest.fail("a frozen host was trained"))
+    partly_frozen = HostModel(TINY)
+    partly_frozen.params["body.0.wq"].requires_grad = False
+    for model in (freeze(HostModel(TINY)), partly_frozen):
+        with pytest.raises(ConfigError, match="pretrain requires a host with no frozen"
+                                              " parameter"):
+            P.pretrain(model, P.TrainConfig(epochs=1, images=8))
 
 
 @pytest.fixture
@@ -459,7 +469,7 @@ def test_train_config_rejects_bad_recipes(tiny_frozen, changes, fragment):
     with pytest.raises(ConfigError, match=fragment):
         P.finetune(model, "adaptir", "sr2", train, TINY_ADAPTER)
     with pytest.raises(ConfigError, match=fragment):
-        P.pretrain(TINY, train)
+        P.pretrain(HostModel(TINY), train)
 
 
 def test_ablation_rejects_unknown_axis(tiny_frozen):
