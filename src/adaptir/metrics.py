@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["MetricReport", "psnr", "ssim", "rgb_to_y"]
 
@@ -64,11 +65,11 @@ SSIM_WINDOW = 11  # edge of the SSIM Gaussian window
 
 
 def _gaussian_window() -> np.ndarray:
+    """The normalised 1-D Gaussian; the 2-D window is its outer product."""
     sigma = 1.5
     r = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
     g = np.exp(-(r * r) / (2.0 * sigma * sigma))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,12 +79,13 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     x, y = rgb_to_y(a)[0], rgb_to_y(b)[0]
     if min(x.shape) < SSIM_WINDOW:
         raise ValueError(f"image {x.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    w = _gaussian_window()
+    g = _gaussian_window()
     c1, c2 = 0.01 ** 2, 0.03 ** 2
 
     def filt(z):
-        patches = np.lib.stride_tricks.sliding_window_view(z, (SSIM_WINDOW, SSIM_WINDOW))
-        return np.tensordot(patches, w, axes=([2, 3], [0, 1]))
+        # the window is separable: one 1-D pass along each axis
+        rows = sliding_window_view(z, SSIM_WINDOW, axis=1) @ g
+        return sliding_window_view(rows, SSIM_WINDOW, axis=0) @ g
 
     x = x.astype(np.float64)
     y = y.astype(np.float64)

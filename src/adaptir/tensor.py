@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
@@ -416,6 +415,68 @@ def hypot(a: Tensor, b: Tensor) -> Tensor:
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# erf's rational forms from cephes' ndtr.c (Moshier, "Methods and Programs
+# for Mathematical Functions", 1989), highest power first: x T(x^2) / U(x^2)
+# for |x| <= 1 and 1 - exp(-x^2) P(|x|) / Q(|x|) past it.  U and Q are monic,
+# their leading 1.0 left out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+# bytes per scratch array: the four of them stay in cache across a block's passes
+_ERF_BLOCK_BYTES = 1 << 17
+
+
+def _horner(x: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
+    """``out = out * x + c`` for each ``c`` in ``coefs``, in place."""
+    for c in coefs:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a C-contiguous float array, written over ``x`` and returned.
+
+    It runs in ``x``'s dtype, since NEP 50 casts the python-float
+    coefficients to it, one block of ``_ERF_BLOCK_BYTES`` per scratch array
+    at a time.  The |x| > 1 form runs only on the elements that need it,
+    with |x| clipped at 6: erf is +-1.0 in f64 from about 5.9 on, and the
+    clip keeps +-inf finite."""
+    flat = x.reshape(-1)  # a view, written through
+    step = _ERF_BLOCK_BYTES // x.itemsize
+    scratch = np.empty((4, min(flat.size, step)), x.dtype)
+    for lo in range(0, flat.size, step):
+        a = flat[lo:lo + step]
+        s, z, num, den = scratch[:, :a.size]
+        wide = np.flatnonzero(np.abs(a, out=z) > 1.0)
+        xw = a[wide]  # read before the block is overwritten
+        # |x| <= 1 on the whole block, on x clipped to [-1, 1] so that no
+        # element it does not keep can overflow
+        np.clip(a, -1.0, 1.0, out=s)
+        np.multiply(s, s, out=z)
+        num.fill(_ERF_T[0])
+        _horner(z, _ERF_T[1:], num)
+        den.fill(1.0)
+        _horner(z, _ERF_U, den)
+        np.multiply(s, num, out=a)
+        a /= den
+        if wide.size:
+            ax = np.minimum(np.abs(xw), 6.0)
+            p = _horner(ax, _ERF_P[1:], np.full_like(ax, _ERF_P[0]))
+            q = _horner(ax, _ERF_Q, np.ones_like(ax))
+            y = np.exp(-(ax * ax))
+            y *= p
+            y /= q
+            a[wide] = np.copysign(1.0 - y, xw)
+    return x
+
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
@@ -425,7 +486,8 @@ def gelu(x: Tensor) -> Tensor:
     none.  It is formed with the operations of ``phi + xd * pdf`` in their
     order, so the gradient is bit-identical to that expression's."""
     xd = x.data
-    phi = _erf(xd / _SQRT2)
+    # a C-contiguous array, even 0-d, since _erf writes its result over it
+    phi = _erf(np.divide(xd, _SQRT2, out=np.empty_like(xd, order="C")))
     phi += 1.0
     phi *= 0.5
     data = xd * phi

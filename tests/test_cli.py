@@ -1,7 +1,10 @@
 """Command-line contracts: artifact sets, byte-identical reruns, config
 validation, nonzero exits on contract failure."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -218,6 +221,23 @@ def test_gradcheck_passes_and_prints_table():
     assert "up_w" in res.output
     assert "FAIL" not in res.output
     assert "all parameter groups pass" in res.output
+
+
+def test_a_run_needs_no_scipy(tmp_path):
+    # numpy and click are the only runtime dependencies: with scipy made
+    # unimportable, a pretrain that runs gelu in every forward still works
+    (tmp_path / "tiny.cfg").write_text(TINY_HOST, encoding="utf-8")
+    script = ("import sys; sys.modules['scipy'] = None\n"
+              "from adaptir.cli import main\n"
+              "main(sys.argv[1:])")
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    args = ["pretrain", "--config", tmp_path / "tiny.cfg", "--out", tmp_path / "host",
+            "--epochs", "1", "--seed", "1"]
+    res = subprocess.run([sys.executable, "-c", script, *args],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert (tmp_path / "host" / "host.ckpt").is_file()
 
 
 def test_paramcount_lists_methods(workspace):
