@@ -202,7 +202,7 @@ def add_gaussian_noise(img: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
-        return img
+        return img.astype(np.float32)  # a new array, as every other degradation returns
     rng = np.random.default_rng(derive_seed(seed, "noise"))
     noisy = img + (sigma / 255.0) * rng.standard_normal(img.shape)
     return np.clip(noisy, 0.0, 1.0).astype(np.float32)

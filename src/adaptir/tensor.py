@@ -10,11 +10,13 @@ values: each closure captures only the arrays its backward reads, and
 an input whose partner operand did not require grad is not kept at all,
 so an intermediate tensor is freed as soon as the forward code drops it
 unless a backward reads it.  ``attention`` walks its leading (batch) axis
-one index at a time, so no batch-sized score matrix is ever alive, and
-``gelu`` keeps one array, its slope.  ``backward`` walks the nodes once in
-reverse topological order and consumes them, freeing each closure and
-parent link as it goes; a second ``backward`` through that graph raises
-``ContractError``.
+one index at a time, so no batch-sized score matrix is ever alive.
+``conv2d`` walks its batch in chunks of whole images and keeps its input,
+not its im2col columns, so no batch-sized columns are ever alive either.
+``gelu`` forms Phi(x) one block at a time and keeps one array, its slope.
+``backward`` walks the nodes once in reverse topological order and
+consumes them, freeing each closure and parent link as it goes; a second
+``backward`` through that graph raises ``ContractError``.
 
 Conventions fixed here:
 
@@ -429,8 +431,11 @@ _ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.4632105644226
 _ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
           1.65666309194161350182e3, 5.57535340817727675546e2)
-# bytes per scratch array: the four of them stay in cache across a block's passes
+# bytes per block and per scratch array: erf's three and gelu's one stay in
+# cache across a block's passes
 _ERF_BLOCK_BYTES = 1 << 17
+# bytes of one chunk's im2col columns: whole images per chunk, at least one
+_CONV_BLOCK_BYTES = 1 << 20
 
 
 def _horner(x: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
@@ -451,21 +456,21 @@ def _erf(x: np.ndarray) -> np.ndarray:
     clip keeps +-inf finite."""
     flat = x.reshape(-1)  # a view, written through
     step = _ERF_BLOCK_BYTES // x.itemsize
-    scratch = np.empty((4, min(flat.size, step)), x.dtype)
+    scratch = np.empty((3, min(flat.size, step)), x.dtype)
     for lo in range(0, flat.size, step):
         a = flat[lo:lo + step]
-        s, z, num, den = scratch[:, :a.size]
+        z, num, den = scratch[:, :a.size]
         wide = np.flatnonzero(np.abs(a, out=z) > 1.0)
         xw = a[wide]  # read before the block is overwritten
-        # |x| <= 1 on the whole block, on x clipped to [-1, 1] so that no
-        # element it does not keep can overflow
-        np.clip(a, -1.0, 1.0, out=s)
-        np.multiply(s, s, out=z)
+        # |x| <= 1 on the whole block, on x clipped to [-1, 1] in place so
+        # that no element it does not keep can overflow
+        np.clip(a, -1.0, 1.0, out=a)
+        np.multiply(a, a, out=z)
         num.fill(_ERF_T[0])
         _horner(z, _ERF_T[1:], num)
         den.fill(1.0)
         _horner(z, _ERF_U, den)
-        np.multiply(s, num, out=a)
+        a *= num
         a /= den
         if wide.size:
             ax = np.minimum(np.abs(xw), 6.0)
@@ -481,24 +486,31 @@ def _erf(x: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
 
-    The tape keeps one array, the slope ``Phi(x) + x * pdf(x)``, built in
-    place only when the op is recorded, so a ``no_grad`` forward computes
-    none.  It is formed with the operations of ``phi + xd * pdf`` in their
-    order, so the gradient is bit-identical to that expression's."""
-    xd = x.data
-    # a C-contiguous array, even 0-d, since _erf writes its result over it
-    phi = _erf(np.divide(xd, _SQRT2, out=np.empty_like(xd, order="C")))
-    phi += 1.0
-    phi *= 0.5
-    data = xd * phi
-    slope = None
-    if _records(x):
-        slope = np.multiply(-0.5, xd, out=np.empty_like(xd))  # an array, even 0-d
-        slope *= xd
-        np.exp(slope, out=slope)
-        slope *= _INV_SQRT_2PI
-        slope *= xd
-        slope += phi
+    It walks the flat input one block of ``_ERF_BLOCK_BYTES`` at a time,
+    forming the block's Phi(x) in one reused scratch array, so no full-size
+    Phi(x) is ever alive.  The tape keeps one array, the slope
+    ``Phi(x) + x * pdf(x)``, built only when the op is recorded, so a
+    ``no_grad`` forward computes none.  Value and slope are formed with the
+    operations of ``xd * phi`` and ``phi + xd * pdf`` in their order, so both
+    are bit-identical to those expressions."""
+    flat = x.data.reshape(-1)  # in C order, like the value and the slope
+    data = np.empty(x.shape, x.dtype)
+    slope = np.empty(x.shape, x.dtype) if _records(x) else None
+    step = _ERF_BLOCK_BYTES // x.dtype.itemsize
+    scratch = np.empty(min(flat.size, step), x.dtype)
+    for lo in range(0, flat.size, step):
+        a = flat[lo:lo + step]
+        phi = _erf(np.divide(a, _SQRT2, out=scratch[:a.size]))
+        phi += 1.0
+        phi *= 0.5
+        np.multiply(a, phi, out=data.reshape(-1)[lo:lo + step])
+        if slope is not None:
+            s = np.multiply(-0.5, a, out=slope.reshape(-1)[lo:lo + step])
+            s *= a
+            np.exp(s, out=s)
+            s *= _INV_SQRT_2PI
+            s *= a
+            s += phi
 
     def backward(g):
         return (g * slope,)
@@ -685,10 +697,11 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # -- convolution -------------------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int):
-    # xp: padded N x C x Hp x Wp -> N x C x K x K x Ho x Wo view
+def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Columns of a padded N x C x Hp x Wp batch: a new contiguous
+    N x C x K x K x Ho x Wo array."""
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # N x C x Ho x Wo x K x K
+    win = win[:, :, ::stride, ::stride]  # N x C x Ho x Wo x K x K view
     return np.ascontiguousarray(np.moveaxis(win, (4, 5), (2, 3)))
 
 
@@ -699,6 +712,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     ``x`` is N x Cin x H x W, ``w`` is Cout x (Cin/groups) x K x K,
     ``bias`` is Cout. K must be odd; padding is (K-1)//2 on every side, so
     stride 1 preserves the spatial extent.
+
+    Forward and backward walk the batch in chunks of whole images whose
+    im2col columns fit in ``_CONV_BLOCK_BYTES``, so only one chunk's columns
+    are ever alive.  The tape keeps the input only when the weight trains
+    and the weight only when the input does; the backward rebuilds each
+    chunk's columns from the kept input.  Each image's products are the
+    whole batch's, and the weight gradient adds them up in batch order, as
+    a sum over the batch axis does, so every value and gradient is
+    bit-identical to the whole-batch form.
     """
     _check_dtypes(x, w, "conv2d")
     if x.ndim != 4 or w.ndim != 4:
@@ -717,44 +739,70 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
 
     pad = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, k, stride)  # N x C x K x K x Ho x Wo
-    ho, wo = cols.shape[4], cols.shape[5]
-    cols2 = cols.reshape(n, groups, cin_g * k * k, ho * wo)
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    dtype, xd = x.dtype, x.data
+    chunk = max(1, _CONV_BLOCK_BYTES // (cin * k * k * ho * wo * dtype.itemsize))
+    chunks = [slice(lo, lo + chunk) for lo in range(0, n, chunk)]
+
+    def columns(c: slice, xp: np.ndarray) -> np.ndarray:
+        """One chunk's (images, groups, Cin/groups*K*K, Ho*Wo) columns, padded
+        in ``xp``, a zero buffer of ``chunk`` padded images reused across
+        chunks: only its interior is ever written."""
+        xc = xd[c]
+        xp = xp[:len(xc)]
+        xp[:, :, pad:pad + h, pad:pad + wd] = xc
+        return _im2col(xp, k, stride).reshape(-1, groups, cin_g * k * k, ho * wo)
+
+    def padded():
+        return np.zeros((min(chunk, n), cin, h + 2 * pad, wd + 2 * pad), dtype)
+
     w2 = w.data.reshape(groups, cout // groups, cin_g * k * k)
-    out = np.matmul(w2, cols2)  # (n, groups, cout/groups, ho*wo)
-    out = out.reshape(n, cout, ho, wo)
+    out = np.empty((n, cout, ho, wo), dtype)
+    out4 = out.reshape(n, groups, cout // groups, ho * wo)
+    xp = padded()
+    for c in chunks:
+        np.matmul(w2, columns(c, xp), out=out4[c])
     has_bias = bias is not None
     if has_bias:
-        out = out + bias.data.reshape(1, cout, 1, 1)
+        out += bias.data.reshape(1, cout, 1, 1)
     rx, rw, rb = x.requires_grad, w.requires_grad, has_bias and bias.requires_grad
-    xp_shape, dtype = xp.shape, x.dtype
-    # the columns are kept only for the weight gradient, the weight only for
-    # the input gradient; the padded input is never kept
-    kept_cols = cols2 if rw else None
+    # the input is kept only for the weight gradient, the weight only for
+    # the input gradient; neither the padded input nor its columns are kept
+    if not rw:
+        xd = None
     kept_w = w2 if rx else None
 
     def backward(g):
         gl = g.reshape(n, groups, cout // groups, ho * wo)
         gx = gw = None
         if rw:
-            gw = np.matmul(gl, np.swapaxes(kept_cols, -1, -2)).sum(axis=0)
+            xp = padded()
+        if rx:
+            gxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=dtype)
+        for c in chunks:
+            if rw:
+                part = np.matmul(gl[c], np.swapaxes(columns(c, xp), -1, -2))
+                if gw is not None:
+                    part[0] += gw
+                gw = part.sum(axis=0)
+            if rx:
+                gcols = np.matmul(np.swapaxes(kept_w, -1, -2), gl[c])
+                gcols = gcols.reshape(-1, cin, k, k, ho, wo)
+                gxc = gxp[c]
+                for i in range(k):
+                    for j in range(k):
+                        gxc[:, :, i:i + stride * ho:stride,
+                            j:j + stride * wo:stride] += gcols[:, :, i, j]
+        if rw:
             gw = gw.reshape(cout, cin_g, k, k).astype(dtype, copy=False)
         if rx:
-            gcols = np.matmul(np.swapaxes(kept_w, -1, -2), gl)
-            gcols = gcols.reshape(n, cin, k, k, ho, wo)
-            gxp = np.zeros(xp_shape, dtype=dtype)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i:i + stride * ho:stride,
-                        j:j + stride * wo:stride] += gcols[:, :, i, j]
-            gx = gxp[:, :, pad:pad + h, pad:pad + wd].astype(dtype, copy=False)
+            gx = gxp[:, :, pad:pad + h, pad:pad + wd]
         if not has_bias:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)).astype(dtype, copy=False) if rb else None)
 
     parents = (x, w, bias) if has_bias else (x, w)
-    return _node(out.astype(x.dtype, copy=False), parents, backward)
+    return _node(out, parents, backward)
 
 
 def depth_to_space(x: Tensor, factor: int) -> Tensor:

@@ -183,6 +183,11 @@ def test_gaussian_noise_moments():
 def test_gaussian_noise_sigma_zero_identity():
     img = np.random.default_rng(1).random((3, 8, 8)).astype(np.float32)
     assert np.array_equal(add_gaussian_noise(img, 0.0, 3), img)
+    # a new float32 array, never the input itself or a view of it
+    img64 = img.astype(np.float64)
+    lq = degrade(img64, parse_task("noise0"), 0)
+    assert lq.dtype == np.float32 and not np.shares_memory(lq, img64)
+    assert np.array_equal(lq, img64)
 
 
 # -- degradation chains ------------------------------------------------------

@@ -140,13 +140,24 @@ def test_gelu_keeps_one_array_shaped_like_its_input():
 
 @pytest.mark.parametrize("recorded", ["no_grad", "frozen input"])
 def test_gelu_builds_no_slope_when_no_node_is_recorded(recorded):
-    # the value and Phi(x) are two arrays; a slope would be a third
+    # the value is one array, Phi(x) and erf's scratch four blocks of 128 KiB;
+    # a slope would be a second array the input's size
     xd = np.random.default_rng(6).standard_normal((64, 1024))
     x = Tensor(xd, requires_grad=recorded == "no_grad")
     with no_grad() if recorded == "no_grad" else contextlib.nullcontext():
         assert traced_peak(lambda: T.gelu(x)) < 2.5 * xd.nbytes
     x.requires_grad = True
     assert traced_peak(lambda: T.gelu(x)) > 2.5 * xd.nbytes
+
+
+def test_gelu_never_holds_a_full_size_phi():
+    # with Phi(x) formed for the whole input, recorded and no_grad peaks were
+    # 3.00x and 2.00x the input
+    x = Tensor(np.random.default_rng(7).standard_normal((8, 256, 256)).astype(np.float32),
+               requires_grad=True)
+    assert traced_peak(lambda: T.gelu(x)) < 2.7 * x.data.nbytes
+    with no_grad():
+        assert traced_peak(lambda: T.gelu(x)) < 1.6 * x.data.nbytes
 
 
 def test_gelu_keeps_f32_graph_in_f32(monkeypatch):
@@ -406,6 +417,66 @@ def test_conv2d_grads_finite_difference():
     fd_check(lambda t: loss(t, Tensor(w), Tensor(b)), Tensor(x))
     fd_check(lambda t: loss(Tensor(x), t, Tensor(b)), Tensor(w))
     fd_check(lambda t: loss(Tensor(x), Tensor(w), t), Tensor(b))
+
+
+def conv2d_whole_batch(x, w, b, g, groups, stride):
+    """conv2d's value and its three gradients for cotangent ``g``, each formed
+    from the whole batch's im2col columns at once."""
+    n, cin, h, wd = x.shape
+    cout, cin_g, k, _ = w.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = np.ascontiguousarray(np.moveaxis(win[:, :, ::stride, ::stride], (4, 5), (2, 3)))
+    ho, wo = cols.shape[4], cols.shape[5]
+    cols2 = cols.reshape(n, groups, cin_g * k * k, ho * wo)
+    w2 = w.reshape(groups, cout // groups, cin_g * k * k)
+    out = np.matmul(w2, cols2).reshape(n, cout, ho, wo) + b.reshape(1, cout, 1, 1)
+    gl = g.reshape(n, groups, cout // groups, ho * wo)
+    gw = np.matmul(gl, np.swapaxes(cols2, -1, -2)).sum(axis=0).reshape(w.shape)
+    gcols = np.matmul(np.swapaxes(w2, -1, -2), gl).reshape(n, cin, k, k, ho, wo)
+    gxp = np.zeros(xp.shape, x.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
+    return out, gxp[:, :, pad:pad + h, pad:pad + wd], gw, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("groups,stride", [(1, 1), (4, 1), (1, 2)])
+def test_conv2d_in_chunks_is_bit_identical_to_the_whole_batch(monkeypatch, dtype,
+                                                              groups, stride):
+    rng = np.random.default_rng(12 + groups + stride)
+    n, cin, cout, h, wd, k = 3, 4, 8, 6, 5, 3
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    # two images' columns fit in a block, three do not: chunks of 2 + 1
+    image_columns = cin * k * k * ho * wo * np.dtype(dtype).itemsize
+    monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", 2 * image_columns)
+    x, w, b, g = (rng.standard_normal(s).astype(dtype) for s in
+                  ((n, cin, h, wd), (cout, cin // groups, k, k), (cout,), (n, cout, ho, wo)))
+    out = T.conv2d(*(Tensor(a, requires_grad=True) for a in (x, w, b)),
+                   groups=groups, stride=stride)
+    got = (out.data,) + tuple(out._backward(g))
+    for have, want in zip(got, conv2d_whole_batch(x, w, b, g, groups, stride)):
+        assert have.dtype == dtype and np.array_equal(have, want)
+
+
+def test_conv2d_never_holds_the_whole_batch_of_columns():
+    # the tail's shape at batch 8: the whole batch's f32 columns are 4.72 MB;
+    # forward and backward peaked at 6.21 and 5.59 MB when they were formed
+    # at once and kept for the weight gradient
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((8, 64, 16, 16)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((48, 64, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(48, np.float32), requires_grad=True)
+    cols = 8 * 64 * 3 * 3 * 16 * 16 * 4
+    outs = []
+    assert traced_peak(lambda: outs.append(T.conv2d(x, w, b))) < cols
+    kept = closure_arrays(outs[0]._backward)
+    assert any(np.shares_memory(a, x.data) for a in kept)
+    assert all(a.nbytes <= x.data.nbytes for a in kept)
+    g = np.ones(outs[0].shape, np.float32)
+    assert traced_peak(lambda: outs[0]._backward(g)) < cols
 
 
 def test_conv2d_shape_errors():
