@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, ShapeError
+from .tensor import Tensor
 from .fft import ComplexSpectrum, rfft2, irfft2
 
 __all__ = ["AdaptIRConfig", "AdaptIR", "ConfigError", "config_from", "check_type"]
@@ -124,6 +124,11 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer over the last axis: ``x @ w.T + b``."""
+    return T.matmul(x, T.transpose(w, (1, 0))) + b
+
+
 class AdaptIR:
     """One adapter instance operating on N x C x H x W feature maps."""
 
@@ -152,21 +157,14 @@ class AdaptIR:
             else:
                 p["lim_kernel"] = _uniform(rng, (cg, cg, k, k), cg * k * k, dt)
         if cfg.fam:
-            if cfg.fam_depthwise:
-                p["fam_mag_w"] = np.ones(cg, dtype=dt)
-                p["fam_mag_b"] = np.zeros(cg, dtype=dt)
-                p["fam_pha_w"] = np.ones(cg, dtype=dt)
-                p["fam_pha_b"] = np.zeros(cg, dtype=dt)
-                p["fam_scale_w"] = _uniform(rng, (cg,), 1, dt)
-                p["fam_scale_b"] = np.zeros(cg, dtype=dt)
-            else:
-                eye = np.eye(cg, dtype=dt)
-                p["fam_mag_w"] = eye.copy()
-                p["fam_mag_b"] = np.zeros(cg, dtype=dt)
-                p["fam_pha_w"] = eye.copy()
-                p["fam_pha_b"] = np.zeros(cg, dtype=dt)
-                p["fam_scale_w"] = _uniform(rng, (cg, cg), cg, dt)
-                p["fam_scale_b"] = np.zeros(cg, dtype=dt)
+            # per-channel weights when depthwise, else cg x cg channel mixing
+            identity, scale_fan_in = ((np.ones(cg, dtype=dt), 1) if cfg.fam_depthwise
+                                      else (np.eye(cg, dtype=dt), cg))
+            for part in ("mag", "pha"):
+                p[f"fam_{part}_w"] = identity.copy()
+                p[f"fam_{part}_b"] = np.zeros(cg, dtype=dt)
+            p["fam_scale_w"] = _uniform(rng, identity.shape, scale_fan_in, dt)
+            p["fam_scale_b"] = np.zeros(cg, dtype=dt)
         if cfg.csm:
             p["csm_mask_w"] = _uniform(rng, (1, cg, 1, 1), cg, dt)
             p["csm_mask_b"] = np.zeros(1, dtype=dt)
@@ -187,9 +185,6 @@ class AdaptIR:
     # -- branch forwards --------------------------------------------------
 
     def down_project(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.config.channels:
-            raise ShapeError(
-                f"expected {self.config.channels} channels, got {x.shape[1]}")
         return T.conv2d(x, self.params["down_w"], self.params["down_b"])
 
     def compose_kernel(self) -> Tensor:
@@ -202,11 +197,8 @@ class AdaptIR:
         return T.reshape(w2d, (cfg.intrinsic, 1, cfg.kernel, cfg.kernel))
 
     def lim_forward(self, x_intrin: Tensor) -> Tensor:
-        cg = self.config.intrinsic
-        if x_intrin.shape[1] != cg:
-            raise ShapeError(f"expected {cg} intrinsic channels, got {x_intrin.shape[1]}")
         kernel = self.compose_kernel()
-        groups = cg if self.config.lim_depthwise else 1
+        groups = self.config.intrinsic if self.config.lim_depthwise else 1
         return T.conv2d(x_intrin, kernel, None, groups=groups)
 
     def _freq_affine(self, t: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -215,8 +207,7 @@ class AdaptIR:
         if self.config.fam_depthwise:
             cg = self.config.intrinsic
             return t * T.reshape(w, (1, cg, 1, 1)) + T.reshape(b, (1, cg, 1, 1))
-        moved = T.transpose(t, (0, 2, 3, 1))
-        mixed = T.matmul(moved, T.transpose(w, (1, 0))) + b
+        mixed = _linear(T.transpose(t, (0, 2, 3, 1)), w, b)
         return T.transpose(mixed, (0, 3, 1, 2))
 
     def fam_forward(self, x_intrin: Tensor, include_scale: bool = True) -> Tensor:
@@ -234,17 +225,12 @@ class AdaptIR:
 
     def csm_forward(self, x_intrin: Tensor) -> Tensor:
         p = self.params
-        cg = self.config.intrinsic
-        if x_intrin.shape[1] != cg:
-            raise ShapeError(f"expected {cg} intrinsic channels, got {x_intrin.shape[1]}")
         mask = T.softmax_spatial(
             T.conv2d(x_intrin, p["csm_mask_w"], p["csm_mask_b"]))
         pooled = T.tsum(mask * x_intrin, axis=(2, 3))  # N x Cg
-        hidden = T.gelu(T.matmul(pooled, T.transpose(p["csm_ffn_w1"], (1, 0)))
-                        + p["csm_ffn_b1"])
-        shift = T.matmul(hidden, T.transpose(p["csm_ffn_w2"], (1, 0))) + p["csm_ffn_b2"]
-        n = x_intrin.shape[0]
-        return T.reshape(shift, (n, cg, 1, 1))
+        hidden = T.gelu(_linear(pooled, p["csm_ffn_w1"], p["csm_ffn_b1"]))
+        shift = _linear(hidden, p["csm_ffn_w2"], p["csm_ffn_b2"])
+        return T.reshape(shift, (x_intrin.shape[0], self.config.intrinsic, 1, 1))
 
     def forward(self, x: Tensor) -> Tensor:
         """Adapter output (the caller adds it to the frozen sublayer output)."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .adapter import ConfigError, _uniform
+from .adapter import ConfigError, _linear, _uniform
 
 __all__ = ["LoRALayer", "BottleneckAdapter", "bottleneck_forward"]
 
@@ -62,5 +62,6 @@ class BottleneckAdapter:
 
 
 def bottleneck_forward(x: Tensor, p: dict[str, Tensor], activation=T.gelu) -> Tensor:
-    h = activation(T.matmul(x, T.transpose(p["down_w"], (1, 0))) + p["down_b"])
+    h = activation(_linear(x, p["down_w"], p["down_b"]))
+    # (x + h @ w.T) + b, not x + _linear(h, ...): the order fixes the rounding
     return x + T.matmul(h, T.transpose(p["up_w"], (1, 0))) + p["up_b"]

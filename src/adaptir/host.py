@@ -23,8 +23,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .adapter import (AdaptIR, AdaptIRConfig, ConfigError, _uniform, check_type,
-                      config_from)
+from .adapter import (AdaptIR, AdaptIRConfig, ConfigError, _linear, _uniform,
+                      check_type, config_from)
 from .baselines import BottleneckAdapter, LoRALayer
 from .data import parse_task
 
@@ -296,10 +296,6 @@ _NO_ADAPTER = PETLMethod()
 
 
 # -- forward -----------------------------------------------------------------
-
-
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.matmul(x, T.transpose(w, (1, 0))) + b
 
 
 def _tokens_to_map(x: Tensor, c: int, h: int, w: int) -> Tensor:

@@ -108,20 +108,20 @@ class TrainState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adamw_step(state: TrainState, params: dict[str, Tensor],
-               grads: dict[str, np.ndarray], lr: float,
+def adamw_step(state: TrainState, params: dict[str, Tensor], lr: float,
                weight_decay: float = 0.0) -> None:
-    """One decoupled-weight-decay Adam step, updating params in place.  A
-    non-finite update raises ``ContractError`` naming parameter, step and
-    epoch, and leaves params and ``state`` as they were: every update is
-    computed and checked before any is written."""
+    """One decoupled-weight-decay Adam step on each param's ``grad``, updating
+    params in place and clearing the grads it used; a param with no grad is
+    skipped.  A non-finite update raises ``ContractError`` naming parameter,
+    step and epoch, and leaves params, grads and ``state`` as they were: every
+    update is computed and checked before any is written."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's defaults
     t = state.step + 1
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     updates = []
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is None:
             continue
         m = state.m.get(name, 0.0)
@@ -137,6 +137,7 @@ def adamw_step(state: TrainState, params: dict[str, Tensor],
         updates.append((name, p, new, m, v))
     for name, p, new, m, v in updates:
         p.data = new
+        p.grad = None
         state.m[name] = m
         state.v[name] = v
     state.step = t
@@ -203,10 +204,7 @@ def _fit(model: HostModel, adapter: PETLMethod | None, params: dict[str, Tensor]
                 pred = host_forward(lq, task, model, adapter=adapter)
                 loss = l1_loss(pred, hq)
                 loss.backward()
-                grads = {k: p.grad for k, p in params.items()}
-                adamw_step(state, params, grads, lr, weight_decay=train.weight_decay)
-                for p in params.values():
-                    p.grad = None
+                adamw_step(state, params, lr, weight_decay=train.weight_decay)
                 losses.append(loss.item())
             log.append((epoch, task, float(np.mean(losses))))
     return state.step, log
@@ -401,7 +399,7 @@ def _load_module(path, kind: str, build):
     if {k: a.shape for k, a in arrays.items()} != {k: t.shape for k, t in params.items()}:
         raise ConfigError(f"checkpoint fields do not match the {kind} configuration")
     for name, arr in arrays.items():
-        params[name].data = arr.astype(params[name].dtype)
+        params[name].data = arr.astype(params[name].dtype, copy=False)
     return module
 
 

@@ -106,8 +106,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_grad_fn")
 
-    def __init__(self, data, dtype=None, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -431,8 +431,8 @@ _ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.4632105644226
 _ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
           1.65666309194161350182e3, 5.57535340817727675546e2)
-# bytes per block and per scratch array: erf's three and gelu's one stay in
-# cache across a block's passes
+# bytes of one gelu block: its scratch array and erf's three on the block stay
+# in cache across the block's passes
 _ERF_BLOCK_BYTES = 1 << 17
 # bytes of one chunk's im2col columns: whole images per chunk, at least one
 _CONV_BLOCK_BYTES = 1 << 20
@@ -450,49 +450,45 @@ def _erf(x: np.ndarray) -> np.ndarray:
     """erf of a C-contiguous float array, written over ``x`` and returned.
 
     It runs in ``x``'s dtype, since NEP 50 casts the python-float
-    coefficients to it, one block of ``_ERF_BLOCK_BYTES`` per scratch array
-    at a time.  The |x| > 1 form runs only on the elements that need it,
-    with |x| clipped at 6: erf is +-1.0 in f64 from about 5.9 on, and the
-    clip keeps +-inf finite."""
-    flat = x.reshape(-1)  # a view, written through
-    step = _ERF_BLOCK_BYTES // x.itemsize
-    scratch = np.empty((3, min(flat.size, step)), x.dtype)
-    for lo in range(0, flat.size, step):
-        a = flat[lo:lo + step]
-        z, num, den = scratch[:, :a.size]
-        wide = np.flatnonzero(np.abs(a, out=z) > 1.0)
-        xw = a[wide]  # read before the block is overwritten
-        # |x| <= 1 on the whole block, on x clipped to [-1, 1] in place so
-        # that no element it does not keep can overflow
-        np.clip(a, -1.0, 1.0, out=a)
-        np.multiply(a, a, out=z)
-        num.fill(_ERF_T[0])
-        _horner(z, _ERF_T[1:], num)
-        den.fill(1.0)
-        _horner(z, _ERF_U, den)
-        a *= num
-        a /= den
-        if wide.size:
-            ax = np.minimum(np.abs(xw), 6.0)
-            p = _horner(ax, _ERF_P[1:], np.full_like(ax, _ERF_P[0]))
-            q = _horner(ax, _ERF_Q, np.ones_like(ax))
-            y = np.exp(-(ax * ax))
-            y *= p
-            y /= q
-            a[wide] = np.copysign(1.0 - y, xw)
+    coefficients to it, on three scratch arrays of ``x``'s size: ``gelu``
+    walks the blocks and hands each one here.  The |x| > 1 form runs only on
+    the elements that need it, with |x| clipped at 6: erf is +-1.0 in f64
+    from about 5.9 on, and the clip keeps +-inf finite."""
+    a = x.reshape(-1)  # a view, written through
+    z, num, den = np.empty((3, a.size), x.dtype)
+    wide = np.flatnonzero(np.abs(a, out=z) > 1.0)
+    xw = a[wide]  # read before x is overwritten
+    # |x| <= 1 on every element, on x clipped to [-1, 1] in place so that no
+    # element it does not keep can overflow
+    np.clip(a, -1.0, 1.0, out=a)
+    np.multiply(a, a, out=z)
+    num.fill(_ERF_T[0])
+    _horner(z, _ERF_T[1:], num)
+    den.fill(1.0)
+    _horner(z, _ERF_U, den)
+    a *= num
+    a /= den
+    if wide.size:
+        ax = np.minimum(np.abs(xw), 6.0)
+        p = _horner(ax, _ERF_P[1:], np.full_like(ax, _ERF_P[0]))
+        q = _horner(ax, _ERF_Q, np.ones_like(ax))
+        y = np.exp(-(ax * ax))
+        y *= p
+        y /= q
+        a[wide] = np.copysign(1.0 - y, xw)
     return x
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
 
-    It walks the flat input one block of ``_ERF_BLOCK_BYTES`` at a time,
-    forming the block's Phi(x) in one reused scratch array, so no full-size
-    Phi(x) is ever alive.  The tape keeps one array, the slope
-    ``Phi(x) + x * pdf(x)``, built only when the op is recorded, so a
-    ``no_grad`` forward computes none.  Value and slope are formed with the
-    operations of ``xd * phi`` and ``phi + xd * pdf`` in their order, so both
-    are bit-identical to those expressions."""
+    It walks the flat input one block of ``_ERF_BLOCK_BYTES`` at a time and
+    hands each block to ``_erf``, forming the block's Phi(x) in one reused
+    scratch array, so no full-size Phi(x) is ever alive.  The tape keeps one
+    array, the slope ``Phi(x) + x * pdf(x)``, built only when the op is
+    recorded, so a ``no_grad`` forward computes none.  Value and slope are
+    formed with the operations of ``xd * phi`` and ``phi + xd * pdf`` in
+    their order, so both are bit-identical to those expressions."""
     flat = x.data.reshape(-1)  # in C order, like the value and the slope
     data = np.empty(x.shape, x.dtype)
     slope = np.empty(x.shape, x.dtype) if _records(x) else None

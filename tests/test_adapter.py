@@ -120,6 +120,20 @@ def np_conv_same(x, w, b=None, groups=1):
     return out.data
 
 
+@pytest.mark.parametrize("branch,fields,channels", [
+    ("down_project", {}, 8),
+    ("lim_forward", {}, 4),
+    ("lim_forward", {"lim_decompose": False, "lim_depthwise": False}, 4),
+    ("csm_forward", {}, 4),
+])
+def test_branch_refuses_a_wrong_channel_count(branch, fields, channels):
+    forward = getattr(AdaptIR(AdaptIRConfig(channels=8, reduction=2, **fields)), branch)
+    forward(Tensor(np.zeros((1, channels, 4, 4), dtype=np.float32)))
+    for wrong in (channels - 1, channels + 1, 2 * channels):
+        with pytest.raises(T.ShapeError):
+            forward(Tensor(np.zeros((1, wrong, 4, 4), dtype=np.float32)))
+
+
 def test_lim_branch_equals_numpy_composition():
     cfg = AdaptIRConfig(channels=8, reduction=2, lim_rank=2, dtype="f64")
     ad = randomized(cfg, 1)

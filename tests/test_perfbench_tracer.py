@@ -6,6 +6,7 @@ and one traced training step checks that its backward wrappers still run."""
 import importlib.util
 from pathlib import Path
 
+from adaptir import baselines, fft, tensor
 from adaptir import pipeline as P
 from adaptir.host import HostConfig, HostModel
 
@@ -23,16 +24,23 @@ def test_tracer_installs_and_uninstalls():
     tracer = load_tracer()
     sites = [(owner, attr) for pairs in tracer.LAYER_SPANS.values()
              for owner, attr in pairs]
+    # the op-level patches: every traced op, both node constructors and erf
+    sites += [(tensor, name) for name in tracer.OP_CATEGORY]
+    sites += [(tensor, "_node"), (fft, "_node"), (tensor, "_erf")]
     originals = [owner.__dict__[attr] for owner, attr in sites]
+    defaults = baselines.bottleneck_forward.__defaults__
     tr = tracer.Tracer()
     try:
         tr.install()
         assert all(owner.__dict__[attr] is not orig
                    for (owner, attr), orig in zip(sites, originals))
+        # bottleneck_forward's default activation is the traced gelu
+        assert baselines.bottleneck_forward.__defaults__ == (tensor.gelu,)
     finally:
         tr.uninstall()
     assert all(owner.__dict__[attr] is orig
                for (owner, attr), orig in zip(sites, originals))
+    assert baselines.bottleneck_forward.__defaults__ is defaults
 
 
 def test_traced_training_step_charges_backward_time():

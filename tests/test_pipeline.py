@@ -55,22 +55,31 @@ def test_lr_schedule_shape_invariants():
 # -- AdamW ----------------------------------------------------------------------
 
 
+def with_grads(params, grads):
+    """``params`` with each ``grads[name]`` set as that param's ``grad``."""
+    for name, g in grads.items():
+        params[name].grad = g
+    return params
+
+
 def test_adamw_first_step_closed_form():
     # with lambda=0: step = lr * g / (|g| + eps) after bias correction
     g = np.array([0.5, -3.0, 1e-4])
     p = Tensor(np.array([1.0, -2.0, 0.3]))
     st = P.TrainState()
-    P.adamw_step(st, {"p": p}, {"p": g}, lr=1e-3)
+    P.adamw_step(st, with_grads({"p": p}, {"p": g}), lr=1e-3)
     expect = np.array([1.0, -2.0, 0.3]) - 1e-3 * g / (np.abs(g) + 1e-8)
     assert np.abs(p.data - expect).max() < 1e-12
+    assert p.grad is None  # the step consumed its grad
 
 
 def test_adamw_decoupled_weight_decay():
     # decay applies to the parameter directly, not through the moments
     p = Tensor(np.array([2.0]))
     st = P.TrainState()
-    P.adamw_step(st, {"p": p}, {"p": np.array([0.0])}, lr=1e-2, weight_decay=0.1)
+    P.adamw_step(st, with_grads({"p": p}, {"p": np.array([0.0])}), lr=1e-2, weight_decay=0.1)
     assert abs(p.data[0] - (2.0 - 1e-2 * 0.1 * 2.0)) < 1e-12
+    assert p.grad is None
 
 
 def test_adamw_converges_on_quadratic():
@@ -78,7 +87,8 @@ def test_adamw_converges_on_quadratic():
     st = P.TrainState()
     for _ in range(400):
         g = 2.0 * (p.data - 3.0)
-        P.adamw_step(st, {"p": p}, {"p": g}, lr=0.1)
+        P.adamw_step(st, with_grads({"p": p}, {"p": g}), lr=0.1)
+        assert p.grad is None
     assert abs(p.data[0] - 3.0) < 1e-3
     assert st.step == 400
 
@@ -87,16 +97,17 @@ def test_adamw_skips_missing_grads():
     p = Tensor(np.array([1.0]))
     q = Tensor(np.array([2.0]))
     st = P.TrainState()
-    P.adamw_step(st, {"p": p, "q": q}, {"p": np.array([1.0])}, lr=0.1)
+    P.adamw_step(st, with_grads({"p": p, "q": q}, {"p": np.array([1.0])}), lr=0.1)
     assert q.data[0] == 2.0
     assert "q" not in st.m  # moments exist only for stepped parameters
+    assert p.grad is None and q.grad is None
 
 
 def test_adamw_rejects_non_finite_update():
     p = Tensor(np.array([1.0, 2.0]))
     st = P.TrainState(epoch=2)
     with pytest.raises(ContractError, match=r"w non-finite after step 1 \(epoch 2\)"):
-        P.adamw_step(st, {"w": p}, {"w": np.array([np.nan, 0.0])}, lr=0.1)
+        P.adamw_step(st, with_grads({"w": p}, {"w": np.array([np.nan, 0.0])}), lr=0.1)
     assert np.array_equal(p.data, [1.0, 2.0])  # the parameter is left as it was
 
 
@@ -110,26 +121,29 @@ def test_adamw_divergence_names_the_term(grad, weight_decay, term):
     st = P.TrainState()
     with pytest.raises(ContractError, match=f"w non-finite after step 1 \\(epoch 0\\); {term}$"), \
             np.errstate(over="ignore", invalid="ignore"):
-        P.adamw_step(st, {"w": p}, {"w": np.full(2, grad, dtype=np.float32)}, lr=2e-3,
-                     weight_decay=weight_decay)
+        P.adamw_step(st, with_grads({"w": p}, {"w": np.full(2, grad, dtype=np.float32)}),
+                     lr=2e-3, weight_decay=weight_decay)
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
 def test_adamw_failure_writes_nothing():
-    # "a" would update cleanly, "b" does not: neither parameter nor the state moves
+    # "a" would update cleanly, "b" does not: neither parameter, grad nor the state moves
     a, b = Tensor(np.array([1.0])), Tensor(np.array([2.0]))
     st = P.TrainState()
-    P.adamw_step(st, {"a": a, "b": b}, {"a": np.array([1.0]), "b": np.array([1.0])}, lr=0.1)
+    P.adamw_step(st, with_grads({"a": a, "b": b}, {"a": np.array([1.0]), "b": np.array([1.0])}),
+                 lr=0.1)
+    assert a.grad is None and b.grad is None
 
     def snapshot():
         return [a.data, b.data, st.m["a"], st.m["b"], st.v["a"], st.v["b"]]
 
     before = [x.copy() for x in snapshot()]
+    grads = {"a": np.array([1.0]), "b": np.array([np.inf])}
     with pytest.raises(ContractError, match=r"b non-finite after step 2"), \
             np.errstate(invalid="ignore"):
-        P.adamw_step(st, {"a": a, "b": b},
-                     {"a": np.array([1.0]), "b": np.array([np.inf])}, lr=0.1)
+        P.adamw_step(st, with_grads({"a": a, "b": b}, grads), lr=0.1)
     assert all(np.array_equal(x, y) for x, y in zip(before, snapshot()))
+    assert a.grad is grads["a"] and b.grad is grads["b"]  # the grads are left as they were
     assert st.step == 1
 
 

@@ -140,14 +140,16 @@ def test_gelu_keeps_one_array_shaped_like_its_input():
 
 @pytest.mark.parametrize("recorded", ["no_grad", "frozen input"])
 def test_gelu_builds_no_slope_when_no_node_is_recorded(recorded):
-    # the value is one array, Phi(x) and erf's scratch four blocks of 128 KiB;
-    # a slope would be a second array the input's size
+    # a recorded gelu holds the slope, one more array the input's size, on
+    # top of everything an unrecorded one holds; the warm-up call takes the
+    # one-time allocations out of both peaks
     xd = np.random.default_rng(6).standard_normal((64, 1024))
     x = Tensor(xd, requires_grad=recorded == "no_grad")
     with no_grad() if recorded == "no_grad" else contextlib.nullcontext():
-        assert traced_peak(lambda: T.gelu(x)) < 2.5 * xd.nbytes
+        T.gelu(x)
+        unrecorded = traced_peak(lambda: T.gelu(x))
     x.requires_grad = True
-    assert traced_peak(lambda: T.gelu(x)) > 2.5 * xd.nbytes
+    assert traced_peak(lambda: T.gelu(x)) >= unrecorded + xd.nbytes
 
 
 def test_gelu_never_holds_a_full_size_phi():
