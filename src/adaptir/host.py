@@ -4,6 +4,9 @@ Pipeline: task-specific CNN head (two 3x3 convs, the second stride-2, so
 a 32x32 input becomes a 16x16 feature map / 256 tokens), pre-norm
 transformer body over the flattened sequence, skip connection from the
 shallow feature, and a task-specific tail (3x3 conv into depth-to-space).
+Each body layer's attention, with its four projections, is one
+``tensor.attention`` node, and its MLP one ``tensor.mlp`` node; both walk
+the batch one image at a time.
 The tail's upsampling factor is 2*s for an SR-by-s task and 2 for
 same-size tasks, undoing the head's downsampling.
 
@@ -23,8 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .adapter import (AdaptIR, AdaptIRConfig, ConfigError, _linear, _uniform,
-                      check_type, config_from)
+from .adapter import AdaptIR, AdaptIRConfig, ConfigError, _uniform, check_type, config_from
 from .baselines import BottleneckAdapter, LoRALayer
 from .data import parse_task
 
@@ -308,36 +310,22 @@ def _map_to_tokens(x: Tensor) -> Tensor:
     return T.transpose(T.reshape(x, (n, c, h * w)), (0, 2, 1))
 
 
-def _attention(x_norm: Tensor, p: dict[str, Tensor], pre: str, heads: int,
-               wq: Tensor, wv: Tensor) -> Tensor:
-    n, t, c = x_norm.shape
-    dh = c // heads
-    q = _linear(x_norm, wq, p[pre + "bq"])
-    k = _linear(x_norm, p[pre + "wk"], p[pre + "bk"])
-    v = _linear(x_norm, wv, p[pre + "bv"])
-
-    def split(z):
-        return T.transpose(T.reshape(z, (n, t, heads, dh)), (0, 2, 1, 3))
-
-    q, k, v = split(q), split(k), split(v)
-    ctx = T.attention(q, k, v, 1.0 / np.sqrt(dh))
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, t, c))
-    return _linear(ctx, p[pre + "wo"], p[pre + "bo"])
-
-
 def _layer_forward(x: Tensor, model: HostModel, i: int, adapter: PETLMethod,
                    feat_hw: tuple[int, int]) -> Tensor:
+    """Pre-norm layer ``i``: ``x + attention(ln1(x))``, then ``+ mlp(ln2(x))``,
+    each sublayer one tensor node, with the adapter's hooks around them."""
     p = model.params
     pre = f"body.{i}."
 
     x_norm = T.layernorm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
     wq, wv = adapter.qv(i, p[pre + "wq"], p[pre + "wv"])
-    attn_out = _attention(x_norm, p, pre, model.config.heads, wq, wv)
+    attn_out = T.attention(x_norm, wq, p[pre + "bq"], p[pre + "wk"], p[pre + "bk"],
+                           wv, p[pre + "bv"], p[pre + "wo"], p[pre + "bo"], model.config.heads)
     x = x + adapter.after_attention(i, x_norm, attn_out, feat_hw)
 
     x_norm2 = T.layernorm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
-    mlp_out = _linear(T.gelu(_linear(x_norm2, p[pre + "mlp_w1"], p[pre + "mlp_b1"])),
-                      p[pre + "mlp_w2"], p[pre + "mlp_b2"])
+    mlp_out = T.mlp(x_norm2, p[pre + "mlp_w1"], p[pre + "mlp_b1"],
+                    p[pre + "mlp_w2"], p[pre + "mlp_b2"])
     return x + adapter.after_mlp(i, x_norm2, mlp_out, feat_hw)
 
 
@@ -355,9 +343,9 @@ def host_forward(img: Tensor, task: str, model: HostModel,
     if hi % HEAD_DOWNSAMPLE or wi % HEAD_DOWNSAMPLE:
         raise T.ShapeError(f"input {hi}x{wi} incompatible with head downsampling")
 
-    x = T.gelu(T.conv2d(img, p[f"head.{reg}.conv1_w"], p[f"head.{reg}.conv1_b"]))
-    shallow = T.conv2d(x, p[f"head.{reg}.conv2_w"], p[f"head.{reg}.conv2_b"],
-                       stride=HEAD_DOWNSAMPLE)
+    # conv1's output is not bound to a name, so it does not outlive conv2
+    shallow = T.conv2d(T.gelu(T.conv2d(img, p[f"head.{reg}.conv1_w"], p[f"head.{reg}.conv1_b"])),
+                       p[f"head.{reg}.conv2_w"], p[f"head.{reg}.conv2_b"], stride=HEAD_DOWNSAMPLE)
     fh, fw = shallow.shape[2], shallow.shape[3]
 
     tokens = _map_to_tokens(shallow)

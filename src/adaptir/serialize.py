@@ -57,6 +57,10 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
                 raise ValueError(f"truncated checkpoint: field {fld['name']}")
         if left:
             raise ValueError("corrupt checkpoint: bytes after the last declared field")
-        out = {fld["name"]: np.frombuffer(f.read(4 * math.prod(fld["shape"])), dtype="<f4")
-               .reshape(fld["shape"]).astype(np.float32) for fld in header["fields"]}
+        out = {}
+        for fld in header["fields"]:
+            # read straight into the field's array: one copy of the data
+            arr = np.empty(fld["shape"], dtype="<f4")
+            f.readinto(arr)
+            out[fld["name"]] = arr.astype(np.float32, copy=False)
     return header["kind"], header["config"], out

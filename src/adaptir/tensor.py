@@ -1,22 +1,26 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The engine only needs a small operation set (matmul, grouped 2-D
-convolution, spatial softmax, fused scaled dot-product attention,
-layernorm, elementwise arithmetic, GELU and a few pointwise trig ops for
-the frequency branch), so the graph is kept deliberately simple: every op
-records a ``_Node`` holding its parents' nodes and its backward closure,
-and appends nothing global -- the graph *is* the tape.  A node holds no
-values: each closure captures only the arrays its backward reads, and
-an input whose partner operand did not require grad is not kept at all,
-so an intermediate tensor is freed as soon as the forward code drops it
-unless a backward reads it.  ``attention`` walks its leading (batch) axis
-one index at a time, so no batch-sized score matrix is ever alive.
-``conv2d`` walks its batch in chunks of whole images and keeps its input,
-not its im2col columns, so no batch-sized columns are ever alive either.
-``gelu`` forms Phi(x) one block at a time and keeps one array, its slope.
-``backward`` walks the nodes once in reverse topological order and
-consumes them, freeing each closure and parent link as it goes; a second
-``backward`` through that graph raises ``ContractError``.
+convolution, spatial softmax, layernorm, multi-head attention with its
+projections and a two-layer GELU perceptron as one node each, elementwise
+arithmetic, GELU and a few pointwise trig ops for the frequency branch), so
+the graph is kept deliberately simple: every op records a ``_Node`` holding
+its parents' nodes and its backward closure, and appends nothing global --
+the graph *is* the tape.  A node holds no values: each closure captures
+only the arrays its backward reads, and an input whose partner operand did
+not require grad is not kept at all, so an intermediate tensor is freed as
+soon as the forward code drops it unless a backward reads it.
+``attention`` and ``mlp`` walk their batch one image at a time and
+recompute in backward what is cheap to recompute: attention keeps its input
+and the row max and sum, not q, k, v or the probabilities, and the MLP keeps
+GELU's slope, not its pre-activation, so no batch-sized q, k, v, score,
+pre-activation or hidden gradient is ever alive.  ``conv2d`` walks its
+batch in chunks of whole images and keeps its input, not its im2col
+columns, so no batch-sized columns are ever alive either.  ``gelu`` forms
+Phi(x) one block at a time and keeps one array, its slope.  ``backward``
+walks the nodes once in reverse topological order and consumes them,
+freeing each closure and parent link as it goes; a second ``backward``
+through that graph raises ``ContractError``.
 
 Conventions fixed here:
 
@@ -28,8 +32,9 @@ Conventions fixed here:
 * whether an input requires grad is read when its op is recorded, and
   ``backward`` passes no gradient to an input that did not.  The ops that
   take a frozen weight or a constant (``mul``, ``matmul``, ``conv2d``,
-  ``attention``, ``layernorm``) return ``None`` for such an input and keep
-  nothing for it; the others hand back a gradient, which the walk drops.
+  ``attention``, ``mlp``, ``layernorm``) return ``None`` for such an input
+  and keep nothing for it; the others hand back a gradient, which the walk
+  drops.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "softmax",
     "softmax_spatial",
     "attention",
+    "mlp",
     "layernorm",
     "gelu",
     "tsum",
@@ -479,19 +485,19 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
+def _gelu_into(x: np.ndarray, value: np.ndarray, slope: np.ndarray | None) -> None:
+    """GELU of ``x`` written into ``value`` and, unless ``slope`` is None, its
+    slope ``Phi(x) + x * pdf(x)`` into ``slope``; both C-contiguous, shaped
+    like ``x``.
 
     It walks the flat input one block of ``_ERF_BLOCK_BYTES`` at a time and
     hands each block to ``_erf``, forming the block's Phi(x) in one reused
-    scratch array, so no full-size Phi(x) is ever alive.  The tape keeps one
-    array, the slope ``Phi(x) + x * pdf(x)``, built only when the op is
-    recorded, so a ``no_grad`` forward computes none.  Value and slope are
-    formed with the operations of ``xd * phi`` and ``phi + xd * pdf`` in
-    their order, so both are bit-identical to those expressions."""
-    flat = x.data.reshape(-1)  # in C order, like the value and the slope
-    data = np.empty(x.shape, x.dtype)
-    slope = np.empty(x.shape, x.dtype) if _records(x) else None
+    scratch array, so no full-size Phi(x) is ever alive.  A block's slope is
+    formed before its value, so ``value`` may be ``x`` itself.  Value and
+    slope are formed with the operations of ``x * phi`` and ``phi + x * pdf``
+    in their order, so both are bit-identical to those expressions."""
+    flat, vflat = x.reshape(-1), value.reshape(-1)  # in C order
+    sflat = None if slope is None else slope.reshape(-1)
     step = _ERF_BLOCK_BYTES // x.dtype.itemsize
     scratch = np.empty(min(flat.size, step), x.dtype)
     for lo in range(0, flat.size, step):
@@ -499,14 +505,25 @@ def gelu(x: Tensor) -> Tensor:
         phi = _erf(np.divide(a, _SQRT2, out=scratch[:a.size]))
         phi += 1.0
         phi *= 0.5
-        np.multiply(a, phi, out=data.reshape(-1)[lo:lo + step])
-        if slope is not None:
-            s = np.multiply(-0.5, a, out=slope.reshape(-1)[lo:lo + step])
+        if sflat is not None:
+            s = np.multiply(-0.5, a, out=sflat[lo:lo + step])
             s *= a
             np.exp(s, out=s)
             s *= _INV_SQRT_2PI
             s *= a
             s += phi
+        np.multiply(a, phi, out=vflat[lo:lo + step])
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
+
+    ``_gelu_into`` forms it block by block.  The tape keeps one array, the
+    slope, built only when the op is recorded, so a ``no_grad`` forward
+    computes none."""
+    data = np.empty(x.shape, x.dtype)
+    slope = np.empty(x.shape, x.dtype) if _records(x) else None
+    _gelu_into(x.data, data, slope)
 
     def backward(g):
         return (g * slope,)
@@ -605,61 +622,196 @@ def _attention_probs(q: np.ndarray, k: np.ndarray, scale, p: np.ndarray,
     return p
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """Scaled dot-product attention ``softmax(q @ k^T * scale) @ v`` as one node.
+def _split_heads(z: np.ndarray, heads: int) -> np.ndarray:
+    """One image's (tokens, C) array as a (heads, tokens, C/heads) view."""
+    t, c = z.shape
+    return z.reshape(t, heads, c // heads).transpose(1, 0, 2)
 
-    q, k and v share their leading (batch) axes.  Forward and backward walk
-    the first axis one index at a time and write each block's output and
-    gradients into full-size results, so only one block's scores, not the
-    whole batch's, are ever alive.  A block's scores are scaled, shifted,
-    exponentiated and normalised in place on one buffer.  The tape keeps q,
-    k, v and the row max and sum, not the probabilities: the backward
-    recomputes them with the forward's own ops, as FlashAttention's backward
-    does, and forms the score gradient in place.  Every block runs the
-    operations of the matmul -> scale -> softmax -> matmul chain in the
-    chain's order, and a stacked matmul or row reduction treats each 2-D
-    slice on its own, so forward and backward are bit-identical to the
-    chain.
+
+def _merge_heads(z: np.ndarray) -> np.ndarray:
+    """One image's (heads, tokens, C/heads) array as (tokens, C): a view when
+    the layout allows one, else a C-contiguous copy, as ``reshape`` makes."""
+    heads, t, dh = z.shape
+    return z.transpose(1, 0, 2).reshape(t, heads * dh)
+
+
+def _project(x: np.ndarray, w: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
+    """One image's ``x @ w^T + b``, split into heads."""
+    z = np.matmul(x, w.T)
+    z += b
+    return _split_heads(z, heads)
+
+
+def _transposed(a: np.ndarray | None) -> np.ndarray | None:
+    return None if a is None else a.T
+
+
+def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor,
+              bv: Tensor, wo: Tensor, bo: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention over the tokens of an N x T x C ``x`` as one
+    node: q, k and v are ``x @ w^T + b``, split into ``heads``; each head's
+    ``softmax(q @ k^T / sqrt(C/heads)) @ v`` is merged back and projected by
+    ``wo``, ``bo``.
+
+    Forward and backward walk the batch one image at a time and write each
+    image's output and input gradient into full-size results, so only one
+    image's q, k, v and scores are ever alive.  A block's scores are scaled,
+    shifted, exponentiated and normalised in place on one buffer.  The tape
+    keeps ``x`` and the row max and sum, built only when the op is recorded:
+    the backward recomputes each image's q, k, v and probabilities (and its
+    context, when ``wo`` trains) with the forward's own ops, as
+    FlashAttention's backward does.  Every image runs the operations of the
+    ``x @ w^T + b`` -> head split -> matmul -> scale -> softmax -> matmul ->
+    merge -> ``@ wo^T + bo`` chain in the chain's order and layouts, each
+    weight gradient is the transposed view of ``x^T @ g`` summed over the
+    batch in order, and each bias gradient is reduced in the order a
+    whole-batch sum takes, so forward and backward are bit-identical to
+    the chain.
     """
-    _check_dtypes(q, k, "attention")
-    _check_dtypes(q, v, "attention")
-    if (q.ndim < 3 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
-            or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]):
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not chain")
-    scale = q.dtype.type(scale)
-    qd, kd, vd = q.data, k.data, v.data
-    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
-    dtype, blocks = q.dtype, q.shape[0]
-    score_shape = q.shape[1:-1] + k.shape[-2:-1]
-    data = np.empty(q.shape[:-1] + v.shape[-1:], dtype)
-    rmax = np.empty(q.shape[:-1] + (1,), dtype)
+    params = (wq, bq, wk, bk, wv, bv, wo, bo)
+    for w in params:
+        _check_dtypes(x, w, "attention")
+    c = x.shape[-1] if x.ndim == 3 else 0
+    if (not c or heads < 1 or c % heads
+            or tuple(w.shape for w in params) != ((c, c), (c,)) * 4):
+        raise ShapeError(f"attention: x {x.shape} with {heads} heads does not chain with"
+                         f" weights {[w.shape for w in params]}")
+    n, t, _ = x.shape
+    dtype, xd = x.dtype, x.data
+    wqd, bqd, wkd, bkd, wvd, bvd, wod, bod = (w.data for w in params)
+    qkv = ((wqd, bqd), (wkd, bkd), (wvd, bvd))
+    scale = dtype.type(1.0 / np.sqrt(c // heads))
+    recorded = _records(x, *params)
+    rmax = np.empty((n if recorded else 1, heads, t, 1), dtype)
     rsum = np.empty_like(rmax)
-    p = np.empty(score_shape, dtype)
-    for i in range(blocks):
-        np.matmul(_attention_probs(qd[i], kd[i], scale, p, rmax[i], rsum[i], True), vd[i],
-                  out=data[i])
+    p = np.empty((heads, t, t), dtype)
+    ctx = np.empty((heads, t, c // heads), dtype)
+    data = np.empty((n, t, c), dtype)
+    for i in range(n):
+        r = i if recorded else 0  # unrecorded, one image's row max and sum are reused
+        q, k, v = (_project(xd[i], w, b, heads) for w, b in qkv)
+        np.matmul(_attention_probs(q, k, scale, p, rmax[r], rsum[r], True), v, out=ctx)
+        np.matmul(_merge_heads(ctx), wod.T, out=data[i])
+    data += bod
+    rx, rwq, rbq, rwk, rbk, rwv, rbv, rwo, rbo = (a.requires_grad for a in (x,) + params)
+    need_q, need_k, need_v = rx or rwq or rbq, rx or rwk or rbk, rx or rwv or rbv
 
     def backward(g):
-        # k's gradient is formed transposed, as the chain's matmul forms it
-        gq = np.empty(qd.shape, dtype) if rq else None
-        gkt = np.empty(kd.shape[:-2] + (kd.shape[-1], kd.shape[-2]), dtype) if rk else None
-        gv = np.empty(vd.shape, dtype) if rv else None
-        p, gp = np.empty(score_shape, dtype), np.empty(score_shape, dtype)
-        for i in range(blocks):
-            _attention_probs(qd[i], kd[i], scale, p, rmax[i], rsum[i], False)
-            if rv:
-                np.matmul(np.swapaxes(p, -1, -2), g[i], out=gv[i])
-            np.matmul(g[i], np.swapaxes(vd[i], -1, -2), out=gp)
-            gp -= (gp * p).sum(axis=-1, keepdims=True)
-            gp *= p
-            gp *= scale
-            if rq:
-                np.matmul(gp, kd[i], out=gq[i])
-            if rk:
-                np.matmul(np.swapaxes(qd[i], -1, -2), gp, out=gkt[i])
-        return gq, None if gkt is None else np.swapaxes(gkt, -1, -2), gv
+        gx = np.empty((n, t, c), dtype) if rx else None
+        # weight gradients are formed transposed, as x^T @ g, and summed over
+        # the batch in order from zero, as the chain's matmul forms them
+        gwq, gwk, gwv, gwo = (np.zeros((c, c), dtype) if r else None
+                              for r in (rwq, rwk, rwv, rwo))
+        gbq, gbk, gbv = (np.zeros(c, dtype) if r else None for r in (rbq, rbk, rbv))
+        p, gp = np.empty((heads, t, t), dtype), np.empty((heads, t, t), dtype)
+        for i in range(n):
+            xi, gi = xd[i], g[i]
+            q, k, v = (_project(xi, w, b, heads) for w, b in qkv)
+            _attention_probs(q, k, scale, p, rmax[i], rsum[i], False)
+            if rwo:
+                gwo += np.matmul(_merge_heads(np.matmul(p, v)).T, gi)
+            gctx = _split_heads(np.matmul(gi, wod), heads)
+            gv = _merge_heads(np.matmul(np.swapaxes(p, -1, -2), gctx)) if need_v else None
+            if need_q or need_k:
+                np.matmul(gctx, np.swapaxes(v, -1, -2), out=gp)
+                gp -= (gp * p).sum(axis=-1, keepdims=True)
+                gp *= p
+                gp *= scale
+            gq = _merge_heads(np.matmul(gp, k)) if need_q else None
+            # k's is formed transposed, as the chain's matmul forms it: a view
+            # whose tokens are contiguous
+            gk = (_merge_heads(np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gp), -1, -2))
+                  if need_k else None)
+            if rx:
+                np.matmul(gq, wqd, out=gx[i])
+                gx[i] += np.matmul(gk, wkd)
+                gx[i] += np.matmul(gv, wvd)
+            for gz, gw in ((gq, gwq), (gk, gwk), (gv, gwv)):
+                if gw is not None:
+                    gw += np.matmul(xi.T, gz)
+            # a whole-batch sum over the tokens adds q's and v's contiguous
+            # rows one after another, running on from the last image's sum,
+            # and sums each of k's contiguous columns pairwise
+            for gz, gb in ((gq, gbq), (gv, gbv)):
+                if gb is not None:
+                    gz[0] += gb
+                    gz.sum(axis=0, out=gb)
+            if rbk:
+                gbk += gk.sum(axis=0)
+        return (gx, _transposed(gwq), gbq, _transposed(gwk), gbk, _transposed(gwv), gbv,
+                _transposed(gwo), g.sum(axis=(0, 1)) if rbo else None)
 
-    return _node(data, (q, k, v), backward)
+    return _node(data, (x,) + params, backward)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two dense layers over the last axis of an N x T x C ``x`` as one node:
+    ``gelu(x @ w1^T + b1) @ w2^T + b2``.
+
+    Forward and backward walk the batch one image at a time and write each
+    image's output and input gradient into full-size results, so no
+    whole-batch pre-activation or hidden gradient is ever alive.  The tape
+    keeps GELU's slope, plus ``x`` when ``w1`` trains and GELU's value when
+    ``w2`` trains, each built only when the op is recorded.  Every image runs
+    the operations of the dense -> ``gelu`` -> dense chain in the chain's
+    order, each weight gradient is the transposed view of ``x^T @ g`` summed
+    over the batch in order and each bias gradient is reduced in the order a
+    whole-batch sum takes, so forward and backward are bit-identical to the
+    chain.
+    """
+    params = (w1, b1, w2, b2)
+    for w in params:
+        _check_dtypes(x, w, "mlp")
+    if (x.ndim != 3 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[1] != x.shape[-1]
+            or b1.shape != w1.shape[:1] or w2.shape[1] != w1.shape[0]
+            or b2.shape != w2.shape[:1]):
+        raise ShapeError(f"mlp: x {x.shape} does not chain with weights"
+                         f" {[w.shape for w in params]}")
+    n, t, c = x.shape
+    hid, cout = w2.shape[1], w2.shape[0]
+    dtype, xd = x.dtype, x.data
+    w1d, b1d, w2d, b2d = (w.data for w in params)
+    rx, rw1, rb1, rw2, rb2 = (a.requires_grad for a in (x,) + params)
+    recorded = _records(x, *params)
+    # every gradient but b2's and w2's goes through the pre-activation's
+    need_h = recorded and (rx or rw1 or rb1)
+    slope = np.empty((n, t, hid), dtype) if need_h else None
+    value = np.empty((n, t, hid), dtype) if recorded and rw2 else None
+    h = np.empty((t, hid), dtype)
+    data = np.empty((n, t, cout), dtype)
+    for i in range(n):
+        np.matmul(xd[i], w1d.T, out=h)
+        h += b1d
+        a = h if value is None else value[i]
+        _gelu_into(h, a, None if slope is None else slope[i])
+        np.matmul(a, w2d.T, out=data[i])
+    data += b2d
+    kept_x = xd if rw1 else None
+
+    def backward(g):
+        gx = np.empty((n, t, c), dtype) if rx else None
+        gw1 = np.zeros((c, hid), dtype) if rw1 else None
+        gw2 = np.zeros((hid, cout), dtype) if rw2 else None
+        gb1 = np.zeros(hid, dtype) if rb1 else None
+        for i in range(n):
+            gi = g[i]
+            if rw2:
+                gw2 += np.matmul(value[i].T, gi)
+            if not need_h:
+                continue
+            gh = np.matmul(gi, w2d)
+            gh *= slope[i]
+            if rx:
+                np.matmul(gh, w1d, out=gx[i])
+            if rw1:
+                gw1 += np.matmul(kept_x[i].T, gh)
+            if rb1:  # rows added one after another, running on from the last image's sum
+                gh[0] += gb1
+                gh.sum(axis=0, out=gb1)
+        return (gx, _transposed(gw1), gb1, _transposed(gw2),
+                g.sum(axis=(0, 1)) if rb2 else None)
+
+    return _node(data, (x,) + params, backward)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -219,11 +219,17 @@ def test_a_default_host_step_keeps_only_what_backward_reads():
     # at 48 and 72 MB, with attention walking its batch one block at a time and
     # gelu keeping only its slope at 31.3 and 52.4 MB, and with conv2d keeping
     # its input in place of the batch's im2col columns and gelu forming Phi(x)
-    # one block at a time at 27.8 and 42.9 MB
+    # one block at a time at 27.8 and 42.9 MB (LoRA 30.4, bottlenecks 30.8).
+    # With attention and its projections one node that keeps x, not q, k and
+    # v, the MLP one node that keeps no whole-batch pre-activation, both
+    # walking the batch one image at a time, and the head's conv1 output not
+    # outliving conv2, the peaks are 19.3, 33.2, 18.6 and 21.9 MB
     host = freeze(HostModel(HostConfig()))
-    adapter = P.build_adapter(host.config, "adaptir", seed=0)
-    assert traced_step_peak(host, adapter, "second_order_s2_sig25") <= 31e6
-    assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 47e6
+    task = "second_order_s2_sig25"
+    for method, bound in (("adaptir", 21.3e6), ("lora", 20.5e6), ("bottleneck", 24.1e6)):
+        adapter = P.build_adapter(host.config, method, seed=0)
+        assert traced_step_peak(host, adapter, task) <= bound, method
+    assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 36.5e6
 
 
 def test_pretrain_writes_log_and_freezes(tiny_frozen):
@@ -346,6 +352,28 @@ def test_checkpoint_round_trips(tiny_frozen, tmp_path):
         p1, p2 = res.adapter.parameters(), adapter.parameters()
         assert set(p1) == set(p2)
         assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
+
+
+def test_loading_a_checkpoint_copies_its_data_once(tmp_path):
+    # a bytes object per field and a float32 copy of it peaked at 2x the data
+    rng = np.random.default_rng(0)
+    params = {"big": Tensor(rng.standard_normal((512, 1024)).astype(np.float32)),
+              "small": Tensor(rng.standard_normal(3).astype(np.float32)),
+              "empty": Tensor(np.zeros((0, 4), dtype=np.float32))}
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, "host", {}, params)
+    data_bytes = sum(t.data.nbytes for t in params.values())
+    loaded = []
+    tracemalloc.start()
+    try:
+        loaded.append(load_checkpoint(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * data_bytes
+    arrays = loaded[0][2]
+    assert all(arrays[k].dtype == np.float32 and np.array_equal(arrays[k], t.data)
+               for k, t in params.items())
 
 
 def test_adapter_checkpoint_rejects_unknown_method(tmp_path):

@@ -269,74 +269,203 @@ def test_softmax_rows_and_grad():
     fd_check(lambda t: T.tsum(T.softmax(t) * Tensor(w)), Tensor(x))
 
 
-def attention_chain(q, k, v, scale):
-    """The matmul -> scale -> softmax -> matmul chain ``T.attention`` fuses."""
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale
-    return T.matmul(T.softmax(scores), v)
+def linear_chain(x, w, b):
+    return T.matmul(x, T.transpose(w, (1, 0))) + b
+
+
+def attention_chain(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    """The chain ``T.attention`` fuses: the q, k and v projections, a head
+    split, matmul -> scale -> softmax -> matmul, a head merge and the output
+    projection."""
+    n, t, c = x.shape
+    dh = c // heads
+
+    def split(z):
+        return T.transpose(T.reshape(z, (n, t, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = (split(linear_chain(x, w, b)) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    ctx = T.matmul(T.softmax(scores), v)
+    return linear_chain(T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, t, c)), wo, bo)
+
+
+def mlp_chain(x, w1, b1, w2, b2):
+    """The chain ``T.mlp`` fuses."""
+    return linear_chain(T.gelu(linear_chain(x, w1, b1)), w2, b2)
+
+
+def attention_arrays(rng, dtype, n=2, t=5, c=4):
+    """x and the eight attention weights and biases, (c, c) and (c,) in turn."""
+    shapes = [(n, t, c)] + [(c, c), (c,)] * 4
+    return [(rng.standard_normal(s) / np.sqrt(s[-1])).astype(dtype) for s in shapes]
+
+
+def mlp_arrays(rng, dtype, n=2, t=5, c=4, hid=6):
+    shapes = [(n, t, c), (hid, c), (hid,), (c, hid), (c,)]
+    return [(rng.standard_normal(s) / np.sqrt(s[-1])).astype(dtype) for s in shapes]
+
+
+FUSED = {
+    "attention": (lambda *a: T.attention(*a, heads=2), lambda *a: attention_chain(*a, heads=2),
+                  attention_arrays),
+    "mlp": (T.mlp, mlp_chain, mlp_arrays),
+}
+
+
+def fd_check_every_input(op, arrays, seed):
+    """``fd_check`` of ``sum(op(...) * w)`` for each input in turn, the
+    others held as constants."""
+    w = Tensor(np.random.default_rng(seed).standard_normal(op(*map(Tensor, arrays)).shape))
+    for j, a in enumerate(arrays):
+        def f(t, j=j):
+            return T.tsum(op(*[t if i == j else Tensor(b) for i, b in enumerate(arrays)]) * w)
+        fd_check(f, Tensor(a))
 
 
 def test_attention_grads_finite_difference():
-    rng = np.random.default_rng(17)
-    q, k, v = (rng.standard_normal((2, 2, 5, 3)) for _ in range(3))
-    w = Tensor(rng.standard_normal((2, 2, 5, 3)))
-    scale = 1.0 / np.sqrt(3)
-    fd_check(lambda t: T.tsum(T.attention(t, Tensor(k), Tensor(v), scale) * w), Tensor(q))
-    fd_check(lambda t: T.tsum(T.attention(Tensor(q), t, Tensor(v), scale) * w), Tensor(k))
-    fd_check(lambda t: T.tsum(T.attention(Tensor(q), Tensor(k), t, scale) * w), Tensor(v))
+    fused, _, arrays = FUSED["attention"]
+    fd_check_every_input(fused, arrays(np.random.default_rng(17), np.float64), 18)
 
 
-def test_attention_f32_is_bit_identical_to_the_op_chain():
+def test_mlp_grads_finite_difference():
+    fused, _, arrays = FUSED["mlp"]
+    fd_check_every_input(fused, arrays(np.random.default_rng(20), np.float64), 21)
+
+
+def run_with_grads(op, arrays, trains, lora, g):
+    """``op``'s output and the gradient of every leaf after backward from
+    ``sum(out * g)``.  The inputs listed in ``lora`` are given as graph nodes,
+    a frozen base plus ``B @ A``, the way a LoRA layer gives its weights."""
+    leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, trains)]
+    args = list(leaves)
+    rng = np.random.default_rng(30)
+    for j in lora:
+        rows, cols = arrays[j].shape
+        b, a = (Tensor(rng.standard_normal(s).astype(arrays[j].dtype), requires_grad=True)
+                for s in ((rows, 2), (2, cols)))
+        args[j] = leaves[j] + T.matmul(b, a)
+        leaves += [b, a]
+    out = op(*args)
+    T.tsum(out * Tensor(g)).backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+# which of x and the weights train, and which weights LoRA gives as nodes
+ATTENTION_CASES = {
+    "pretrain": ([True] * 9, ()),
+    "frozen-host": ([True] + [False] * 8, ()),
+    "lora": ([True] + [False] * 8, (1, 5)),
+    "lora-on-frozen-tokens": ([False] * 9, (1, 5)),
+    "weights-only": ([False] + [True] * 8, ()),
+}
+MLP_CASES = {
+    "pretrain": ([True] * 5, ()),
+    "frozen-host": ([True] + [False] * 4, ()),
+    "nodes": ([True] + [False] * 4, (1, 3)),
+    "weights-only": ([False] + [True] * 4, ()),
+    "second-layer-only": ([False, False, False, True, True], ()),
+}
+
+
+@pytest.mark.parametrize("op, trains, lora", [
+    (op, *case) for op, cases in (("attention", ATTENTION_CASES), ("mlp", MLP_CASES))
+    for case in cases.values()],
+    ids=[f"{op}-{name}" for op, cases in (("attention", ATTENTION_CASES), ("mlp", MLP_CASES))
+         for name in cases])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_op_is_bit_identical_to_the_op_chain(op, trains, lora, dtype):
+    fused, chain, make = FUSED[op]
     rng = np.random.default_rng(18)
-    scale = 1.0 / np.sqrt(16)
-    # the fused op walks the leading axis one index at a time
-    for batch in (1, 2, 3):
-        arrays = [rng.standard_normal((batch, 4, 64, 16)).astype(np.float32)
-                  for _ in range(4)]
-        # which of q, k, v require grad
-        for needs in ((True, True, True), (False, False, True), (True, False, False),
-                      (False, True, False)):
-            results = []
-            for op in (T.attention, attention_chain):
-                q, k, v = (Tensor(a, requires_grad=r) for a, r in zip(arrays, needs))
-                out = op(q, k, v, scale)
-                T.tsum(out * Tensor(arrays[3])).backward()
-                results.append((out.data, q.grad, k.grad, v.grad))
-            for fused, chain, need in zip(*results, (True,) + needs):
-                if not need:
-                    assert fused is None and chain is None
-                    continue
-                assert fused.dtype == np.float32
-                assert np.array_equal(fused, chain)
+    # three images, so that every sum over the batch runs on from an earlier one
+    arrays = make(rng, dtype, n=3, t=64, c=16)
+    g = rng.standard_normal(arrays[0].shape).astype(dtype)
+    got, want = (run_with_grads(f, arrays, trains, lora, g) for f in (fused, chain))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            # each weight gradient keeps the chain's layout, which B @ A's backward reads
+            assert a.strides == b.strides
+            assert np.array_equal(a, b)
 
 
 def test_attention_never_holds_the_whole_batch_of_scores():
-    # the whole batch's (8, 4, 256, 256) f32 scores; forward and backward
-    # peaked at 9.0 and 25.7 MB when they were formed at once
-    shape, scores = (8, 4, 256, 16), 8 * 4 * 256 * 256 * 4
+    # nor a whole batch's q, k or v: each is as large as the output
+    n, t, c, heads = 128, 64, 32, 2
     rng = np.random.default_rng(19)
-    q, k, v = (Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
-               for _ in range(3))
-    g = np.ones(shape, dtype=np.float32)
+    arrays = [(rng.standard_normal(s) / 4).astype(np.float32)
+              for s in [(n, t, c)] + [(c, c), (c,)] * 4]
+    x, *ws = (Tensor(a, requires_grad=True) for a in arrays)
+    qkv, stats = x.data.nbytes, 2 * n * heads * t * 4
+    assert n * heads * t * t * 4 > 2 * qkv  # the scores are larger still
     outs = []
-    assert traced_peak(lambda: outs.append(T.attention(q, k, v, 0.25))) < scores
-    assert traced_peak(lambda: outs[0]._backward(g)) < scores
+    assert traced_peak(lambda: outs.append(T.attention(x, *ws, heads))) < (
+        qkv + stats + qkv / 2)  # the output and the kept row max and sum
+    g = np.ones((n, t, c), dtype=np.float32)
+    assert traced_peak(lambda: outs[0]._backward(g)) < qkv + qkv / 2  # x's gradient
 
 
-def test_attention_rejects_unshared_leading_axes():
-    q = rt(np.ones((2, 1, 3, 2)))
-    with pytest.raises(ShapeError, match="do not chain"):
-        T.attention(q, rt(np.ones((1, 1, 3, 2))), q, 0.5)
-    with pytest.raises(ShapeError, match="do not chain"):
-        T.attention(rt(np.ones((3, 2))), rt(np.ones((3, 2))), rt(np.ones((3, 2))), 0.5)
+def test_mlp_never_holds_a_whole_batch_hidden_array():
+    n, t, c, hid = 64, 64, 16, 64
+    arrays = mlp_arrays(np.random.default_rng(22), np.float32, n, t, c, hid)
+    x, *ws = (Tensor(a, requires_grad=i == 0) for i, a in enumerate(arrays))
+    hidden = n * t * hid * 4
+    outs = []
+    # the output and the kept slope; a whole-batch pre-activation would add
+    # a hidden array, and the chain holds four at once
+    assert traced_peak(lambda: outs.append(T.mlp(x, *ws))) < x.data.nbytes + hidden + hidden / 2
+    g = np.ones((n, t, c), dtype=np.float32)
+    assert traced_peak(lambda: outs[0]._backward(g)) < x.data.nbytes + hidden / 2
+
+
+@pytest.mark.parametrize("op", ["attention", "mlp"])
+def test_fused_op_keeps_its_arrays_only_when_recorded(op):
+    # recorded with everything training, attention keeps the whole batch's
+    # row max and sum (an unrecorded one reuses one image's) and mlp GELU's
+    # slope and value, on top of everything an unrecorded op holds; the
+    # warm-up call takes the one-time allocations out of both peaks
+    n, t, c, heads = 16, 32, 8, 4
+    fused, _, make = FUSED[op]
+    arrays = make(np.random.default_rng(23), np.float32, n=n, t=t, c=c)
+    kept = 2 * (n - 1) * heads * t * 4 if op == "attention" else 2 * n * t * len(arrays[2]) * 4
+    args = [Tensor(a, requires_grad=True) for a in arrays]
+    call = (lambda: T.attention(*args, heads)) if op == "attention" else (lambda: T.mlp(*args))
+    with no_grad():
+        call()
+        unrecorded = traced_peak(call)
+    call()
+    assert traced_peak(call) >= unrecorded + kept
+
+
+def records_no_node_under_no_grad(op):
+    fused, _, make = FUSED[op]
+    args = [rt(a) for a in make(np.random.default_rng(24), np.float64)]
+    with no_grad():
+        out = fused(*args)
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
 
 
 def test_attention_records_no_node_under_no_grad():
-    q = rt(np.ones((1, 1, 3, 2)))
-    with no_grad():
-        out = T.attention(q, q, q, 0.5)
-    assert not out.requires_grad
-    assert out._parents == () and out._backward is None
-    assert np.allclose(out.data, 1.0)
+    records_no_node_under_no_grad("attention")
+
+
+def test_mlp_records_no_node_under_no_grad():
+    records_no_node_under_no_grad("mlp")
+
+
+def test_attention_rejects_weights_that_do_not_chain():
+    x, *ws = (rt(a) for a in attention_arrays(np.random.default_rng(25), np.float64))
+    with pytest.raises(ShapeError, match="does not chain"):
+        T.attention(x, *ws, heads=3)  # 4 channels
+    with pytest.raises(ShapeError, match="does not chain"):
+        T.attention(x, *ws[:-1], rt(np.ones(3)), heads=2)
+    with pytest.raises(ShapeError, match="does not chain"):
+        T.attention(T.reshape(x, (10, 4)), *ws, heads=2)
+    x, *ws = (rt(a) for a in mlp_arrays(np.random.default_rng(26), np.float64))
+    with pytest.raises(ShapeError, match="does not chain"):
+        T.mlp(x, ws[0], ws[1], ws[0], ws[1])
 
 
 def test_softmax_spatial_equals_flattened_softmax():
@@ -582,7 +711,8 @@ def _recorded_ops():
         "gelu": T.gelu(t(3)), "reshape": T.reshape(t(2, 3), (3, 2)),
         "transpose": T.transpose(t(2, 3), (1, 0)), "matmul": T.matmul(t(2, 3), t(3, 4)),
         "softmax": T.softmax(t(2, 3)),
-        "attention": T.attention(t(1, 2, 4, 3), t(1, 2, 4, 3), t(1, 2, 4, 3), 0.5),
+        "attention": T.attention(t(1, 3, 4), *[t(*s) for s in [(4, 4), (4,)] * 4], 2),
+        "mlp": T.mlp(t(1, 3, 4), t(6, 4), t(6), t(4, 6), t(4)),
         "layernorm": T.layernorm(t(2, 4), t(4), t(4)),
         "conv2d": T.conv2d(t(1, 2, 4, 4), t(2, 2, 3, 3), t(2)),
         "depth_to_space": T.depth_to_space(t(1, 4, 2, 2), 2),
@@ -635,9 +765,10 @@ def test_matmul_and_conv2d_keep_only_what_the_trainable_side_needs(frozen):
 
 
 def test_attention_keeps_no_token_by_token_array():
-    rng = np.random.default_rng(43)
-    q, k, v = (rt(rng.standard_normal((2, 2, 8, 3))) for _ in range(3))
-    out = T.attention(q, k, v, 0.5)
+    x, *ws = (rt(a) for a in attention_arrays(np.random.default_rng(43), np.float64, t=8))
+    out = T.attention(x, *ws, heads=2)
     shapes = [a.shape for a in closure_arrays(out._backward)]
     assert not [s for s in shapes if s[-2:] == (8, 8)], shapes
-
+    # nor q, k or v: the only token-shaped array kept is x itself
+    kept = [a for a in closure_arrays(out._backward) if a.shape == x.shape]
+    assert kept and all(a is x.data for a in kept)
