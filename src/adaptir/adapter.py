@@ -8,8 +8,9 @@ the up-projection starts at exactly zero, so the adapter's output is the
 zero tensor until training moves it.
 
 ``AdaptIRConfig`` holds every design choice the paper's ablations vary:
-the efficiency study's knobs (the local branch's kernel stored full instead
-of factorized; the local and frequency branch each trading its
+the efficiency study's knobs (the local branch's form ``lim_form``: a
+depthwise kernel factorized as U V^T, the depthwise kernel stored whole, or
+a full channel-mixing kernel; the frequency branch trading its
 depth-separable form for full channel mixing), the branch set
 (``lim``/``fam``/``csm``) and the insertion site in a host layer
 (``position`` mlp | attention, ``form`` parallel | sequential, read by
@@ -76,8 +77,7 @@ class AdaptIRConfig:
     seed: int = 0
     dtype: str = "f32"
     # ablation toggles (defaults reproduce the standard design)
-    lim_decompose: bool = True
-    lim_depthwise: bool = True
+    lim_form: str = "lowrank"    # "lowrank" | "depthwise" | "full"
     fam_depthwise: bool = True
     # branch set and insertion site
     lim: bool = True
@@ -95,14 +95,14 @@ class AdaptIRConfig:
             raise ConfigError(f"intrinsic width {cg} must be >= 1")
         if self.kernel % 2 == 0 or self.kernel < 1:
             raise ConfigError(f"kernel must be odd and positive, got {self.kernel}")
-        if self.lim_decompose and not 1 <= self.lim_rank <= min(cg, self.kernel ** 2):
+        if self.lim_form not in ("lowrank", "depthwise", "full"):
+            raise ConfigError(f"unknown local-branch form {self.lim_form!r}")
+        if self.lim_form == "lowrank" and not 1 <= self.lim_rank <= min(cg, self.kernel ** 2):
             raise ConfigError(
                 f"lim_rank {self.lim_rank} outside [1, min(C/gamma={cg}, K^2={self.kernel ** 2})]"
             )
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype}")
-        if not self.lim_depthwise and self.lim_decompose:
-            raise ConfigError("full-channel local branch is only supported undecomposed")
         if not (self.lim or self.fam or self.csm):
             raise ConfigError("at least one branch must be enabled")
         if self.position not in ("mlp", "attention"):
@@ -149,13 +149,12 @@ class AdaptIR:
         p["down_w"] = _uniform(rng, (cg, c, 1, 1), c, dt)
         p["down_b"] = np.zeros(cg, dtype=dt)
         if cfg.lim:
-            if cfg.lim_decompose:
+            if cfg.lim_form == "lowrank":
                 p["lim_u"] = _uniform(rng, (cg, cfg.lim_rank), cfg.lim_rank, dt)
                 p["lim_v"] = _uniform(rng, (k * k, cfg.lim_rank), cfg.lim_rank, dt)
-            elif cfg.lim_depthwise:
-                p["lim_kernel"] = _uniform(rng, (cg, 1, k, k), k * k, dt)
             else:
-                p["lim_kernel"] = _uniform(rng, (cg, cg, k, k), cg * k * k, dt)
+                cin = cg if cfg.lim_form == "full" else 1
+                p["lim_kernel"] = _uniform(rng, (cg, cin, k, k), cin * k * k, dt)
         if cfg.fam:
             # per-channel weights when depthwise, else cg x cg channel mixing
             identity, scale_fan_in = ((np.ones(cg, dtype=dt), 1) if cfg.fam_depthwise
@@ -188,9 +187,9 @@ class AdaptIR:
         return T.conv2d(x, self.params["down_w"], self.params["down_b"])
 
     def compose_kernel(self) -> Tensor:
-        """Local-branch kernel; factorized as U V^T when decomposition is on."""
+        """Local-branch kernel; factorized as U V^T in the low-rank form."""
         cfg = self.config
-        if not cfg.lim_decompose:
+        if cfg.lim_form != "lowrank":
             return self.params["lim_kernel"]
         w2d = T.matmul(self.params["lim_u"],
                        T.transpose(self.params["lim_v"], (1, 0)))
@@ -198,7 +197,7 @@ class AdaptIR:
 
     def lim_forward(self, x_intrin: Tensor) -> Tensor:
         kernel = self.compose_kernel()
-        groups = self.config.intrinsic if self.config.lim_depthwise else 1
+        groups = 1 if self.config.lim_form == "full" else self.config.intrinsic
         return T.conv2d(x_intrin, kernel, None, groups=groups)
 
     def _freq_affine(self, t: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -188,8 +188,6 @@ def downsample_bicubic(img: np.ndarray, s: int) -> np.ndarray:
     c, h, w = img.shape
     if h % s != 0 or w % s != 0:
         raise ValueError(f"dims {h}x{w} not divisible by scale {s}")
-    if s == 1:
-        return img.copy()
     mh = _resample_matrix(h, s)
     mw = _resample_matrix(w, s)
     # rows first, then columns: two BLAS products, each channel a batch entry
@@ -201,8 +199,6 @@ def add_gaussian_noise(img: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """i.i.d. Gaussian noise with sigma given on the 0-255 scale."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        return img.astype(np.float32)  # a new array, as every other degradation returns
     rng = np.random.default_rng(derive_seed(seed, "noise"))
     noisy = img + (sigma / 255.0) * rng.standard_normal(img.shape)
     return np.clip(noisy, 0.0, 1.0).astype(np.float32)

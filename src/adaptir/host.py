@@ -166,8 +166,8 @@ class PETLMethod:
         return {}
 
     @classmethod
-    def from_config(cls, host_config: HostConfig, cfg: dict, where: str) -> "PETLMethod":
-        """Rebuild the stack that the header ``cfg`` of checkpoint ``where`` describes."""
+    def from_config(cls, host_config: HostConfig, cfg: dict) -> "PETLMethod":
+        """Rebuild the stack that the checkpoint header config ``cfg`` describes."""
         raise NotImplementedError
 
 
@@ -209,8 +209,8 @@ class AdapterStack(PETLMethod):
         return {"adapter": asdict(self.config)}
 
     @classmethod
-    def from_config(cls, host_config, cfg, where):
-        return cls(host_config, config_from(AdaptIRConfig, cfg.get("adapter"), where))
+    def from_config(cls, host_config, cfg):
+        return cls(host_config, config_from(AdaptIRConfig, cfg.get("adapter"), "header"))
 
 
 class LoRAStack(PETLMethod):
@@ -243,8 +243,8 @@ class LoRAStack(PETLMethod):
         return {"ranks": [l.rank for l in self.layers]}
 
     @classmethod
-    def from_config(cls, host_config, cfg, where):
-        ranks = check_type(cfg.get("ranks"), tuple[int, ...], f"{where}: LoRAStack.ranks")
+    def from_config(cls, host_config, cfg):
+        ranks = check_type(cfg.get("ranks"), tuple[int, ...], "header: LoRAStack.ranks")
         return cls(host_config, ranks=ranks)
 
 
@@ -286,9 +286,8 @@ class BottleneckStack(PETLMethod):
                            for pair in self.layers for ad in pair]}
 
     @classmethod
-    def from_config(cls, host_config, cfg, where):
-        hidden = check_type(cfg.get("hidden"), tuple[int, ...],
-                            f"{where}: BottleneckStack.hidden")
+    def from_config(cls, host_config, cfg):
+        hidden = check_type(cfg.get("hidden"), tuple[int, ...], "header: BottleneckStack.hidden")
         return cls(host_config, hidden=hidden)
 
 

@@ -329,17 +329,15 @@ def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
 # -- ablation harness ------------------------------------------------------------
 
 
-_NO_LIM_DW = {"lim_decompose": False, "lim_depthwise": False}
-
 # axis -> its rows in order: (label, the AdaptIRConfig fields the row changes)
 ABLATIONS = {
     "efficiency": (
         ("(0) baseline", {}),
-        ("(1) w/o decomposition in LIM", {"lim_decompose": False}),
-        ("(2) w/o depth-separable in LIM", _NO_LIM_DW),
-        ("(3) w/o depth-separable in FAM", {**_NO_LIM_DW, "fam_depthwise": False}),
+        ("(1) w/o decomposition in LIM", {"lim_form": "depthwise"}),
+        ("(2) w/o depth-separable in LIM", {"lim_form": "full"}),
+        ("(3) w/o depth-separable in FAM", {"lim_form": "full", "fam_depthwise": False}),
         ("(4) w/o CSM & w/o depth-separable",
-         {**_NO_LIM_DW, "fam_depthwise": False, "csm": False}),
+         {"lim_form": "full", "fam_depthwise": False, "csm": False}),
     ),
     "components": (
         ("csm", {"lim": False, "fam": False, "csm": True}),
@@ -390,14 +388,19 @@ def save_host(path, model: HostModel) -> None:
 
 def _load_module(path, kind: str, build):
     """Read a ``kind`` checkpoint, ``build`` its module from the header config
-    and copy the stored arrays into the module's same-named, same-shaped parameters."""
+    and copy the stored arrays into the module's same-named, same-shaped
+    parameters.  A refusal is one line that names ``path`` once."""
     found, cfg, arrays = load_checkpoint(path)
-    if found != kind:
-        raise ConfigError(f"expected a {kind} checkpoint, got kind {found!r}")
-    module = build(cfg)
-    params = module.parameters()
-    if {k: a.shape for k, a in arrays.items()} != {k: t.shape for k, t in params.items()}:
-        raise ConfigError(f"checkpoint fields do not match the {kind} configuration")
+    try:
+        if found != kind:
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise ConfigError(f"expected {article} {kind} checkpoint, got kind {found!r}")
+        module = build(cfg)
+        params = module.parameters()
+        if {k: a.shape for k, a in arrays.items()} != {k: t.shape for k, t in params.items()}:
+            raise ConfigError(f"checkpoint fields do not match the {kind} configuration")
+    except ValueError as exc:  # a ConfigError, or a header task that parse_task refuses
+        raise type(exc)(f"{path}: {exc}") from None
     for name, arr in arrays.items():
         params[name].data = arr.astype(params[name].dtype, copy=False)
     return module
@@ -406,7 +409,7 @@ def _load_module(path, kind: str, build):
 def load_host(path) -> HostModel:
     """Read a host checkpoint and freeze it."""
     return freeze(_load_module(path, "host",
-                               lambda cfg: HostModel(config_from(HostConfig, cfg, str(path)))))
+                               lambda cfg: HostModel(config_from(HostConfig, cfg, "header"))))
 
 
 def check_host(saved: dict, host_config: HostConfig, what: str) -> None:
@@ -431,9 +434,9 @@ def load_adapter(path, host_config: HostConfig) -> PETLMethod:
     (or one written by an older layout) is silently dropped."""
     def build(cfg):
         cls = method_class(cfg.get("method"))
-        check_host(asdict(config_from(HostConfig, cfg.get("host"), str(path))), host_config,
-                   f"{path}: adapter saved for a different host")
-        adapter = cls.from_config(host_config, cfg, str(path))
+        check_host(asdict(config_from(HostConfig, cfg.get("host"), "header")), host_config,
+                   "adapter saved for a different host")
+        adapter = cls.from_config(host_config, cfg)
         saved = {k: v for k, v in cfg.items() if k not in ("method", "host")}
         if saved != adapter.to_config():
             raise ConfigError(f"{cls.method} checkpoint header does not match the"

@@ -115,7 +115,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float64)
+            raise ShapeError(f"a Tensor holds float32 or float64, got {arr.dtype}")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None

@@ -17,10 +17,10 @@ def count_oracle(cfg: AdaptIRConfig) -> int:
     """Independent arithmetic for the trainable parameter count."""
     c, cg, k, r = cfg.channels, cfg.channels // cfg.reduction, cfg.kernel, cfg.lim_rank
     n = c * cg + cg                       # down projection 1x1 (+bias)
-    if cfg.lim_decompose:
+    if cfg.lim_form == "lowrank":
         n += cg * r + k * k * r           # U and V factors
     else:
-        cin = 1 if cfg.lim_depthwise else cg
+        cin = cg if cfg.lim_form == "full" else 1
         n += cg * cin * k * k             # full depthwise/dense kernel
     if cfg.fam_depthwise:
         n += 4 * cg                       # per-channel mag/pha scale+shift
@@ -42,8 +42,8 @@ def test_default_count_is_1365_and_matches_oracle():
 
 @pytest.mark.parametrize("kwargs", [
     {},
-    {"lim_decompose": False},
-    {"lim_decompose": False, "lim_depthwise": False},
+    {"lim_form": "depthwise"},
+    {"lim_form": "full"},
     {"fam_depthwise": False},
     {"channels": 32, "reduction": 4, "lim_rank": 2},
     {"kernel": 5, "lim_rank": 3},
@@ -86,6 +86,11 @@ def test_config_validation():
         AdaptIRConfig(channels=64, form="serial").validate()
 
 
+def test_unknown_lim_form_rejected():
+    with pytest.raises(ConfigError, match="unknown local-branch form 'dense'"):
+        AdaptIRConfig(channels=64, lim_form="dense").validate()
+
+
 def test_config_from_builds_checked_configs():
     cfg = config_from(AdaptIRConfig, {"channels": 16, "reduction": 4, "lim_rank": 2},
                       "here")
@@ -123,7 +128,7 @@ def np_conv_same(x, w, b=None, groups=1):
 @pytest.mark.parametrize("branch,fields,channels", [
     ("down_project", {}, 8),
     ("lim_forward", {}, 4),
-    ("lim_forward", {"lim_decompose": False, "lim_depthwise": False}, 4),
+    ("lim_forward", {"lim_form": "full"}, 4),
     ("csm_forward", {}, 4),
 ])
 def test_branch_refuses_a_wrong_channel_count(branch, fields, channels):
@@ -150,7 +155,7 @@ def test_lim_branch_equals_numpy_composition():
 
 
 def test_lim_full_rank_kernel_used_directly():
-    cfg = AdaptIRConfig(channels=8, reduction=2, lim_decompose=False, dtype="f64")
+    cfg = AdaptIRConfig(channels=8, reduction=2, lim_form="depthwise", dtype="f64")
     ad = randomized(cfg, 3)
     rng = np.random.default_rng(4)
     xi = Tensor(rng.standard_normal((1, 4, 5, 5)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from adaptir import cli, host, pipeline
+from adaptir import cli, host, pipeline, serialize
 from adaptir.cli import main
 from adaptir.data import derive_seed, degrade, parse_task, save_ppm, synth_image
 from adaptir.tensor import Tensor, no_grad
@@ -417,11 +417,20 @@ STALE_HOST_KEYS = "host.layers=7\nhost.heads=1\nhost.tasks=sr3\n"
      "task 'noise.5' is not canonical; write 'noise0.5'", "ValueError"),
     ("finetune", "host_checkpoint={ws}/host/host.ckpt\ntask=sr02\n",
      "task 'sr02' is not canonical; write 'sr2'", "ValueError"),
+    # a NaN weight used to end in "ssim nan outside [0, 1]" after --out was written
+    *[(command, "host_checkpoint={ws}/nan.ckpt\n",
+       "nan.ckpt: checkpoint field body.0.wq holds NaN or infinity", "ValueError")
+      for command in ("eval", "finetune")],
+    ("pretrain", "host.heads=3\n", "HostConfig: embed 16 not divisible by heads 3",
+     "ConfigError"),
 ])
 def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, kind):
     # used to create --out and write resolved.cfg before the inputs were checked
     host = (workspace / "host" / "host.ckpt").read_bytes()
     (workspace / "truncated.ckpt").write_bytes(host[:-4])
+    model = pipeline.load_host(workspace / "host" / "host.ckpt")
+    model.params["body.0.wq"].data[0, 0] = np.nan
+    pipeline.save_host(workspace / "nan.ckpt", model)
     (workspace / "huge.ckpt").write_bytes(
         b'{"config": {}, "fields": [{"name": "w", "shape": [1099511627776]}],'
         b' "kind": "host"}\n' + bytes(16))
@@ -432,6 +441,55 @@ def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, ki
     assert res.exit_code == 1
     assert_one_line_error(res, fragment, kind=kind)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,content,fragment", [
+    # each used to name neither checkpoint
+    ("cut", lambda ckpt: ckpt[:40] + b"\n",
+     "corrupt checkpoint: the header is not UTF-8 JSON ("),
+    ("latin1", lambda ckpt: b"\xff" + ckpt,
+     "corrupt checkpoint: the header is not UTF-8 JSON ('utf-8' codec"),
+    ("nested", lambda ckpt: b"[" * 100_000 + b"\n",
+     "corrupt checkpoint: the header is not UTF-8 JSON (maximum recursion depth"),
+    # used to read the whole file as its header
+    ("no_newline", lambda ckpt: b"x" * serialize.MAX_HEADER_BYTES,
+     f"corrupt checkpoint: no header line within {serialize.MAX_HEADER_BYTES} bytes"),
+    # used to say "expected a adapter checkpoint"
+    ("host_as_adapter", lambda ckpt: ckpt, "expected an adapter checkpoint, got kind 'host'"),
+])
+def test_checkpoint_refusals_name_the_file_once(workspace, name, content, fragment):
+    # eval reads two checkpoints: its error line says which one it refused
+    path = workspace / f"{name}.ckpt"
+    path.write_bytes(content((workspace / "host" / "host.ckpt").read_bytes()))
+    cfg = workspace / "named.cfg"
+    cfg.write_text(TINY_RUN + f"host_checkpoint={workspace}/host/host.ckpt\n"
+                   f"adapter_checkpoint={path}\n", encoding="utf-8")
+    out = workspace / f"named_{name}"
+    res = invoke(["eval", "--config", cfg, "--out", out])
+    line = assert_one_line_error(res, f"{path}: {fragment}",
+                                 kind="ConfigError" if name == "host_as_adapter" else "ValueError")
+    assert line.count(str(path)) == 1
+    assert not out.exists()
+
+
+def test_non_utf8_config_file_names_the_file(workspace):
+    # used to be "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff ..."
+    path = workspace / "latin1.cfg"
+    path.write_bytes(b"\xffseed=1\n")
+    res = invoke(["pretrain", "--config", path, "--out", workspace / "latin1"])
+    assert_one_line_error(res, f"{path}: not UTF-8 text (invalid start byte at byte 0)")
+    assert not (workspace / "latin1").exists()
+
+
+def test_gradcheck_failure_names_the_worst_group(monkeypatch):
+    monkeypatch.setattr(pipeline, "gradcheck", lambda seed: [
+        ("down_w", 2e-6, True), ("lim_u", 3e-3, False), ("up_w", 5e-4, False)])
+    res = invoke(["gradcheck"])
+    assert res.exit_code == 1
+    assert "Traceback" not in res.output
+    errors = [l for l in res.output.splitlines() if l.startswith("Error:")]
+    assert errors == ["Error: gradient check failed: lim_u rel err 3.000e-03 > 1e-04"]
+    assert res.output.count("FAIL") == 2
 
 
 @pytest.mark.parametrize("command,extra,out,kind", [

@@ -14,7 +14,7 @@ from adaptir import pipeline as P
 from adaptir import tensor as tensor_mod
 from adaptir.adapter import AdaptIRConfig, ConfigError
 from adaptir.host import AdapterStack, HostConfig, HostModel, PETLMethod, freeze, host_checksum
-from adaptir.serialize import load_checkpoint, save_checkpoint
+from adaptir.serialize import MAX_HEADER_BYTES, load_checkpoint, save_checkpoint
 from adaptir.tensor import ContractError, Tensor
 
 TINY = HostConfig(embed=16, layers=2, heads=2,
@@ -410,6 +410,28 @@ def test_checkpoint_rejects_trailing_bytes(tiny_frozen, tmp_path):
         f.write(b"\0\0\0\0")
     with pytest.raises(ValueError, match="after the last declared field"):
         P.load_host(path)
+
+
+def test_checkpoint_header_line_is_bounded(tmp_path):
+    # a header line of MAX_HEADER_BYTES, newline included, is the longest read
+    head = json.dumps({"kind": "t", "config": {}, "fields": []}).encode()
+    for extra, loads in ((0, True), (1, False)):
+        pad = b" " * (MAX_HEADER_BYTES - 1 - len(head) + extra)
+        (tmp_path / "h.ckpt").write_bytes(head + pad + b"\n")
+        if loads:
+            assert load_checkpoint(tmp_path / "h.ckpt") == ("t", {}, {})
+        else:
+            with pytest.raises(ValueError, match=f"no header line within {MAX_HEADER_BYTES}"):
+                load_checkpoint(tmp_path / "h.ckpt")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_refuses_a_non_finite_field(tmp_path, value):
+    arr = np.array([[0.5, value]], dtype=np.float32)
+    save_checkpoint(tmp_path / "a.ckpt", "t", {}, {"ok": Tensor(arr[:, :1]), "w": Tensor(arr)})
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(tmp_path / "a.ckpt")
+    assert str(err.value) == f"{tmp_path / 'a.ckpt'}: checkpoint field w holds NaN or infinity"
 
 
 DELETE = object()

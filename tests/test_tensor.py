@@ -64,6 +64,14 @@ def test_sub_neg_scalars():
     assert np.allclose(x.grad, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("data,dtype", [(np.arange(3), "int64"), (np.array([True]), "bool"),
+                                        (np.float16(1.0), "float16")])
+def test_tensor_refuses_a_non_float_array(data, dtype):
+    # used to be coerced to float64 without a word
+    with pytest.raises(ShapeError, match=f"a Tensor holds float32 or float64, got {dtype}$"):
+        Tensor(data)
+
+
 @pytest.mark.parametrize("op", [T.add, T.mul])
 def test_binary_ops_reject_non_broadcastable_shapes(op):
     a, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4)))
