@@ -49,9 +49,9 @@ def check_type(value, tp, what: str):
 
 
 def config_from(cls, values, where: str):
-    """The config dataclass ``cls`` built from ``values`` (a CLI section or a
-    checkpoint header) and validated; an unknown key, a wrongly typed value or
-    a failed check is one ``ConfigError`` naming ``where``, the class and key."""
+    """The config dataclass ``cls`` built, and so checked, from ``values`` (a
+    CLI section or a checkpoint header); an unknown key, a wrongly typed value
+    or a failed check is one ``ConfigError`` naming ``where``, the class and key."""
     name = cls.__name__
     if not isinstance(values, dict):
         raise ConfigError(f"{where}: {name} expects an object, got {values!r}")
@@ -59,16 +59,15 @@ def config_from(cls, values, where: str):
     for key in values:
         if key not in hints:
             raise ConfigError(f"{where}: {name} has no key {key!r}")
-    config = cls(**{key: check_type(value, hints[key], f"{where}: {name}.{key}")
-                    for key, value in values.items()})
+    typed = {key: check_type(value, hints[key], f"{where}: {name}.{key}")
+             for key, value in values.items()}
     try:
-        config.validate()
+        return cls(**typed)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {name}: {exc}") from None
-    return config
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptIRConfig:
     channels: int = 64
     reduction: int = 8
@@ -86,7 +85,7 @@ class AdaptIRConfig:
     position: str = "mlp"        # "mlp" | "attention"
     form: str = "parallel"       # "parallel" | "sequential"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         c, g = self.channels, self.reduction
         if g < 1 or c % g != 0:
             raise ConfigError(f"reduction {g} must divide channels {c}")
@@ -133,7 +132,6 @@ class AdaptIR:
     """One adapter instance operating on N x C x H x W feature maps."""
 
     def __init__(self, config: AdaptIRConfig):
-        config.validate()
         self.config = config
         self.params: dict[str, Tensor] = self._init_params()
 

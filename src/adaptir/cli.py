@@ -258,8 +258,7 @@ def cmd_paramcount(config_path, seed, out):
     total = HostModel(host_cfg).param_count()
     click.echo(f"host total: {total}")
     for method in METHODS:
-        n = P.build_adapter(host_cfg, method, seed=cfg["seed"],
-                            adapter_config=_adapter_config(cfg)).param_count()
+        n = P.build_adapter(host_cfg, method, _adapter_config(cfg)).param_count()
         click.echo(f"{method:<10} trainable: {n:>6}  ratio {100 * n / total:.2f}%")
 
 

@@ -60,8 +60,7 @@ def rfft2(x: Tensor) -> ComplexSpectrum:
     half = np.fft.rfft2(x.data.astype(np.float64), norm="forward")
     re = half.real.copy()
     im = half.imag.copy()
-    zero_bins = _real_bins(h, w)
-    for (r, c) in zero_bins:
+    for (r, c) in _real_bins(h, w):
         im[..., r, c] = 0.0
     weight = _hermitian_weight(w)
     dtype = x.dtype
@@ -76,10 +75,8 @@ def rfft2(x: Tensor) -> ComplexSpectrum:
         return (_adjoint(g),)
 
     def backward_im(g):
-        gz = np.asarray(g, dtype=np.float64).copy()
-        for (r, c) in zero_bins:
-            gz[..., r, c] = 0.0
-        return (_adjoint(1j * gz),)
+        # irfft2 itself drops the imaginary part of the structurally real bins
+        return (_adjoint(1j * g),)
 
     re_t = _node(re.astype(x.dtype, copy=False), (x,), backward_re)
     im_t = _node(im.astype(x.dtype, copy=False), (x,), backward_im)

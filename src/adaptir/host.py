@@ -46,7 +46,7 @@ __all__ = [
 HEAD_DOWNSAMPLE = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class HostConfig:
     embed: int = 64
     layers: int = 4
@@ -55,7 +55,7 @@ class HostConfig:
     tasks: tuple[str, ...] = ("sr2", "noise25")
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for key in ("embed", "layers", "heads", "mlp_ratio"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -71,7 +71,6 @@ class HostConfig:
 
 class HostModel:
     def __init__(self, config: HostConfig):
-        config.validate()
         self.config = config
         self.task_scales = {t: parse_task(t).sr_scale for t in config.tasks}
         self.params: dict[str, Tensor] = self._init_params()

@@ -84,7 +84,7 @@ class TrainConfig:
     images: int = 16
     eval_n: int = 8
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for key in ("epochs", "images", "eval_n", "batch_size"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -126,11 +126,11 @@ def adamw_step(state: TrainState, params: dict[str, Tensor], lr: float,
             continue
         m = state.m.get(name, 0.0)
         v = state.v.get(name, 0.0)
-        m = (m + (1.0 - beta1) * (g - m)).astype(p.dtype, copy=False)
-        v = (v + (1.0 - beta2) * (g * g - v)).astype(p.dtype, copy=False)
+        m = m + (1.0 - beta1) * (g - m)
+        v = v + (1.0 - beta2) * (g * g - v)
         step = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         update = step + lr * weight_decay * p.data if weight_decay else step
-        new = (p.data - update).astype(p.dtype, copy=False)
+        new = p.data - update
         if not np.isfinite(new).all():
             raise ContractError(f"training diverged: {name} non-finite after step {t}"
                                 f" (epoch {state.epoch}); {_diverged_term(step, update)}")
@@ -216,7 +216,6 @@ def pretrain(model: HostModel, train: TrainConfig):
     per-epoch loss log)."""
     if not all(p.requires_grad for p in model.params.values()):
         raise ConfigError("pretrain requires a host with no frozen parameter")
-    train.validate()
     runs = [_train_run(t, derive_seed(train.seed, "task", t), train.images)
             for t in model.config.tasks]
     _, log = _fit(model, None, model.params, runs, train)
@@ -239,7 +238,7 @@ def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int,
         lq = degrade(hq, spec, derive_seed(seed, "eval-noise", i))
         with no_grad():
             pred = host_forward(Tensor(lq[None]), task, model, adapter=adapter)
-        pred_img = np.clip(pred.data[0], 0.0, 1.0).astype(np.float32)
+        pred_img = np.clip(pred.data[0], 0.0, 1.0)
         if i < keep:
             samples.append((lq, hq, pred_img))
         if i < n:
@@ -261,9 +260,9 @@ def method_class(method: str) -> type[PETLMethod]:
     return METHODS[method]
 
 
-def build_adapter(host_config: HostConfig, method: str, seed: int = 0,
+def build_adapter(host_config: HostConfig, method: str,
                   adapter_config: AdaptIRConfig | None = None) -> PETLMethod:
-    """Construct the requested method's adapter stack.
+    """The requested method's adapter stack, seeded from ``adapter_config.seed``.
 
     The baselines are sized by their ``with_budget`` to match the configured
     AdaptIR stack's trainable count within a few percent, mirroring
@@ -271,11 +270,16 @@ def build_adapter(host_config: HostConfig, method: str, seed: int = 0,
     """
     cls = method_class(method)
     if adapter_config is None:
-        adapter_config = AdaptIRConfig(channels=host_config.embed, seed=seed)
+        adapter_config = AdaptIRConfig(channels=host_config.embed)
     stack = AdapterStack(host_config, adapter_config)
     if cls is AdapterStack:
         return stack
-    return cls.with_budget(host_config, stack.param_count(), seed=seed)
+    return cls.with_budget(host_config, stack.param_count(), seed=adapter_config.seed)
+
+
+def _default_adapter_config(model: HostModel, train: TrainConfig) -> AdaptIRConfig:
+    """The default design as wide as the host, seeded from the run's ``init`` substream."""
+    return AdaptIRConfig(channels=model.config.embed, seed=derive_seed(train.seed, "init"))
 
 
 # -- fine-tuning -----------------------------------------------------------------
@@ -290,11 +294,10 @@ class FinetuneResult:
     samples: list  # ``evaluate``'s kept (lq, hq, prediction) triples of the adapted host
 
 
-def _refuse_unfit(model: HostModel, train: TrainConfig) -> None:
-    """Refuse a host with a trainable parameter, or a bad recipe."""
+def _refuse_unfit(model: HostModel) -> None:
+    """Refuse a host with a trainable parameter."""
     if any(p.requires_grad for p in model.params.values()):
         raise ConfigError("finetune requires a frozen host")
-    train.validate()
 
 
 def _adapt(model: HostModel, adapter: PETLMethod, task: str, train: TrainConfig,
@@ -317,9 +320,9 @@ def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
     """Train only the adapter on a frozen host and report held-out metrics
     before and after, and ``keep`` samples after.  A host with a trainable
     parameter is refused, and ``_adapt`` enforces the freeze contract."""
-    _refuse_unfit(model, train)
-    adapter = build_adapter(model.config, method, seed=derive_seed(train.seed, "init"),
-                            adapter_config=adapter_config)
+    _refuse_unfit(model)
+    adapter = build_adapter(model.config, method,
+                            adapter_config or _default_adapter_config(model, train))
     before, _ = evaluate(model, None, task, train.eval_n, train.seed)
     report, samples, checksum = _adapt(model, adapter, task, train, keep)
     return FinetuneResult(adapter=adapter, report=report, psnr_before=before.psnr,
@@ -363,18 +366,16 @@ def ablation_rows(axes: str):
 
 def ablate(model: HostModel, task: str, axes: str, train: TrainConfig,
            adapter_config: AdaptIRConfig | None = None):
-    """One short fine-tune per row of ``ABLATIONS[axes]``, with a shared
-    seed; each row changes only its own fields of ``adapter_config`` and
+    """One short fine-tune per row of ``ABLATIONS[axes]``, each seeded from
+    ``adapter_config.seed``; each row changes only its own fields of it and
     passes ``_adapt``'s freeze-contract check.  The bare host, which every
     row shares, is not evaluated.  Emits (label, MetricReport) rows."""
     variants = ablation_rows(axes)
-    _refuse_unfit(model, train)
-    if adapter_config is None:
-        adapter_config = AdaptIRConfig(channels=model.config.embed)
-    base = replace(adapter_config, seed=derive_seed(train.seed, "init"))
+    _refuse_unfit(model)
+    base = adapter_config or _default_adapter_config(model, train)
     rows = []
     for label, fields in variants:
-        adapter = build_adapter(model.config, "adaptir", adapter_config=replace(base, **fields))
+        adapter = build_adapter(model.config, "adaptir", replace(base, **fields))
         rows.append((label, _adapt(model, adapter, task, train)[0]))
     return rows
 

@@ -5,9 +5,9 @@ terminated by a newline, followed by the raw little-endian float32 data
 of every field in declared order.  Bit-exact by construction, which is
 what the determinism and freeze contracts hash.  A save refuses non-f32
 arrays; a load rejects a header line longer than ``MAX_HEADER_BYTES``, a
-header that is not UTF-8 JSON of the expected shape, short data, trailing
-bytes and a field holding NaN or infinity, each in one ``ValueError`` line
-that names the file.
+header that is not UTF-8 JSON of the expected shape, a header that names a
+field twice, short data, trailing bytes and a field holding NaN or infinity,
+each in one ``ValueError`` line that names the file.
 """
 
 from __future__ import annotations
@@ -65,7 +65,12 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
                              " kind, config and fields (name, shape of non-negative ints)")
         # sizes in Python ints, checked before any read: no header outgrows its file
         left = os.fstat(f.fileno()).st_size - f.tell()
+        names = set()
         for fld in header["fields"]:
+            if fld["name"] in names:
+                raise ValueError(f"{path}: corrupt checkpoint: field {fld['name']} is"
+                                 " declared twice")
+            names.add(fld["name"])
             left -= 4 * math.prod(fld["shape"])
             if left < 0:
                 raise ValueError(f"{path}: truncated checkpoint: field {fld['name']}")

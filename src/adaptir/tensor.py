@@ -25,7 +25,9 @@ through that graph raises ``ContractError``.
 Conventions fixed here:
 
 * dtypes are float32 (training) or float64 (verification); binary ops take
-  a tensor first, coerce a python scalar second and require matching dtypes.
+  a tensor first and coerce a python scalar second.  Every op with two or
+  more tensor inputs requires them to share one dtype and never casts its
+  value or its gradients, so each stays in its inputs' dtype.
 * conv2d uses the cross-correlation convention (no kernel flip).
 * gradients accumulate across ``backward`` calls (each on a fresh graph)
   until explicitly zeroed.
@@ -234,9 +236,10 @@ def _fail_scalar(t: Tensor):
     raise ContractError(f"item() called on non-scalar tensor of shape {t.shape}")
 
 
-def _check_dtypes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.dtype != b.dtype:
-        raise ShapeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
+def _check_dtypes(op: str, a: Tensor, *others: Tensor) -> None:
+    for b in others:
+        if b.dtype != a.dtype:
+            raise ShapeError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
 def _graph_node(t: Tensor):
@@ -277,7 +280,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _binary(a: Tensor, b, op: str):
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.dtype))
-    _check_dtypes(a, b, op)
+    _check_dtypes(op, a, b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -328,13 +331,13 @@ def mul(a, b) -> Tensor:
 
 def tsum(x: Tensor, axis=None) -> Tensor:
     data = x.data.sum(axis=axis)
-    shape, dtype = x.shape, x.dtype
+    shape = x.shape
 
     def backward(g):
         g = np.asarray(g)
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
+        return (np.broadcast_to(g, shape),)
 
     return _node(data, (x,), backward)
 
@@ -389,7 +392,7 @@ def sin(x: Tensor) -> Tensor:
 
 def atan2(y: Tensor, x: Tensor) -> Tensor:
     """Four-quadrant arctangent; atan2(0, 0) is defined as 0 with zero grad."""
-    _check_dtypes(y, x, "atan2")
+    _check_dtypes("atan2", y, x)
     yd, xd = y.data, x.data
     data = np.arctan2(yd, xd)
 
@@ -398,14 +401,14 @@ def atan2(y: Tensor, x: Tensor) -> Tensor:
         safe = np.where(r2 == 0.0, 1.0, r2)
         gy = np.where(r2 == 0.0, 0.0, g * xd / safe)
         gx = np.where(r2 == 0.0, 0.0, -g * yd / safe)
-        return gy.astype(yd.dtype, copy=False), gx.astype(xd.dtype, copy=False)
+        return gy, gx
 
     return _node(data, (y, x), backward)
 
 
 def hypot(a: Tensor, b: Tensor) -> Tensor:
     """sqrt(a^2 + b^2) with a zero subgradient at the origin."""
-    _check_dtypes(a, b, "hypot")
+    _check_dtypes("hypot", a, b)
     ad, bd = a.data, b.data
     data = np.hypot(ad, bd)
 
@@ -413,7 +416,7 @@ def hypot(a: Tensor, b: Tensor) -> Tensor:
         safe = np.where(data == 0.0, 1.0, data)
         ga = np.where(data == 0.0, 0.0, g * ad / safe)
         gb = np.where(data == 0.0, 0.0, g * bd / safe)
-        return ga.astype(ad.dtype, copy=False), gb.astype(bd.dtype, copy=False)
+        return ga, gb
 
     return _node(data, (a, b), backward)
 
@@ -560,7 +563,7 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; supports broadcast leading batch dims like numpy."""
-    _check_dtypes(a, b, "matmul")
+    _check_dtypes("matmul", a, b)
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner extents differ for shapes {a.shape} and {b.shape}")
     data = np.matmul(a.data, b.data)
@@ -669,8 +672,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Ten
     the chain.
     """
     params = (wq, bq, wk, bk, wv, bv, wo, bo)
-    for w in params:
-        _check_dtypes(x, w, "attention")
+    _check_dtypes("attention", x, *params)
     c = x.shape[-1] if x.ndim == 3 else 0
     if (not c or heads < 1 or c % heads
             or tuple(w.shape for w in params) != ((c, c), (c,)) * 4):
@@ -760,8 +762,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     chain.
     """
     params = (w1, b1, w2, b2)
-    for w in params:
-        _check_dtypes(x, w, "mlp")
+    _check_dtypes("mlp", x, *params)
     if (x.ndim != 3 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[1] != x.shape[-1]
             or b1.shape != w1.shape[:1] or w2.shape[1] != w1.shape[0]
             or b2.shape != w2.shape[:1]):
@@ -816,13 +817,14 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer normalization over the last axis (eps 1e-5) with affine parameters."""
+    _check_dtypes("layernorm", x, gamma, beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
-    gd, dtype = gamma.data, x.dtype
+    gd = gamma.data
     rx, rg, rb = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def backward(g):
@@ -832,14 +834,13 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             gg = g * gd
             gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
                         - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-            gx = gx.astype(dtype, copy=False)
         if rg:
-            ggamma = (g * xhat).sum(axis=axes).astype(dtype, copy=False)
+            ggamma = (g * xhat).sum(axis=axes)
         if rb:
-            gbeta = g.sum(axis=axes).astype(dtype, copy=False)
+            gbeta = g.sum(axis=axes)
         return gx, ggamma, gbeta
 
-    return _node(data.astype(x.dtype, copy=False), (x, gamma, beta), backward)
+    return _node(data, (x, gamma, beta), backward)
 
 
 # -- convolution -------------------------------------------------------------
@@ -870,7 +871,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     a sum over the batch axis does, so every value and gradient is
     bit-identical to the whole-batch form.
     """
-    _check_dtypes(x, w, "conv2d")
+    parents = (x, w) if bias is None else (x, w, bias)
+    _check_dtypes("conv2d", *parents)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D x and w, got {x.shape} and {w.shape}")
     n, cin, h, wd = x.shape
@@ -942,14 +944,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
                         gxc[:, :, i:i + stride * ho:stride,
                             j:j + stride * wo:stride] += gcols[:, :, i, j]
         if rw:
-            gw = gw.reshape(cout, cin_g, k, k).astype(dtype, copy=False)
+            gw = gw.reshape(cout, cin_g, k, k)
         if rx:
             gx = gxp[:, :, pad:pad + h, pad:pad + wd]
         if not has_bias:
             return (gx, gw)
-        return (gx, gw, g.sum(axis=(0, 2, 3)).astype(dtype, copy=False) if rb else None)
+        return (gx, gw, g.sum(axis=(0, 2, 3)) if rb else None)
 
-    parents = (x, w, bias) if has_bias else (x, w)
     return _node(out, parents, backward)
 
 

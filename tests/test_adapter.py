@@ -73,22 +73,22 @@ def randomized(cfg, seed=0):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        AdaptIRConfig(channels=64, reduction=7).validate()
+        AdaptIRConfig(channels=64, reduction=7)
     with pytest.raises(ConfigError):
-        AdaptIRConfig(channels=64, kernel=4).validate()
+        AdaptIRConfig(channels=64, kernel=4)
     with pytest.raises(ConfigError):
-        AdaptIRConfig(channels=64, lim_rank=0).validate()
+        AdaptIRConfig(channels=64, lim_rank=0)
     with pytest.raises(ConfigError, match="at least one branch"):
         AdaptIR(AdaptIRConfig(channels=64, lim=False, fam=False, csm=False))
     with pytest.raises(ConfigError, match="unknown insertion position 'ffn'"):
-        AdaptIRConfig(channels=64, position="ffn").validate()
+        AdaptIRConfig(channels=64, position="ffn")
     with pytest.raises(ConfigError, match="unknown insertion form 'serial'"):
-        AdaptIRConfig(channels=64, form="serial").validate()
+        AdaptIRConfig(channels=64, form="serial")
 
 
 def test_unknown_lim_form_rejected():
     with pytest.raises(ConfigError, match="unknown local-branch form 'dense'"):
-        AdaptIRConfig(channels=64, lim_form="dense").validate()
+        AdaptIRConfig(channels=64, lim_form="dense")
 
 
 def test_config_from_builds_checked_configs():

@@ -1,6 +1,7 @@
 """Command-line contracts: artifact sets, byte-identical reruns, config
 validation, nonzero exits on contract failure."""
 
+import json
 import os
 import re
 import subprocess
@@ -443,6 +444,16 @@ def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, ki
     assert not out.exists()
 
 
+def with_first_field_twice(ckpt: bytes) -> bytes:
+    """``ckpt`` with its first field declared again at the end, bytes and all."""
+    head, _, body = ckpt.partition(b"\n")
+    header = json.loads(head)
+    first = header["fields"][0]
+    header["fields"].append(first)
+    return (json.dumps(header).encode() + b"\n" + body
+            + body[:4 * int(np.prod(first["shape"]))])
+
+
 @pytest.mark.parametrize("name,content,fragment", [
     # each used to name neither checkpoint
     ("cut", lambda ckpt: ckpt[:40] + b"\n",
@@ -456,6 +467,9 @@ def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, ki
      f"corrupt checkpoint: no header line within {serialize.MAX_HEADER_BYTES} bytes"),
     # used to say "expected a adapter checkpoint"
     ("host_as_adapter", lambda ckpt: ckpt, "expected an adapter checkpoint, got kind 'host'"),
+    # used to load, keeping the second copy's bytes
+    ("duplicate", with_first_field_twice,
+     "corrupt checkpoint: field head.sr2.conv1_w is declared twice"),
 ])
 def test_checkpoint_refusals_name_the_file_once(workspace, name, content, fragment):
     # eval reads two checkpoints: its error line says which one it refused

@@ -1,6 +1,8 @@
 """FFT layer against a naive O(n^2) DFT oracle, plus round-trip,
 Parseval, and adjoint (gradient) correctness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,18 @@ def test_gradients_through_magnitude_phase_path():
     fd = finite_diff_grad(loss, xt, 1e-6)
     denom = max(np.abs(fd).max(), 1.0)
     assert np.abs(xt.grad - fd).max() / denom < 1e-7
+
+
+def spectrum(re_shape, im_shape, width):
+    return F.ComplexSpectrum(Tensor(np.zeros(re_shape)), Tensor(np.zeros(im_shape)), width)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: F.rfft2(Tensor(np.zeros(4))), "rfft2 expects at least 2 dims, got shape (4,)"),
+    (lambda: F.irfft2(spectrum((4, 3), (4, 2), 4)), "spectrum parts disagree: (4, 3) vs (4, 2)"),
+    (lambda: F.irfft2(spectrum((4, 3), (4, 3), 6)),
+     "half width 3 inconsistent with original_width 6 (expected 4)"),
+], ids=["rfft2-ndim", "irfft2-parts", "irfft2-width"])
+def test_shape_refusals_are_one_line(call, message):
+    with pytest.raises(T.ShapeError, match=f"^{re.escape(message)}$"):
+        call()

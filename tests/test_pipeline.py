@@ -5,15 +5,17 @@ import functools
 import json
 import re
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
 
+from adaptir import fft as fft_mod
 from adaptir import pipeline as P
 from adaptir import tensor as tensor_mod
 from adaptir.adapter import AdaptIRConfig, ConfigError
-from adaptir.host import AdapterStack, HostConfig, HostModel, PETLMethod, freeze, host_checksum
+from adaptir.host import (METHODS, AdapterStack, HostConfig, HostModel, PETLMethod, freeze,
+                          host_checksum)
 from adaptir.serialize import MAX_HEADER_BYTES, load_checkpoint, save_checkpoint
 from adaptir.tensor import ContractError, Tensor
 
@@ -126,6 +128,17 @@ def test_adamw_divergence_names_the_term(grad, weight_decay, term):
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
+def test_adamw_names_an_overflowed_weight():
+    # a finite first Adam step of about -3e38 on a float32 weight of 3e38
+    p = Tensor(np.full(2, 3e38, dtype=np.float32))
+    with pytest.raises(ContractError, match=r"w non-finite after step 1 \(epoch 0\);"
+                                            " the updated weight overflowed; lower base_lr$"), \
+            np.errstate(over="ignore"):
+        P.adamw_step(P.TrainState(), with_grads({"w": p}, {"w": np.full(2, -1.0, np.float32)}),
+                     lr=3e38)
+    assert np.array_equal(p.data, np.full(2, 3e38, np.float32))
+
+
 def test_adamw_failure_writes_nothing():
     # "a" would update cleanly, "b" does not: neither parameter, grad nor the state moves
     a, b = Tensor(np.array([1.0])), Tensor(np.array([2.0]))
@@ -163,6 +176,18 @@ def test_baseline_budgets_within_five_percent():
     for method, grain in (("lora", 4 * TINY.embed), ("bottleneck", 2 * TINY.embed + 1)):
         n = P.build_adapter(TINY, method, adapter_config=TINY_ADAPTER).param_count()
         assert abs(n - target) <= max(0.05 * target, grain / 2), (method, n, target)
+
+
+@pytest.mark.parametrize("method", ["lora", "bottleneck"])
+def test_baselines_are_seeded_from_the_adapter_config(method):
+    # build_adapter has no seed of its own: every method reads the config's
+    config = replace(TINY_ADAPTER, seed=5)
+    target = P.build_adapter(TINY, "adaptir", config).param_count()
+    expected = METHODS[method].with_budget(TINY, target, seed=5).parameters()
+    built = P.build_adapter(TINY, method, config).parameters()
+    assert all(np.array_equal(built[k].data, v.data) for k, v in expected.items())
+    seed0 = P.build_adapter(TINY, method, TINY_ADAPTER).parameters()
+    assert not all(np.array_equal(seed0[k].data, v.data) for k, v in expected.items())
 
 
 def test_build_adapter_rejects_unknown_method():
@@ -227,9 +252,71 @@ def test_a_default_host_step_keeps_only_what_backward_reads():
     host = freeze(HostModel(HostConfig()))
     task = "second_order_s2_sig25"
     for method, bound in (("adaptir", 21.3e6), ("lora", 20.5e6), ("bottleneck", 24.1e6)):
-        adapter = P.build_adapter(host.config, method, seed=0)
+        adapter = P.build_adapter(host.config, method)
         assert traced_step_peak(host, adapter, task) <= bound, method
     assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 36.5e6
+
+
+def one_step_dtypes(model: HostModel, adapter, params: dict, task: str, monkeypatch) -> list:
+    """Run one batch-2 training step; return every op whose recorded value is
+    f64 although a parent is f32, or whose gradient's dtype is not its input's."""
+    mixed = []
+
+    def checked(node):
+        def wrapped(data, parents, backward):
+            dtypes = [p.dtype for p in parents]
+            if data.dtype == np.float64 and np.float32 in dtypes:
+                mixed.append((backward.__qualname__, "value", data.dtype, dtypes))
+
+            def checked_backward(g):
+                grads = backward(g)
+                mixed.extend((backward.__qualname__, "grad", np.asarray(pg).dtype, dt)
+                             for pg, dt in zip(grads, dtypes)
+                             if pg is not None and np.asarray(pg).dtype != dt)
+                return grads
+            return node(data, parents, checked_backward)
+        return wrapped
+
+    monkeypatch.setattr(tensor_mod, "_node", checked(tensor_mod._node))
+    monkeypatch.setattr(fft_mod, "_node", checked(fft_mod._node))
+    _, spec, corpus, seed = P._train_run(task, 0, 2)
+    lq, hq = next(P._epoch_batches(corpus, spec, seed, 0, 2))
+    P.l1_loss(P.host_forward(lq, task, model, adapter=adapter), hq).backward()
+    monkeypatch.undo()
+    # a pretrain step leaves the other task's head and tail without a grad
+    stepped = {k: p for k, p in params.items() if p.grad is not None}
+    assert stepped and all(p.grad.dtype == p.dtype for p in stepped.values())
+    state = P.TrainState()
+    P.adamw_step(state, params, lr=2e-3)
+    assert state.m.keys() == state.v.keys() == stepped.keys()
+    assert all(state.m[k].dtype == state.v[k].dtype == p.dtype == np.float32
+               for k, p in stepped.items())
+    return mixed
+
+
+@pytest.mark.parametrize("method", [None, "adaptir", "lora", "bottleneck"])
+def test_an_f32_training_step_stays_f32(monkeypatch, method):
+    # no op casts its value or its gradients, and adamw_step casts nothing:
+    # on the default f32 host every recorded value, gradient and Adam moment
+    # has its input's dtype (None is a pretrain step)
+    model = HostModel(HostConfig())
+    if method is None:
+        adapter, params, task = None, model.params, "sr2"
+    else:
+        adapter = P.build_adapter(freeze(model).config, method)
+        params, task = adapter.parameters(), "second_order_s2_sig25"
+    assert one_step_dtypes(model, adapter, params, task, monkeypatch) == []
+
+
+def test_configs_are_checked_when_built_and_frozen():
+    for config, changes, message in (
+            (HostConfig(), {"heads": 3}, "embed 64 not divisible by heads 3"),
+            (AdaptIRConfig(), {"kernel": 4}, "kernel must be odd and positive, got 4"),
+            (P.TrainConfig(), {"epochs": 0}, "epochs must be >= 1, got 0")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(config, **changes)
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, *next(iter(changes.items())))
 
 
 def test_pretrain_writes_log_and_freezes(tiny_frozen):
@@ -490,6 +577,13 @@ def edit_header(path, keys, value):
      "BottleneckStack.hidden expects tuple[int, ...], got None"),
     ("adaptir", ("config", "adapter", "ffn_hidden"), None, ConfigError,
      "AdaptIRConfig has no key 'ffn_hidden'"),
+    # conv1_b renamed conv1_w, same size: used to load the bias as the weight
+    ("host", ("fields", 1), {"name": "head.sr2.conv1_w", "shape": [16]}, ValueError,
+     "corrupt checkpoint: field head.sr2.conv1_w is declared twice"),
+    ("adaptir", ("config", "adapter", "dtype"), "f16", ConfigError,
+     "AdaptIRConfig: dtype must be f32 or f64, got f16"),
+    ("adaptir", ("config", "adapter", "channels"), 8, ConfigError,
+     "adapter channels 8 != host embed 16"),
 ])
 def test_malformed_checkpoint_header_is_one_line(tmp_path, kind, keys, value, error,
                                                  fragment):
@@ -529,13 +623,9 @@ def test_checkpoint_saves_float32_only(tmp_path):
     (dict(base_lr=float("inf")), "base_lr must be finite, got inf"),
     (dict(weight_decay=float("nan")), "weight_decay must be finite, got nan"),
 ])
-def test_train_config_rejects_bad_recipes(tiny_frozen, changes, fragment):
-    model, _ = tiny_frozen
-    train = P.TrainConfig(**changes)
+def test_train_config_rejects_bad_recipes(changes, fragment):
     with pytest.raises(ConfigError, match=fragment):
-        P.finetune(model, "adaptir", "sr2", train, TINY_ADAPTER)
-    with pytest.raises(ConfigError, match=fragment):
-        P.pretrain(HostModel(TINY), train)
+        P.TrainConfig(**changes)
 
 
 def test_ablation_rejects_unknown_axis(tiny_frozen):

@@ -3,6 +3,7 @@ finite differences in float64."""
 
 import contextlib
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -77,6 +78,40 @@ def test_binary_ops_reject_non_broadcastable_shapes(op):
     a, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4)))
     with pytest.raises(ShapeError, match=r"shapes \(3, 4\) and \(2, 4\) are not broadcastable"):
         op(a, b)
+
+
+def zeros(*shape, dtype=np.float64):
+    return Tensor(np.zeros(shape, dtype))
+
+
+@pytest.mark.parametrize("op,call", [
+    ("add", lambda: T.add(zeros(2, 4, dtype=np.float32), zeros(2, 4))),
+    ("layernorm", lambda: T.layernorm(zeros(2, 4, dtype=np.float32), zeros(4),
+                                      zeros(4, dtype=np.float32))),
+    ("layernorm", lambda: T.layernorm(zeros(2, 4, dtype=np.float32),
+                                      zeros(4, dtype=np.float32), zeros(4))),
+    ("conv2d", lambda: T.conv2d(zeros(1, 2, 3, 3, dtype=np.float32),
+                                zeros(4, 2, 3, 3, dtype=np.float32), zeros(4))),
+], ids=["add", "layernorm-gamma", "layernorm-beta", "conv2d-bias"])
+def test_multi_input_ops_refuse_mixed_dtypes(op, call):
+    # no op casts: an f64 operand of an f32 op is refused, not promoted
+    with pytest.raises(ShapeError, match=f"^{op}: dtype mismatch float32 vs float64$"):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: T.matmul(zeros(2, 3), zeros(4, 5)),
+     "matmul: inner extents differ for shapes (2, 3) and (4, 5)"),
+    (lambda: T.conv2d(zeros(2, 3, 3), zeros(4, 2, 3, 3)),
+     "conv2d expects 4-D x and w, got (2, 3, 3) and (4, 2, 3, 3)"),
+    (lambda: T.conv2d(zeros(1, 2, 3, 3), zeros(4, 2, 3, 3), zeros(3)),
+     "conv2d: bias shape (3,) != (4,)"),
+    (lambda: T.depth_to_space(zeros(1, 3, 2, 2), 2),
+     "depth_to_space: channels 3 not divisible by 4"),
+], ids=["matmul-inner", "conv2d-4d", "conv2d-bias-shape", "depth_to_space"])
+def test_shape_refusals_are_one_line(call, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("op", [T.tabs, T.sqrt, T.cos, T.sin, T.gelu])
