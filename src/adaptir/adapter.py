@@ -123,11 +123,6 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer over the last axis: ``x @ w.T + b``."""
-    return T.matmul(x, T.transpose(w, (1, 0))) + b
-
-
 class AdaptIR:
     """One adapter instance operating on N x C x H x W feature maps."""
 
@@ -201,11 +196,10 @@ class AdaptIR:
     def _freq_affine(self, t: Tensor, w: Tensor, b: Tensor) -> Tensor:
         # t is N x Cg x H x Wh; depthwise form scales each channel,
         # the full form mixes channels per frequency bin.
+        cg = self.config.intrinsic
         if self.config.fam_depthwise:
-            cg = self.config.intrinsic
             return t * T.reshape(w, (1, cg, 1, 1)) + T.reshape(b, (1, cg, 1, 1))
-        mixed = _linear(T.transpose(t, (0, 2, 3, 1)), w, b)
-        return T.transpose(mixed, (0, 3, 1, 2))
+        return T.conv2d(t, T.reshape(w, (cg, cg, 1, 1)), b)
 
     def fam_forward(self, x_intrin: Tensor, include_scale: bool = True) -> Tensor:
         p = self.params
@@ -224,10 +218,12 @@ class AdaptIR:
         p = self.params
         mask = T.softmax_spatial(
             T.conv2d(x_intrin, p["csm_mask_w"], p["csm_mask_b"]))
+        n, cg = x_intrin.shape[0], self.config.intrinsic
         pooled = T.tsum(mask * x_intrin, axis=(2, 3))  # N x Cg
-        hidden = T.gelu(_linear(pooled, p["csm_ffn_w1"], p["csm_ffn_b1"]))
-        shift = _linear(hidden, p["csm_ffn_w2"], p["csm_ffn_b2"])
-        return T.reshape(shift, (x_intrin.shape[0], self.config.intrinsic, 1, 1))
+        # one image of N tokens, not N images of one: each FFN matmul stays one gemm
+        shift = T.mlp(T.reshape(pooled, (1, n, cg)), p["csm_ffn_w1"], p["csm_ffn_b1"],
+                      p["csm_ffn_w2"], p["csm_ffn_b2"])
+        return T.reshape(shift, (n, cg, 1, 1))
 
     def forward(self, x: Tensor) -> Tensor:
         """Adapter output (the caller adds it to the frozen sublayer output)."""

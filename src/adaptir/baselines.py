@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .adapter import ConfigError, _linear, _uniform
+from .adapter import ConfigError, _uniform
 
 __all__ = ["LoRALayer", "BottleneckAdapter", "bottleneck_forward"]
 
@@ -59,6 +59,11 @@ class BottleneckAdapter:
         return bottleneck_forward(x, self.params)
 
     __call__ = forward
+
+
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer over the last axis: ``x @ w.T + b``."""
+    return T.matmul(x, T.transpose(w, (1, 0))) + b
 
 
 def bottleneck_forward(x: Tensor, p: dict[str, Tensor], activation=T.gelu) -> Tensor:

@@ -55,7 +55,7 @@ def psnr(a: np.ndarray, b: np.ndarray, mode: str = "rgb") -> float:
         raise ValueError(f"unknown psnr mode {mode!r}")
     if mode == "y_channel":
         a, b = rgb_to_y(a), rgb_to_y(b)
-    mse = np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2)
+    mse = np.mean((a.astype(np.float64, copy=False) - b.astype(np.float64, copy=False)) ** 2)
     if mse == 0.0:
         return PSNR_CAP
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
@@ -87,8 +87,6 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         rows = sliding_window_view(z, SSIM_WINDOW, axis=1) @ g
         return sliding_window_view(rows, SSIM_WINDOW, axis=0) @ g
 
-    x = x.astype(np.float64)
-    y = y.astype(np.float64)
     mu_x, mu_y = filt(x), filt(y)
     sxx = filt(x * x) - mu_x * mu_x
     syy = filt(y * y) - mu_y * mu_y

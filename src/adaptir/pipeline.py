@@ -261,7 +261,7 @@ def method_class(method: str) -> type[PETLMethod]:
 
 
 def build_adapter(host_config: HostConfig, method: str,
-                  adapter_config: AdaptIRConfig | None = None) -> PETLMethod:
+                  adapter_config: AdaptIRConfig) -> PETLMethod:
     """The requested method's adapter stack, seeded from ``adapter_config.seed``.
 
     The baselines are sized by their ``with_budget`` to match the configured
@@ -269,8 +269,6 @@ def build_adapter(host_config: HostConfig, method: str,
     equal-budget comparisons.
     """
     cls = method_class(method)
-    if adapter_config is None:
-        adapter_config = AdaptIRConfig(channels=host_config.embed)
     stack = AdapterStack(host_config, adapter_config)
     if cls is AdapterStack:
         return stack
@@ -294,10 +292,10 @@ class FinetuneResult:
     samples: list  # ``evaluate``'s kept (lq, hq, prediction) triples of the adapted host
 
 
-def _refuse_unfit(model: HostModel) -> None:
-    """Refuse a host with a trainable parameter."""
+def _refuse_unfit(model: HostModel, command: str) -> None:
+    """Refuse a host with a trainable parameter, naming the ``command`` refused."""
     if any(p.requires_grad for p in model.params.values()):
-        raise ConfigError("finetune requires a frozen host")
+        raise ConfigError(f"{command} requires a frozen host")
 
 
 def _adapt(model: HostModel, adapter: PETLMethod, task: str, train: TrainConfig,
@@ -320,7 +318,7 @@ def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
     """Train only the adapter on a frozen host and report held-out metrics
     before and after, and ``keep`` samples after.  A host with a trainable
     parameter is refused, and ``_adapt`` enforces the freeze contract."""
-    _refuse_unfit(model)
+    _refuse_unfit(model, "finetune")
     adapter = build_adapter(model.config, method,
                             adapter_config or _default_adapter_config(model, train))
     before, _ = evaluate(model, None, task, train.eval_n, train.seed)
@@ -371,7 +369,7 @@ def ablate(model: HostModel, task: str, axes: str, train: TrainConfig,
     passes ``_adapt``'s freeze-contract check.  The bare host, which every
     row shares, is not evaluated.  Emits (label, MetricReport) rows."""
     variants = ablation_rows(axes)
-    _refuse_unfit(model)
+    _refuse_unfit(model, "ablate")
     base = adapter_config or _default_adapter_config(model, train)
     rows = []
     for label, fields in variants:

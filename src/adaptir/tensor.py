@@ -748,7 +748,8 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Ten
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two dense layers over the last axis of an N x T x C ``x`` as one node:
-    ``gelu(x @ w1^T + b1) @ w2^T + b2``.
+    ``gelu(x @ w1^T + b1) @ w2^T + b2``.  Its callers are the host layer's MLP
+    and the adapter's CSM, whose FFN hands it N pooled vectors as one image.
 
     Forward and backward walk the batch one image at a time and write each
     image's output and input gradient into full-size results, so no

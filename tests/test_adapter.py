@@ -175,30 +175,56 @@ def test_composed_kernel_rank_bounded():
 
 
 def test_fam_branch_equals_numpy_composition():
-    cfg = AdaptIRConfig(channels=8, reduction=2, dtype="f64")
-    ad = randomized(cfg, 5)
-    rng = np.random.default_rng(6)
+    for depthwise in (True, False):
+        cfg = AdaptIRConfig(channels=8, reduction=2, dtype="f64", fam_depthwise=depthwise)
+        ad = randomized(cfg, 5)
+        rng = np.random.default_rng(6)
+        xi = Tensor(rng.standard_normal((2, 4, 6, 6)))
+        with no_grad():
+            got = ad.fam_forward(xi, include_scale=False).data
+        p = {k: v.data for k, v in ad.params.items()}
+
+        def affine(t, part):
+            w, b = p[f"fam_{part}_w"], p[f"fam_{part}_b"].reshape(1, 4, 1, 1)
+            if depthwise:
+                return t * w.reshape(1, 4, 1, 1) + b
+            return np.einsum("oc,nchw->nohw", w, t) + b  # channels mixed per bin
+
+        # numpy oracle: affine on the stored half spectrum in polar form, then
+        # Hermitian completion and an inverse FFT
+        spec = np.fft.fft2(xi.data) / 36.0
+        half = spec[..., : 6 // 2 + 1].copy()
+        # structurally real bins carry an exact zero imaginary part, so their
+        # phase is atan2(+0, re); scrub the fp dust np.fft leaves there
+        for (bi, bj) in [(0, 0), (0, 3), (3, 0), (3, 3)]:
+            half[..., bi, bj] = half[..., bi, bj].real
+        hm = affine(np.abs(half), "mag")
+        hp = affine(np.angle(half), "pha")
+        newhalf = hm * np.cos(hp) + 1j * hm * np.sin(hp)
+        full = np.zeros_like(spec)
+        full[..., :4] = newhalf
+        rows = (6 - np.arange(6)) % 6
+        full[..., 4:] = np.conj(newhalf[..., rows, :][..., :, [2, 1]])
+        expect = np.fft.ifft2(full * 36.0).real
+        assert np.abs(got - expect).max() < 1e-10, depthwise
+
+
+def test_full_form_fam_parameters_match_finite_differences():
+    # gradcheck runs the depthwise default only; this pins the 1x1-conv form
+    ad = randomized(AdaptIRConfig(channels=8, reduction=2, dtype="f64",
+                                  fam_depthwise=False), 18)
+    rng = np.random.default_rng(19)
     xi = Tensor(rng.standard_normal((2, 4, 6, 6)))
-    with no_grad():
-        got = ad.fam_forward(xi, include_scale=False).data
-    p = {k: v.data for k, v in ad.params.items()}
-    # numpy oracle: affine on the stored half spectrum in polar form, then
-    # Hermitian completion and an inverse FFT
-    spec = np.fft.fft2(xi.data) / 36.0
-    half = spec[..., : 6 // 2 + 1].copy()
-    # structurally real bins carry an exact zero imaginary part, so their
-    # phase is atan2(+0, re); scrub the fp dust np.fft leaves there
-    for (bi, bj) in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-        half[..., bi, bj] = half[..., bi, bj].real
-    hm = np.abs(half) * p["fam_mag_w"].reshape(1, 4, 1, 1) + p["fam_mag_b"].reshape(1, 4, 1, 1)
-    hp = np.angle(half) * p["fam_pha_w"].reshape(1, 4, 1, 1) + p["fam_pha_b"].reshape(1, 4, 1, 1)
-    newhalf = hm * np.cos(hp) + 1j * hm * np.sin(hp)
-    full = np.zeros_like(spec)
-    full[..., :4] = newhalf
-    rows = (6 - np.arange(6)) % 6
-    full[..., 4:] = np.conj(newhalf[..., rows, :][..., :, [2, 1]])
-    expect = np.fft.ifft2(full * 36.0).real
-    assert np.abs(got - expect).max() < 1e-10
+    weight = Tensor(rng.standard_normal((2, 4, 6, 6)))
+
+    def loss(_t=None):
+        return T.tsum(ad.fam_forward(xi) * weight)
+
+    loss().backward()
+    for name, p in ad.params.items():
+        if name.startswith("fam_"):
+            fd = T.finite_diff_grad(loss, p, 1e-6)
+            assert np.abs(p.grad - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max()), name
 
 
 def test_fam_identity_at_init_pre_scale():
@@ -242,6 +268,34 @@ def test_csm_branch_equals_numpy_composition():
         h = gelu(p["csm_ffn_w1"] @ pooled + p["csm_ffn_b1"])
         expect[n, :, 0, 0] = p["csm_ffn_w2"] @ h + p["csm_ffn_b2"]
     assert np.abs(got - expect).max() < 1e-12
+
+
+def test_csm_ffn_is_bit_identical_to_the_dense_chain():
+    # the fused FFN sees the N x Cg pooled matrix as one image of N tokens, so
+    # each of its matmuls is the chain's single N-row gemm, in f32 at N = 8
+    ad = AdaptIR(AdaptIRConfig(channels=64, reduction=8))
+    rng = np.random.default_rng(21)
+    for v in ad.params.values():
+        v.data = (v.data + 0.2 * rng.standard_normal(v.shape)).astype(np.float32)
+    x = rng.standard_normal((8, 8, 6, 6)).astype(np.float32)
+    weight = Tensor(rng.standard_normal((8, 8, 1, 1)).astype(np.float32))
+    p = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in ad.params.items()}
+
+    def dense(z, name):
+        return T.matmul(z, T.transpose(p[f"csm_ffn_w{name}"], (1, 0))) + p[f"csm_ffn_b{name}"]
+
+    xs, xc = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
+    got = ad.csm_forward(xs)
+    mask = T.softmax_spatial(T.conv2d(xc, p["csm_mask_w"], p["csm_mask_b"]))
+    pooled = T.tsum(mask * xc, axis=(2, 3))
+    expect = T.reshape(dense(T.gelu(dense(pooled, 1)), 2), (8, 8, 1, 1))
+    assert np.array_equal(got.data, expect.data)
+    T.tsum(got * weight).backward()
+    T.tsum(expect * weight).backward()
+    assert np.array_equal(xs.grad, xc.grad)
+    for name in ("csm_mask_w", "csm_mask_b", "csm_ffn_w1", "csm_ffn_b1", "csm_ffn_w2",
+                 "csm_ffn_b2"):
+        assert np.array_equal(ad.params[name].grad, p[name].grad), name
 
 
 def test_forward_is_sum_of_branches_through_up_projection():

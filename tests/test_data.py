@@ -221,6 +221,18 @@ def test_darken_closed_form():
 # -- PPM I/O --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: DegradationSpec("blur"), "unknown degradation kind 'blur'"),
+    (lambda: DegradationSpec("noise", sigma=-1.0), "sigma must be >= 0, got -1.0"),
+    (lambda: synth_image(0, 7), "size must be >= 8, got 7"),
+    (lambda: downsample_bicubic(np.zeros((3, 9, 8)), 2), "dims 9x8 not divisible by scale 2"),
+    (lambda: add_gaussian_noise(np.zeros((3, 8, 8)), -1.0, 0), "sigma must be >= 0"),
+], ids=["spec-kind", "spec-sigma", "synth-size", "bicubic-divisibility", "noise-sigma"])
+def test_data_refusals_are_one_line(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_ppm_round_trip(tmp_path):
     img = synth_image(5, 16)
     path = tmp_path / "x.ppm"

@@ -118,6 +118,12 @@ def test_ssim_window_bound():
         ssim(a, a)  # image smaller than the window
 
 
+def test_ssim_refuses_a_shape_mismatch():
+    a, b = np.zeros((3, 16, 16), np.float32), np.zeros((3, 16, 12), np.float32)
+    with pytest.raises(ValueError, match=r"^shape mismatch \(3, 16, 16\) vs \(3, 16, 12\)$"):
+        ssim(a, b)
+
+
 def test_ssim_refuses_a_single_channel_image():
     # used to score channel 0 of any input without 3 channels
     a = np.random.default_rng(6).random((1, 16, 16)).astype(np.float32)

@@ -166,9 +166,9 @@ def test_adamw_failure_writes_nothing():
 def test_baseline_budgets_within_five_percent():
     # default scale: ±5% holds outright
     full = HostConfig()
-    target = P.build_adapter(full, "adaptir").param_count()
+    target = P.build_adapter(full, "adaptir", AdaptIRConfig(channels=full.embed)).param_count()
     for method in ("lora", "bottleneck"):
-        n = P.build_adapter(full, method).param_count()
+        n = P.build_adapter(full, method, AdaptIRConfig(channels=full.embed)).param_count()
         assert abs(n - target) / target <= 0.05, (method, n, target)
     # tiny hosts: LoRA's rank granularity is 4*embed params, so the bound
     # is ±5% or half a granularity unit, whichever is looser
@@ -192,7 +192,7 @@ def test_baselines_are_seeded_from_the_adapter_config(method):
 
 def test_build_adapter_rejects_unknown_method():
     with pytest.raises(ConfigError):
-        P.build_adapter(TINY, "prompt_tuning")
+        P.build_adapter(TINY, "prompt_tuning", AdaptIRConfig(channels=TINY.embed))
 
 
 # -- end-to-end determinism on a tiny host ---------------------------------------
@@ -252,7 +252,7 @@ def test_a_default_host_step_keeps_only_what_backward_reads():
     host = freeze(HostModel(HostConfig()))
     task = "second_order_s2_sig25"
     for method, bound in (("adaptir", 21.3e6), ("lora", 20.5e6), ("bottleneck", 24.1e6)):
-        adapter = P.build_adapter(host.config, method)
+        adapter = P.build_adapter(host.config, method, AdaptIRConfig(channels=host.config.embed))
         assert traced_step_peak(host, adapter, task) <= bound, method
     assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 36.5e6
 
@@ -303,7 +303,8 @@ def test_an_f32_training_step_stays_f32(monkeypatch, method):
     if method is None:
         adapter, params, task = None, model.params, "sr2"
     else:
-        adapter = P.build_adapter(freeze(model).config, method)
+        adapter = P.build_adapter(freeze(model).config, method,
+                                  AdaptIRConfig(channels=model.config.embed))
         params, task = adapter.parameters(), "second_order_s2_sig25"
     assert one_step_dtypes(model, adapter, params, task, monkeypatch) == []
 
@@ -339,8 +340,13 @@ def test_finetune_is_deterministic(tiny_frozen):
 
 
 def test_finetune_requires_frozen_host():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="finetune requires a frozen host"):
         P.finetune(HostModel(TINY), "adaptir", "sr2", P.TrainConfig(epochs=1))
+
+
+def test_ablate_requires_frozen_host():
+    with pytest.raises(ConfigError, match="ablate requires a frozen host"):
+        P.ablate(HostModel(TINY), "sr2", "insertion", P.TrainConfig(epochs=1))
 
 
 def test_pretrain_refuses_a_frozen_host(monkeypatch):
@@ -584,6 +590,8 @@ def edit_header(path, keys, value):
      "AdaptIRConfig: dtype must be f32 or f64, got f16"),
     ("adaptir", ("config", "adapter", "channels"), 8, ConfigError,
      "adapter channels 8 != host embed 16"),
+    ("adaptir", ("config", "adapter", "channels"), 0, ConfigError,
+     "AdaptIRConfig: intrinsic width 0 must be >= 1"),
 ])
 def test_malformed_checkpoint_header_is_one_line(tmp_path, kind, keys, value, error,
                                                  fragment):

@@ -108,10 +108,25 @@ def test_multi_input_ops_refuse_mixed_dtypes(op, call):
      "conv2d: bias shape (3,) != (4,)"),
     (lambda: T.depth_to_space(zeros(1, 3, 2, 2), 2),
      "depth_to_space: channels 3 not divisible by 4"),
-], ids=["matmul-inner", "conv2d-4d", "conv2d-bias-shape", "depth_to_space"])
+    (lambda: T.softmax_spatial(zeros(1, 2, 4, 4)),
+     "softmax_spatial expects N x 1 x H x W, got (1, 2, 4, 4)"),
+], ids=["matmul-inner", "conv2d-4d", "conv2d-bias-shape", "depth_to_space",
+        "softmax_spatial"])
 def test_shape_refusals_are_one_line(call, message):
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_item_refuses_a_non_scalar():
+    with pytest.raises(ContractError,
+                       match=r"^item\(\) called on non-scalar tensor of shape \(3,\)$"):
+        zeros(3).item()
+
+
+def test_finite_diff_grad_refuses_a_non_positive_eps():
+    for eps in (0.0, -1e-6):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            finite_diff_grad(T.tsum, zeros(3), eps)
 
 
 @pytest.mark.parametrize("op", [T.tabs, T.sqrt, T.cos, T.sin, T.gelu])
