@@ -471,10 +471,11 @@ def _erf(x: np.ndarray) -> np.ndarray:
     # element it does not keep can overflow
     np.clip(a, -1.0, 1.0, out=a)
     np.multiply(a, a, out=z)
-    num.fill(_ERF_T[0])
-    _horner(z, _ERF_T[1:], num)
-    den.fill(1.0)
-    _horner(z, _ERF_U, den)
+    # each chain's first step formed without a fill: T0 z + T1, and z + U0
+    np.multiply(z, _ERF_T[0], out=num)
+    num += _ERF_T[1]
+    _horner(z, _ERF_T[2:], num)
+    _horner(z, _ERF_U[1:], np.add(z, _ERF_U[0], out=den))
     a *= num
     a /= den
     if wide.size:
@@ -616,7 +617,7 @@ def _attention_probs(q: np.ndarray, k: np.ndarray, scale, p: np.ndarray,
     np.matmul(q, np.swapaxes(k, -1, -2), out=p)
     p *= scale
     if reduce:
-        np.max(p, axis=-1, keepdims=True, out=rmax)
+        np.fmax.reduce(p, axis=-1, keepdims=True, out=rmax)  # a NaN row still ends all-NaN
     p -= rmax
     np.exp(p, out=p)
     if reduce:
@@ -754,13 +755,14 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     Forward and backward walk the batch one image at a time and write each
     image's output and input gradient into full-size results, so no
     whole-batch pre-activation or hidden gradient is ever alive.  The tape
-    keeps GELU's slope, plus ``x`` when ``w1`` trains and GELU's value when
-    ``w2`` trains, each built only when the op is recorded.  Every image runs
-    the operations of the dense -> ``gelu`` -> dense chain in the chain's
-    order, each weight gradient is the transposed view of ``x^T @ g`` summed
-    over the batch in order and each bias gradient is reduced in the order a
-    whole-batch sum takes, so forward and backward are bit-identical to the
-    chain.
+    keeps only the arrays the forward read and the forward forms GELU's
+    value alone, as under ``no_grad``: the backward recomputes each image's
+    pre-activation, value and slope, as gradient checkpointing does.
+    Every image runs the operations of the dense -> ``gelu`` -> dense chain
+    in the chain's order, each weight gradient is the transposed view of
+    ``x^T @ g`` summed over the batch in order and each bias gradient is
+    reduced in the order a whole-batch sum takes, so forward and backward
+    are bit-identical to the chain.
     """
     params = (w1, b1, w2, b2)
     _check_dtypes("mlp", x, *params)
@@ -773,40 +775,40 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     hid, cout = w2.shape[1], w2.shape[0]
     dtype, xd = x.dtype, x.data
     w1d, b1d, w2d, b2d = (w.data for w in params)
-    rx, rw1, rb1, rw2, rb2 = (a.requires_grad for a in (x,) + params)
-    recorded = _records(x, *params)
-    # every gradient but b2's and w2's goes through the pre-activation's
-    need_h = recorded and (rx or rw1 or rb1)
-    slope = np.empty((n, t, hid), dtype) if need_h else None
-    value = np.empty((n, t, hid), dtype) if recorded and rw2 else None
-    h = np.empty((t, hid), dtype)
-    data = np.empty((n, t, cout), dtype)
-    for i in range(n):
+
+    def hidden(i, h, slope):
+        """Image ``i``'s GELU value, over ``h``; its slope into ``slope`` unless None."""
         np.matmul(xd[i], w1d.T, out=h)
         h += b1d
-        a = h if value is None else value[i]
-        _gelu_into(h, a, None if slope is None else slope[i])
-        np.matmul(a, w2d.T, out=data[i])
+        _gelu_into(h, h, slope)
+        return h
+
+    h, data = np.empty((t, hid), dtype), np.empty((n, t, cout), dtype)
+    for i in range(n):
+        np.matmul(hidden(i, h, None), w2d.T, out=data[i])
     data += b2d
-    kept_x = xd if rw1 else None
+    rx, rw1, rb1, rw2, rb2 = (a.requires_grad for a in (x,) + params)
+    # every gradient but b2's and w2's goes through the pre-activation's
+    need_h = rx or rw1 or rb1
 
     def backward(g):
         gx = np.empty((n, t, c), dtype) if rx else None
         gw1 = np.zeros((c, hid), dtype) if rw1 else None
         gw2 = np.zeros((hid, cout), dtype) if rw2 else None
         gb1 = np.zeros(hid, dtype) if rb1 else None
-        for i in range(n):
-            gi = g[i]
+        h, slope = np.empty((t, hid), dtype), np.empty((t, hid), dtype) if need_h else None
+        for i in range(n if need_h or rw2 else 0):
+            value = hidden(i, h, slope)
             if rw2:
-                gw2 += np.matmul(value[i].T, gi)
+                gw2 += np.matmul(value.T, g[i])
             if not need_h:
                 continue
-            gh = np.matmul(gi, w2d)
-            gh *= slope[i]
+            gh = np.matmul(g[i], w2d, out=h)
+            gh *= slope
             if rx:
                 np.matmul(gh, w1d, out=gx[i])
             if rw1:
-                gw1 += np.matmul(kept_x[i].T, gh)
+                gw1 += np.matmul(xd[i].T, gh)
             if rb1:  # rows added one after another, running on from the last image's sum
                 gh[0] += gb1
                 gh.sum(axis=0, out=gb1)

@@ -67,8 +67,13 @@ def randomized(cfg, seed=0):
     ad = AdaptIR(cfg)
     rng = np.random.default_rng(seed)
     for p in ad.params.values():
-        p.data = p.data + 0.2 * rng.standard_normal(p.shape)
+        p.data = (p.data + 0.2 * rng.standard_normal(p.shape)).astype(p.dtype)
     return ad
+
+
+def test_randomized_keeps_the_configs_dtype():
+    ad = randomized(AdaptIRConfig(channels=16, reduction=4, lim_rank=2, dtype="f32"))
+    assert all(p.dtype == np.float32 for p in ad.params.values())
 
 
 def test_config_validation():

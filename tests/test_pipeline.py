@@ -248,13 +248,15 @@ def test_a_default_host_step_keeps_only_what_backward_reads():
     # With attention and its projections one node that keeps x, not q, k and
     # v, the MLP one node that keeps no whole-batch pre-activation, both
     # walking the batch one image at a time, and the head's conv1 output not
-    # outliving conv2, the peaks are 19.3, 33.2, 18.6 and 21.9 MB
+    # outliving conv2, the peaks were 19.3, 33.2, 18.6 and 21.9 MB.  With the
+    # MLP keeping only its input and recomputing GELU's value and slope one
+    # image at a time in backward, they are 13.05, 17.6, 12.06 and 15.49 MB
     host = freeze(HostModel(HostConfig()))
     task = "second_order_s2_sig25"
-    for method, bound in (("adaptir", 21.3e6), ("lora", 20.5e6), ("bottleneck", 24.1e6)):
+    for method, bound in (("adaptir", 14.4e6), ("lora", 13.3e6), ("bottleneck", 17.1e6)):
         adapter = P.build_adapter(host.config, method, AdaptIRConfig(channels=host.config.embed))
         assert traced_step_peak(host, adapter, task) <= bound, method
-    assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 36.5e6
+    assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 19.4e6
 
 
 def one_step_dtypes(model: HostModel, adapter, params: dict, task: str, monkeypatch) -> list:
