@@ -201,7 +201,7 @@ class AdaptIR:
             return t * T.reshape(w, (1, cg, 1, 1)) + T.reshape(b, (1, cg, 1, 1))
         return T.conv2d(t, T.reshape(w, (cg, cg, 1, 1)), b)
 
-    def fam_forward(self, x_intrin: Tensor, include_scale: bool = True) -> Tensor:
+    def fam_forward(self, x_intrin: Tensor) -> Tensor:
         p = self.params
         spec = rfft2(x_intrin)
         mag = T.hypot(spec.real, spec.imag)
@@ -210,9 +210,7 @@ class AdaptIR:
         pha = self._freq_affine(pha, p["fam_pha_w"], p["fam_pha_b"])
         out = irfft2(ComplexSpectrum(mag * T.cos(pha), mag * T.sin(pha),
                                      spec.original_width))
-        if include_scale:
-            out = self._freq_affine(out, p["fam_scale_w"], p["fam_scale_b"])
-        return out
+        return self._freq_affine(out, p["fam_scale_w"], p["fam_scale_b"])
 
     def csm_forward(self, x_intrin: Tensor) -> Tensor:
         p = self.params

@@ -2,9 +2,9 @@
 
 The frequency branch needs bin (u,v) = (1/HW) * sum_{h,w} x(h,w) e^{-2pi i
 (uh/H + vw/W)} and an inverse that carries no normalization factor, so the
-pair is an exact round trip.  Both directions are ``numpy.fft`` calls,
-evaluated in complex128 regardless of tensor dtype, so any H, W >= 1 is
-supported.
+pair is an exact round trip.  Both directions and their adjoints are
+``numpy.fft`` calls that run in their input's precision and cast nothing,
+so any H, W >= 1 is supported.
 
 Only the half spectrum (last axis trimmed to floor(W/2)+1) is stored; the
 four structurally real bins (DC and Nyquist combinations) have their
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError, _node
+from .tensor import Tensor, ShapeError, _check_dtypes, _node
 
 __all__ = ["ComplexSpectrum", "rfft2", "irfft2"]
 
@@ -29,10 +29,10 @@ def _real_bins(h: int, w: int) -> list[tuple[int, int]]:
     return [(r, c) for r in rows for c in cols]
 
 
-def _hermitian_weight(w: int) -> np.ndarray:
+def _hermitian_weight(w: int, dtype) -> np.ndarray:
     """How often each stored column occurs in the full spectrum: the DC
     column (and the Nyquist column for even W) once, every other twice."""
-    weight = np.full(w // 2 + 1, 2.0)
+    weight = np.full(w // 2 + 1, 2.0, dtype=dtype)
     weight[0] = 1.0
     if w % 2 == 0:
         weight[-1] = 1.0
@@ -57,19 +57,18 @@ def rfft2(x: Tensor) -> ComplexSpectrum:
     if x.ndim < 2:
         raise ShapeError(f"rfft2 expects at least 2 dims, got shape {x.shape}")
     h, w = x.shape[-2], x.shape[-1]
-    half = np.fft.rfft2(x.data.astype(np.float64), norm="forward")
+    half = np.fft.rfft2(x.data, norm="forward")
     re = half.real.copy()
     im = half.imag.copy()
     for (r, c) in _real_bins(h, w):
         im[..., r, c] = 0.0
-    weight = _hermitian_weight(w)
-    dtype = x.dtype
+    weight = _hermitian_weight(w, x.dtype)
 
     def _adjoint(ghat: np.ndarray) -> np.ndarray:
         # irfft2 counts each interior column twice (it and its mirror), so
         # dividing by the weight gives Re(ifft2) of the zero-padded ghat;
         # ifft2's own 1/(HW) is the adjoint of the forward factor
-        return np.fft.irfft2(ghat / weight, s=(h, w)).astype(dtype, copy=False)
+        return np.fft.irfft2(ghat / weight, s=(h, w))
 
     def backward_re(g):
         return (_adjoint(g),)
@@ -78,8 +77,8 @@ def rfft2(x: Tensor) -> ComplexSpectrum:
         # irfft2 itself drops the imaginary part of the structurally real bins
         return (_adjoint(1j * g),)
 
-    re_t = _node(re.astype(x.dtype, copy=False), (x,), backward_re)
-    im_t = _node(im.astype(x.dtype, copy=False), (x,), backward_im)
+    re_t = _node(re, (x,), backward_re)
+    im_t = _node(im, (x,), backward_im)
     return ComplexSpectrum(re_t, im_t, w)
 
 
@@ -93,19 +92,18 @@ def irfft2(s: ComplexSpectrum) -> Tensor:
     re, im = s.real, s.imag
     if re.shape != im.shape:
         raise ShapeError(f"spectrum parts disagree: {re.shape} vs {im.shape}")
+    _check_dtypes("irfft2", re, im)
     w = s.original_width
     h, wh = re.shape[-2], re.shape[-1]
     if wh != w // 2 + 1:
         raise ShapeError(
             f"half width {wh} inconsistent with original_width {w} (expected {w // 2 + 1})"
         )
-    half = re.data.astype(np.complex128) + 1j * im.data.astype(np.complex128)
-    out = np.fft.irfft2(half, s=(h, w), norm="forward")
-    weight = _hermitian_weight(w)
-    re_dtype, im_dtype = re.dtype, im.dtype
+    out = np.fft.irfft2(re.data + 1j * im.data, s=(h, w), norm="forward")
+    weight = _hermitian_weight(w, re.dtype)
 
     def backward(g):
-        f = weight * np.fft.rfft2(g.astype(np.float64))
-        return f.real.astype(re_dtype, copy=False), f.imag.astype(im_dtype, copy=False)
+        f = weight * np.fft.rfft2(g)
+        return f.real, f.imag
 
-    return _node(out.astype(re.dtype, copy=False), (re, im), backward)
+    return _node(out, (re, im), backward)

@@ -13,8 +13,9 @@ soon as the forward code drops it unless a backward reads it.
 ``attention`` and ``mlp`` walk their batch one image at a time and
 recompute in backward what is cheap to recompute: attention keeps its input
 and the row max and sum, not q, k, v or the probabilities, and the MLP keeps
-GELU's slope, not its pre-activation, so no batch-sized q, k, v, score,
-pre-activation or hidden gradient is ever alive.  ``conv2d`` walks its
+only its input and recomputes each image's pre-activation, GELU value and
+slope, so no batch-sized q, k, v, score, pre-activation or hidden gradient
+is ever alive.  ``conv2d`` walks its
 batch in chunks of whole images and keeps its input, not its im2col
 columns, so no batch-sized columns are ever alive either.  ``gelu`` forms
 Phi(x) one block at a time and keeps one array, its slope.  ``backward``

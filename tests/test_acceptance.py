@@ -203,9 +203,12 @@ def test_criterion_4_fft_round_trip_and_fam_identity():
     assert worst32 < 1e-5
 
     ad = AdaptIR(AdaptIRConfig(channels=64, seed=4))
+    # the post-inverse scale map set to the identity, exactly: 1 and 0
+    ad.params["fam_scale_w"].data = np.ones_like(ad.params["fam_scale_w"].data)
+    ad.params["fam_scale_b"].data = np.zeros_like(ad.params["fam_scale_b"].data)
     xi = Tensor(rng.standard_normal((2, 8, 12, 12)).astype(np.float32))
     with no_grad():
-        fam = ad.fam_forward(xi, include_scale=False).data
+        fam = ad.fam_forward(xi).data
     fam_err = np.abs(fam - xi.data).max()
     assert fam_err < 1e-5
     print(f"\n[criterion 4] round trip worst f64 {worst64:.1e} < 1e-12, "

@@ -71,6 +71,15 @@ def randomized(cfg, seed=0):
     return ad
 
 
+def identity_scale(ad):
+    """Set FAM's post-inverse scale map to the identity (1 or eye, bias 0);
+    exact in IEEE arithmetic, so fam_forward returns the inverse FFT itself."""
+    w, b = ad.params["fam_scale_w"], ad.params["fam_scale_b"]
+    w.data = np.eye(w.shape[0], dtype=w.dtype) if w.ndim == 2 else np.ones_like(w.data)
+    b.data = np.zeros_like(b.data)
+    return ad
+
+
 def test_randomized_keeps_the_configs_dtype():
     ad = randomized(AdaptIRConfig(channels=16, reduction=4, lim_rank=2, dtype="f32"))
     assert all(p.dtype == np.float32 for p in ad.params.values())
@@ -182,11 +191,11 @@ def test_composed_kernel_rank_bounded():
 def test_fam_branch_equals_numpy_composition():
     for depthwise in (True, False):
         cfg = AdaptIRConfig(channels=8, reduction=2, dtype="f64", fam_depthwise=depthwise)
-        ad = randomized(cfg, 5)
+        ad = identity_scale(randomized(cfg, 5))
         rng = np.random.default_rng(6)
         xi = Tensor(rng.standard_normal((2, 4, 6, 6)))
         with no_grad():
-            got = ad.fam_forward(xi, include_scale=False).data
+            got = ad.fam_forward(xi).data
         p = {k: v.data for k, v in ad.params.items()}
 
         def affine(t, part):
@@ -233,21 +242,22 @@ def test_full_form_fam_parameters_match_finite_differences():
 
 
 def test_fam_identity_at_init_pre_scale():
-    ad = AdaptIR(AdaptIRConfig(channels=16, reduction=4, seed=9))
+    ad = identity_scale(AdaptIR(AdaptIRConfig(channels=16, reduction=4, seed=9)))
     rng = np.random.default_rng(10)
     xi = Tensor(rng.standard_normal((2, 4, 8, 8)).astype(np.float32))
     with no_grad():
-        out = ad.fam_forward(xi, include_scale=False)
+        out = ad.fam_forward(xi)
     assert np.abs(out.data - xi.data).max() < 1e-5
 
 
 def test_fam_full_channel_identity_init():
     ad = AdaptIR(AdaptIRConfig(channels=16, reduction=4, fam_depthwise=False, seed=9))
     assert np.allclose(ad.params["fam_mag_w"].data, np.eye(4))
+    identity_scale(ad)
     rng = np.random.default_rng(11)
     xi = Tensor(rng.standard_normal((1, 4, 8, 8)).astype(np.float32))
     with no_grad():
-        out = ad.fam_forward(xi, include_scale=False)
+        out = ad.fam_forward(xi)
     assert np.abs(out.data - xi.data).max() < 1e-5
 
 

@@ -26,11 +26,14 @@ def naive_dft2(x):
 def test_rfft2_matches_naive_dft(hw):
     rng = np.random.default_rng(sum(hw))
     x = rng.standard_normal((2, 3) + hw)
-    spec = F.rfft2(Tensor(x))
     full = naive_dft2(x)
     half = full[..., :, : hw[1] // 2 + 1]
-    assert np.abs(spec.real.data - half.real).max() < 1e-12
-    assert np.abs(spec.imag.data - half.imag).max() < 1e-12
+    # the f32 row is x rounded to f32 against the f64 oracle of x itself
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+        spec = F.rfft2(Tensor(x.astype(dtype)))
+        assert spec.real.dtype == spec.imag.dtype == dtype
+        assert np.abs(spec.real.data - half.real).max() < tol, dtype
+        assert np.abs(spec.imag.data - half.imag).max() < tol, dtype
 
 
 def naive_inverse_of_half(half, w):
@@ -162,6 +165,51 @@ def test_gradients_of_each_direction(hw):
     fd_im = finite_diff_grad(lambda t: loss_inv(re, t), im, 1e-6)
     assert np.abs(re.grad - fd_re).max() < 1e-7
     assert np.abs(im.grad - fd_im).max() < 1e-7
+
+
+@pytest.mark.parametrize("hw", [(1, 1), (3, 1), (4, 4), (5, 7), (6, 10), (9, 9)])
+def test_f32_transforms_are_numpys_single_precision_ones(hw):
+    # nothing is widened: each direction is numpy's complex64 transform, bit
+    # for bit (rfft2 outside the structurally real bins, which it zeroes)
+    h, w = hw
+    rng = np.random.default_rng(sum(hw) + 30)
+    x = rng.standard_normal((2, 3, h, w)).astype(np.float32)
+    ref = np.fft.rfft2(x, norm="forward")
+    spec = F.rfft2(Tensor(x))
+    real_bins = np.zeros(ref.shape[-2:], dtype=bool)
+    for (r, c) in F._real_bins(h, w):
+        real_bins[r, c] = True
+    assert np.array_equal(spec.real.data, ref.real)
+    assert np.array_equal(spec.imag.data[..., ~real_bins], ref.imag[..., ~real_bins])
+    assert not spec.imag.data[..., real_bins].any()
+
+    re, im = (rng.standard_normal(ref.shape).astype(np.float32) for _ in range(2))
+    out = F.irfft2(F.ComplexSpectrum(Tensor(re), Tensor(im), w))
+    assert out.dtype == np.float32
+    assert np.array_equal(out.data, np.fft.irfft2(re + 1j * im, s=(h, w), norm="forward"))
+
+
+@pytest.mark.parametrize("hw", [(3, 1), (2, 3), (5, 6), (8, 8)])
+def test_f32_adjoints_agree_with_f64_ones(hw):
+    # the same cotangents through both directions at f32 and at f64: each
+    # gradient stays f32 and differs from the f64 one by f32 rounding only
+    rng = np.random.default_rng(sum(hw) + 40)
+    half_shape = (1, 2, hw[0], hw[1] // 2 + 1)
+    x, cot = rng.standard_normal((2, 1, 2) + hw)
+    c_re, c_im, re, im = rng.standard_normal((4,) + half_shape)
+
+    def grads(dtype):
+        xt = Tensor(x.astype(dtype), requires_grad=True)
+        s = F.rfft2(xt)
+        (T.tsum(s.real * Tensor(c_re.astype(dtype)))
+         + T.tsum(s.imag * Tensor(c_im.astype(dtype)))).backward()
+        rt, it = (Tensor(a.astype(dtype), requires_grad=True) for a in (re, im))
+        T.tsum(F.irfft2(F.ComplexSpectrum(rt, it, hw[1])) * Tensor(cot.astype(dtype))).backward()
+        return xt.grad, rt.grad, it.grad
+
+    for g32, g64 in zip(grads(np.float32), grads(np.float64)):
+        assert g32.dtype == np.float32
+        assert np.abs(g32 - g64).max() <= 1e-6 * max(1.0, np.abs(g64).max())
 
 
 def test_gradients_through_magnitude_phase_path():

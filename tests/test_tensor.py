@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from adaptir import tensor as T
-from adaptir.fft import irfft2, rfft2
+from adaptir.fft import ComplexSpectrum, irfft2, rfft2
 from adaptir.tensor import Tensor, ShapeError, ContractError, finite_diff_grad, no_grad
 
 
@@ -92,7 +92,9 @@ def zeros(*shape, dtype=np.float64):
                                       zeros(4, dtype=np.float32), zeros(4))),
     ("conv2d", lambda: T.conv2d(zeros(1, 2, 3, 3, dtype=np.float32),
                                 zeros(4, 2, 3, 3, dtype=np.float32), zeros(4))),
-], ids=["add", "layernorm-gamma", "layernorm-beta", "conv2d-bias"])
+    ("irfft2", lambda: irfft2(ComplexSpectrum(zeros(4, 3, dtype=np.float32),
+                                              zeros(4, 3), 4))),
+], ids=["add", "layernorm-gamma", "layernorm-beta", "conv2d-bias", "irfft2"])
 def test_multi_input_ops_refuse_mixed_dtypes(op, call):
     # no op casts: an f64 operand of an f32 op is refused, not promoted
     with pytest.raises(ShapeError, match=f"^{op}: dtype mismatch float32 vs float64$"):
