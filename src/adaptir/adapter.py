@@ -74,7 +74,6 @@ class AdaptIRConfig:
     lim_rank: int = 4
     kernel: int = 3
     seed: int = 0
-    dtype: str = "f32"
     # ablation toggles (defaults reproduce the standard design)
     lim_form: str = "lowrank"    # "lowrank" | "depthwise" | "full"
     fam_depthwise: bool = True
@@ -100,8 +99,6 @@ class AdaptIRConfig:
             raise ConfigError(
                 f"lim_rank {self.lim_rank} outside [1, min(C/gamma={cg}, K^2={self.kernel ** 2})]"
             )
-        if self.dtype not in ("f32", "f64"):
-            raise ConfigError(f"dtype must be f32 or f64, got {self.dtype}")
         if not (self.lim or self.fam or self.csm):
             raise ConfigError("at least one branch must be enabled")
         if self.position not in ("mlp", "attention"):
@@ -112,10 +109,6 @@ class AdaptIRConfig:
     @property
     def intrinsic(self) -> int:
         return self.channels // self.reduction
-
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "f32" else np.float64
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -134,8 +127,7 @@ class AdaptIR:
 
     def _init_params(self) -> dict[str, Tensor]:
         cfg = self.config
-        c, cg, k = cfg.channels, cfg.intrinsic, cfg.kernel
-        dt = cfg.np_dtype
+        c, cg, k, dt = cfg.channels, cfg.intrinsic, cfg.kernel, np.float32
         rng = np.random.default_rng(cfg.seed)
         p: dict[str, np.ndarray] = {}
 

@@ -236,7 +236,7 @@ def cmd_eval(config_path, seed, out, task):
 @main.command("gradcheck")
 @click.option("--seed", type=int, default=0)
 def cmd_gradcheck(seed):
-    """Finite-difference audit of every adapter parameter (f64)."""
+    """Finite-difference audit of every adapter parameter (float32, widened to f64)."""
     rows = P.gradcheck(seed=seed)
     width = max(len(name) for name, _, _ in rows)
     failed = [(n, r) for n, r, ok in rows if not ok]

@@ -159,8 +159,10 @@ def _train_run(task: str, data_seed: int, n: int):
     """One task's training run for ``_fit``: (task, spec, corpus, data seed)."""
     spec = parse_task(task)
     size = (LQ_SIZE + 16) * spec.sr_scale
-    corpus = [synth_image(derive_seed(data_seed, "corpus", spec.task_id(), i), size)
-              for i in range(n)]
+    # one array: a corpus that cannot fit fails at once, not image by image
+    corpus = np.empty((n, 3, size, size), dtype=np.float32)
+    for i in range(n):
+        corpus[i] = synth_image(derive_seed(data_seed, "corpus", spec.task_id(), i), size)
     return task, spec, corpus, data_seed
 
 
@@ -401,7 +403,7 @@ def _load_module(path, kind: str, build):
     except ValueError as exc:  # a ConfigError, or a header task that parse_task refuses
         raise type(exc)(f"{path}: {exc}") from None
     for name, arr in arrays.items():
-        params[name].data = arr.astype(params[name].dtype, copy=False)
+        params[name].data = arr
     return module
 
 
@@ -448,17 +450,17 @@ def load_adapter(path, host_config: HostConfig) -> PETLMethod:
 
 
 def gradcheck(seed: int = 0):
-    """Autodiff vs central finite differences on a fixed f64 adapter.
+    """Autodiff vs central finite differences on a fixed float32 adapter.
 
-    Parameters are jittered away from the zero-output initialization so
-    every branch carries gradient.  Returns (name, rel_err, ok) rows.
+    Each parameter is widened to f64 as it is jittered away from the
+    zero-output initialization, so every branch carries gradient.
+    Returns (name, rel_err, ok) rows.
     """
-    cfg = AdaptIRConfig(channels=GRADCHECK_SHAPE[1], reduction=2, lim_rank=2,
-                        seed=seed, dtype="f64")
+    cfg = AdaptIRConfig(channels=GRADCHECK_SHAPE[1], reduction=2, lim_rank=2, seed=seed)
     adapter = AdaptIR(cfg)
     rng = np.random.default_rng(derive_seed(seed, "gradcheck"))
     for p in adapter.params.values():
-        p.data = p.data + 0.3 * rng.standard_normal(p.shape)
+        p.data = p.data.astype(np.float64) + 0.3 * rng.standard_normal(p.shape)
     x = Tensor(rng.standard_normal(GRADCHECK_SHAPE))
     target = Tensor(rng.standard_normal(GRADCHECK_SHAPE))
 

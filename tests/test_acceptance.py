@@ -19,6 +19,7 @@ from adaptir.host import (HostConfig, HostModel, AdapterStack,
                           LoRAStack, BottleneckStack, host_forward, host_checksum)
 from adaptir.metrics import psnr, rgb_to_y, ssim
 from adaptir.tensor import Tensor, no_grad
+from test_adapter import widened
 
 
 # -- shared expensive artifacts ---------------------------------------------------
@@ -220,9 +221,8 @@ def test_criterion_4_fft_round_trip_and_fam_identity():
 
 def test_criterion_5_receptive_field_separation():
     for trial in range(5):
-        cfg = AdaptIRConfig(channels=16, reduction=4, lim_rank=2,
-                            seed=trial, dtype="f64")
-        ad = AdaptIR(cfg)
+        cfg = AdaptIRConfig(channels=16, reduction=4, lim_rank=2, seed=trial)
+        ad = widened(AdaptIR(cfg))
         rng = np.random.default_rng(100 + trial)
         for p in ad.params.values():
             p.data = p.data + 0.3 * rng.standard_normal(p.shape)
@@ -251,8 +251,8 @@ def test_criterion_5_receptive_field_separation():
 def test_criterion_6_composed_kernel_low_rank():
     worst = 0.0
     for r in (1, 2, 4):
-        cfg = AdaptIRConfig(channels=64, lim_rank=r, seed=r, dtype="f64")
-        ad = AdaptIR(cfg)
+        cfg = AdaptIRConfig(channels=64, lim_rank=r, seed=r)
+        ad = widened(AdaptIR(cfg))
         rng = np.random.default_rng(r)
         ad.params["lim_u"].data = rng.standard_normal(ad.params["lim_u"].shape)
         ad.params["lim_v"].data = rng.standard_normal(ad.params["lim_v"].shape)

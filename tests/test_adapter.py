@@ -63,8 +63,14 @@ def test_zero_init_output_is_exactly_zero():
     assert np.all(out.data == 0.0)
 
 
-def randomized(cfg, seed=0):
-    ad = AdaptIR(cfg)
+def widened(ad):
+    """``ad`` with every parameter widened to float64, for the f64 oracles."""
+    for p in ad.params.values():
+        p.data = p.data.astype(np.float64)
+    return ad
+
+
+def randomized(ad, seed=0):
     rng = np.random.default_rng(seed)
     for p in ad.params.values():
         p.data = (p.data + 0.2 * rng.standard_normal(p.shape)).astype(p.dtype)
@@ -80,9 +86,10 @@ def identity_scale(ad):
     return ad
 
 
-def test_randomized_keeps_the_configs_dtype():
-    ad = randomized(AdaptIRConfig(channels=16, reduction=4, lim_rank=2, dtype="f32"))
-    assert all(p.dtype == np.float32 for p in ad.params.values())
+def test_randomized_keeps_each_parameters_dtype():
+    cfg = AdaptIRConfig(channels=16, reduction=4, lim_rank=2)
+    for ad, dtype in ((AdaptIR(cfg), np.float32), (widened(AdaptIR(cfg)), np.float64)):
+        assert all(p.dtype == dtype for p in randomized(ad).params.values())
 
 
 def test_config_validation():
@@ -154,8 +161,8 @@ def test_branch_refuses_a_wrong_channel_count(branch, fields, channels):
 
 
 def test_lim_branch_equals_numpy_composition():
-    cfg = AdaptIRConfig(channels=8, reduction=2, lim_rank=2, dtype="f64")
-    ad = randomized(cfg, 1)
+    cfg = AdaptIRConfig(channels=8, reduction=2, lim_rank=2)
+    ad = randomized(widened(AdaptIR(cfg)), 1)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 8, 6, 6))
     with no_grad():
@@ -169,8 +176,8 @@ def test_lim_branch_equals_numpy_composition():
 
 
 def test_lim_full_rank_kernel_used_directly():
-    cfg = AdaptIRConfig(channels=8, reduction=2, lim_form="depthwise", dtype="f64")
-    ad = randomized(cfg, 3)
+    cfg = AdaptIRConfig(channels=8, reduction=2, lim_form="depthwise")
+    ad = randomized(widened(AdaptIR(cfg)), 3)
     rng = np.random.default_rng(4)
     xi = Tensor(rng.standard_normal((1, 4, 5, 5)))
     with no_grad():
@@ -181,8 +188,8 @@ def test_lim_full_rank_kernel_used_directly():
 
 def test_composed_kernel_rank_bounded():
     for r in (1, 2, 4):
-        cfg = AdaptIRConfig(channels=64, reduction=8, lim_rank=r, dtype="f64")
-        ad = randomized(cfg, r)
+        cfg = AdaptIRConfig(channels=64, reduction=8, lim_rank=r)
+        ad = randomized(widened(AdaptIR(cfg)), r)
         m = ad.params["lim_u"].data @ ad.params["lim_v"].data.T
         sv = np.linalg.svd(m, compute_uv=False)
         assert np.all(sv[r:] < 1e-10)
@@ -190,8 +197,8 @@ def test_composed_kernel_rank_bounded():
 
 def test_fam_branch_equals_numpy_composition():
     for depthwise in (True, False):
-        cfg = AdaptIRConfig(channels=8, reduction=2, dtype="f64", fam_depthwise=depthwise)
-        ad = identity_scale(randomized(cfg, 5))
+        cfg = AdaptIRConfig(channels=8, reduction=2, fam_depthwise=depthwise)
+        ad = identity_scale(randomized(widened(AdaptIR(cfg)), 5))
         rng = np.random.default_rng(6)
         xi = Tensor(rng.standard_normal((2, 4, 6, 6)))
         with no_grad():
@@ -225,8 +232,8 @@ def test_fam_branch_equals_numpy_composition():
 
 def test_full_form_fam_parameters_match_finite_differences():
     # gradcheck runs the depthwise default only; this pins the 1x1-conv form
-    ad = randomized(AdaptIRConfig(channels=8, reduction=2, dtype="f64",
-                                  fam_depthwise=False), 18)
+    ad = randomized(widened(AdaptIR(AdaptIRConfig(channels=8, reduction=2,
+                                                  fam_depthwise=False))), 18)
     rng = np.random.default_rng(19)
     xi = Tensor(rng.standard_normal((2, 4, 6, 6)))
     weight = Tensor(rng.standard_normal((2, 4, 6, 6)))
@@ -262,8 +269,8 @@ def test_fam_full_channel_identity_init():
 
 
 def test_csm_branch_equals_numpy_composition():
-    cfg = AdaptIRConfig(channels=8, reduction=2, dtype="f64")
-    ad = randomized(cfg, 7)
+    cfg = AdaptIRConfig(channels=8, reduction=2)
+    ad = randomized(widened(AdaptIR(cfg)), 7)
     rng = np.random.default_rng(8)
     xi = rng.standard_normal((2, 4, 5, 5))
     with no_grad():
@@ -314,8 +321,8 @@ def test_csm_ffn_is_bit_identical_to_the_dense_chain():
 
 
 def test_forward_is_sum_of_branches_through_up_projection():
-    cfg = AdaptIRConfig(channels=8, reduction=2, dtype="f64")
-    ad = randomized(cfg, 12)
+    cfg = AdaptIRConfig(channels=8, reduction=2)
+    ad = randomized(widened(AdaptIR(cfg)), 12)
     rng = np.random.default_rng(13)
     x = Tensor(rng.standard_normal((2, 8, 6, 6)))
     with no_grad():
@@ -327,8 +334,8 @@ def test_forward_is_sum_of_branches_through_up_projection():
 
 
 def test_branch_masking_isolates_and_excludes_params():
-    cfg = AdaptIRConfig(channels=8, reduction=2, dtype="f64")
-    lim_only = randomized(replace(cfg, fam=False, csm=False), 14)
+    cfg = AdaptIRConfig(channels=8, reduction=2)
+    lim_only = randomized(widened(AdaptIR(replace(cfg, fam=False, csm=False))), 14)
     rng = np.random.default_rng(15)
     x = Tensor(rng.standard_normal((1, 8, 6, 6)))
     with no_grad():
@@ -347,11 +354,16 @@ def test_branch_masking_isolates_and_excludes_params():
 
 
 def test_gradients_flow_to_every_parameter():
-    cfg = AdaptIRConfig(channels=8, reduction=2, dtype="f64")
-    ad = randomized(cfg, 16)
+    cfg = AdaptIRConfig(channels=8, reduction=2)
+    ad = randomized(widened(AdaptIR(cfg)), 16)
     rng = np.random.default_rng(17)
     x = Tensor(rng.standard_normal((2, 8, 6, 6)))
     T.tsum(T.tabs(ad(x))).backward()
     for name, p in ad.params.items():
         assert p.grad is not None, name
-        assert np.any(p.grad != 0.0), name
+        if name == "csm_mask_b":
+            # the spatial softmax is shift-invariant: the mask bias's true
+            # gradient is zero, and what reaches it is rounding at most
+            assert np.abs(p.grad).max() <= 1e-12, name
+        else:
+            assert np.any(p.grad != 0.0), name

@@ -541,6 +541,16 @@ def test_a_failed_allocation_is_one_line(workspace, monkeypatch, command):
     assert line.startswith("Error: MemoryError: ")
 
 
+def test_a_corpus_that_cannot_fit_is_one_line(workspace):
+    # the corpus used to grow image by image until memory ran out; as one
+    # (images, 3, size, size) array it fails at its first allocation
+    path = workspace / "huge_corpus.cfg"
+    path.write_text(TINY_HOST.replace("images=8", f"images={10**12}"), encoding="utf-8")
+    res = invoke(["pretrain", "--config", path, "--out", workspace / "huge_corpus"])
+    line = assert_one_line_error(res, "Unable to allocate", kind="MemoryError")
+    assert line.startswith("Error: MemoryError: ")
+
+
 def test_pretrain_failing_to_build_its_host_leaves_no_out_dir(workspace, monkeypatch):
     # the host used to be built after --out and resolved.cfg were written
     def refuse(self):

@@ -560,8 +560,8 @@ def edit_header(path, keys, value):
      "checkpoint fields do not match the host configuration"),
     ("host", ("config", "layers"), 1.5, ConfigError, "HostConfig.layers expects int, got 1.5"),
     ("host", ("config", "heads"), 0, ConfigError, "HostConfig: heads must be >= 1, got 0"),
-    # headers written while dtype, alpha and ffn_hidden were settings fail on
-    # the key, whatever its value
+    # headers written while the host's and AdaptIR's dtype, LoRA's alpha and
+    # AdaptIR's ffn_hidden were settings fail on the key, whatever its value
     ("host", ("config", "dtype"), "bf16", ConfigError, "HostConfig has no key 'dtype'"),
     # the layout written before the unread feat_h/feat_w fields were removed
     ("host", ("config", "feat_h"), 16, ConfigError, "HostConfig has no key 'feat_h'"),
@@ -588,8 +588,8 @@ def edit_header(path, keys, value):
     # conv1_b renamed conv1_w, same size: used to load the bias as the weight
     ("host", ("fields", 1), {"name": "head.sr2.conv1_w", "shape": [16]}, ValueError,
      "corrupt checkpoint: field head.sr2.conv1_w is declared twice"),
-    ("adaptir", ("config", "adapter", "dtype"), "f16", ConfigError,
-     "AdaptIRConfig: dtype must be f32 or f64, got f16"),
+    ("adaptir", ("config", "adapter", "dtype"), "f32", ConfigError,
+     "AdaptIRConfig has no key 'dtype'"),
     ("adaptir", ("config", "adapter", "channels"), 8, ConfigError,
      "adapter channels 8 != host embed 16"),
     ("adaptir", ("config", "adapter", "channels"), 0, ConfigError,
@@ -617,7 +617,9 @@ def test_checkpoint_saves_float32_only(tmp_path):
     header = json.dumps({"kind": "test", "config": {"n": 1},
                          "fields": [{"name": "a", "shape": [2, 3]}]}, sort_keys=True)
     assert (tmp_path / "a.ckpt").read_bytes() == header.encode() + b"\n" + arr.tobytes()
-    f64_stack = AdapterStack(TINY, replace(TINY_ADAPTER, dtype="f64"))
+    f64_stack = AdapterStack(TINY, TINY_ADAPTER)
+    for p in f64_stack.parameters().values():
+        p.data = p.data.astype(np.float64)
     with pytest.raises(ValueError, match="checkpoint field layer0.down_w is float64,"
                                          " not float32"):
         P.save_adapter(tmp_path / "a.ckpt", f64_stack, TINY)
