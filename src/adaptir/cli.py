@@ -18,7 +18,7 @@ import numpy as np
 from . import pipeline as P
 from .adapter import AdaptIRConfig, ConfigError, config_from
 # synth_image, degrade and host_forward go unused: perfbench/tracer.py patches them here
-from .data import derive_seed, save_ppm, synth_image, degrade
+from .data import derive_seed, synth_image, degrade
 from .host import METHODS, HostConfig, HostModel, host_forward, host_checksum
 from .metrics import MetricReport
 from .tensor import ContractError, ShapeError
@@ -141,12 +141,6 @@ def _write_reports(out: Path, name: str, rows: list[tuple[str, MetricReport]]) -
     (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_samples(out: Path, samples: list) -> None:
-    for i, images in enumerate(samples):
-        for kind, img in zip(("lq", "hq", "pred"), images):
-            save_ppm(img, out / f"sample{i}_{kind}.ppm")
-
-
 _shared = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="flat key=value config file"),
@@ -205,10 +199,9 @@ def cmd_finetune(config_path, seed, out, method, task, epochs):
     adapter_config = _adapter_config(cfg)
     out_dir = _out_dir(cfg)
     res = P.finetune(model, cfg["method"], cfg["task"], train,
-                     adapter_config=adapter_config, keep=cfg["dump_images"])
+                     adapter_config=adapter_config, keep=cfg["dump_images"], out=out_dir)
     P.save_adapter(out_dir / "adapter.ckpt", res.adapter, model.config)
     _write_reports(out_dir, "report.csv", [(cfg["method"], res.report)])
-    _write_samples(out_dir, res.samples)
     ratio = res.report.trainable_params / res.report.total_params
     click.echo(f"psnr before {res.psnr_before:.3f} dB -> after {res.report.psnr:.3f} dB")
     click.echo(f"trainable/total: {res.report.trainable_params}/"
@@ -226,10 +219,9 @@ def cmd_eval(config_path, seed, out, task):
     if cfg["adapter_checkpoint"]:
         adapter = P.load_adapter(cfg["adapter_checkpoint"], model.config)
     out_dir = _out_dir(cfg)
-    report, samples = P.evaluate(model, adapter, cfg["task"], train.eval_n, train.seed,
-                                 keep=cfg["dump_images"])
+    report = P.evaluate(model, adapter, cfg["task"], train.eval_n, train.seed,
+                        keep=cfg["dump_images"], out=out_dir)
     _write_reports(out_dir, "report.csv", [("eval", report)])
-    _write_samples(out_dir, samples)
     click.echo(f"{cfg['task']}: psnr {report.psnr:.3f} dB, ssim {report.ssim:.4f}")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .adapter import AdaptIR, AdaptIRConfig, ConfigError, config_from
 from .host import (METHODS, HostConfig, HostModel, AdapterStack, PETLMethod,
                    host_forward, freeze, host_checksum)
 from .data import (DegradationSpec, parse_task, synth_image, degrade, derive_seed,
-                   epoch_order)
+                   epoch_order, save_ppm)
 from .metrics import MetricReport, psnr, ssim
 from .serialize import load_checkpoint, save_checkpoint
 
@@ -228,13 +229,15 @@ def pretrain(model: HostModel, train: TrainConfig):
 
 
 def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int,
-             seed: int, keep: int = 0) -> tuple[MetricReport, list]:
+             seed: int, keep: int = 0, out=None) -> MetricReport:
     """Mean PSNR/SSIM over the first ``n`` of a held-out synthetic set (seeds
-    disjoint from training by substream tag) as a zero-step report, and the
-    (lq, hq, clipped f32 prediction) of its first ``keep``, which may pass ``n``."""
+    disjoint from training by substream tag) as a zero-step report.  Each of
+    the first ``keep`` images, which may pass ``n``, is written into the
+    directory ``out`` as ``sample{i}_{lq,hq,pred}.ppm`` as soon as it is
+    predicted, so memory holds one sample whatever ``keep`` is."""
     spec = parse_task(task)
     mode = "rgb" if spec.kind == "noise" else "y_channel"
-    psnrs, ssims, samples = [], [], []
+    psnrs, ssims = [], []
     for i in range(max(n, keep)):
         hq = synth_image(derive_seed(seed, "eval", task, i), LQ_SIZE * spec.sr_scale)
         lq = degrade(hq, spec, derive_seed(seed, "eval-noise", i))
@@ -242,14 +245,15 @@ def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int,
             pred = host_forward(Tensor(lq[None]), task, model, adapter=adapter)
         pred_img = np.clip(pred.data[0], 0.0, 1.0)
         if i < keep:
-            samples.append((lq, hq, pred_img))
+            for kind, img in (("lq", lq), ("hq", hq), ("pred", pred_img)):
+                save_ppm(img, Path(out) / f"sample{i}_{kind}.ppm")
         if i < n:
             psnrs.append(psnr(pred_img, hq, mode=mode))
             ssims.append(ssim(pred_img, hq))
     trainable = 0 if adapter is None else adapter.param_count()
     return MetricReport(task=task, psnr=float(np.mean(psnrs)), ssim=float(np.mean(ssims)),
                         trainable_params=trainable,
-                        total_params=model.param_count() + trainable, steps=0), samples
+                        total_params=model.param_count() + trainable, steps=0)
 
 
 # -- adapter construction with budget equalization ----------------------------
@@ -291,7 +295,6 @@ class FinetuneResult:
     report: MetricReport
     psnr_before: float
     checksum: str  # the host's, equal before and after training (``_adapt`` checks)
-    samples: list  # ``evaluate``'s kept (lq, hq, prediction) triples of the adapted host
 
 
 def _refuse_unfit(model: HostModel, command: str) -> None:
@@ -301,32 +304,33 @@ def _refuse_unfit(model: HostModel, command: str) -> None:
 
 
 def _adapt(model: HostModel, adapter: PETLMethod, task: str, train: TrainConfig,
-           keep: int = 0) -> tuple[MetricReport, list, str]:
+           keep: int = 0, out=None) -> tuple[MetricReport, str]:
     """Train ``adapter`` on the frozen host, then evaluate it.  This is where
     the freeze contract is enforced: a host whose checksum moved during
-    training raises ``ContractError`` before the adapter is evaluated.
-    Returns the report with its step count, its samples, and the host checksum."""
+    training raises ``ContractError`` before the adapter is evaluated or a
+    sample written.  Returns the report with its step count, and the host checksum."""
     checksum = host_checksum(model)
     steps, _ = _fit(model, adapter, adapter.parameters(),
                     [_train_run(task, derive_seed(train.seed, "ft"), train.images)], train)
     if host_checksum(model) != checksum:
         raise ContractError("freeze contract violated: host parameters changed")
-    report, samples = evaluate(model, adapter, task, train.eval_n, train.seed, keep)
-    return replace(report, steps=steps), samples, checksum
+    report = evaluate(model, adapter, task, train.eval_n, train.seed, keep, out)
+    return replace(report, steps=steps), checksum
 
 
 def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
-             adapter_config: AdaptIRConfig | None = None, keep: int = 0) -> FinetuneResult:
+             adapter_config: AdaptIRConfig | None = None, keep: int = 0,
+             out=None) -> FinetuneResult:
     """Train only the adapter on a frozen host and report held-out metrics
-    before and after, and ``keep`` samples after.  A host with a trainable
-    parameter is refused, and ``_adapt`` enforces the freeze contract."""
+    before and after; ``keep`` samples after go into ``out``.  A host with a
+    trainable parameter is refused, and ``_adapt`` enforces the freeze contract."""
     _refuse_unfit(model, "finetune")
     adapter = build_adapter(model.config, method,
                             adapter_config or _default_adapter_config(model, train))
-    before, _ = evaluate(model, None, task, train.eval_n, train.seed)
-    report, samples, checksum = _adapt(model, adapter, task, train, keep)
+    before = evaluate(model, None, task, train.eval_n, train.seed)
+    report, checksum = _adapt(model, adapter, task, train, keep, out)
     return FinetuneResult(adapter=adapter, report=report, psnr_before=before.psnr,
-                          checksum=checksum, samples=samples)
+                          checksum=checksum)
 
 
 # -- ablation harness ------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -702,17 +703,50 @@ def test_samples_match_the_former_dump_byte_for_byte(workspace, tmp_path, comman
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
-def test_dump_images_past_eval_n_leaves_the_report_alone(workspace):
-    reports = []
+@pytest.mark.parametrize("command,extra,artifacts", [
+    ("eval", [], ["report.csv"]),
+    ("finetune", ["--epochs", 1], ["report.csv", "adapter.ckpt"]),
+], ids=["eval", "finetune"])
+def test_dump_images_past_eval_n_leaves_the_report_alone(workspace, command, extra,
+                                                         artifacts):
+    written = []
     for dump in (5, 0):
-        path = workspace / f"dump{dump}.cfg"
+        path = workspace / f"dump{dump}_{command}.cfg"
         path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8")
                         + f"dump_images={dump}\n", encoding="utf-8")  # eval_n=2
-        out = workspace / f"dump{dump}"
-        res = invoke(["eval", "--config", path, "--out", out, "--task", "sr2"])
+        out = workspace / f"dump{dump}_{command}"
+        res = invoke([command, "--config", path, "--out", out, "--task", "sr2", *extra])
         assert res.exit_code == 0, res.output
         assert len(list(out.glob("sample*.ppm"))) == 3 * dump
         for i in range(dump):
             assert all((out / f"sample{i}_{kind}.ppm").is_file() for kind in ("lq", "hq", "pred"))
-        reports.append((out / "report.csv").read_bytes())
-    assert reports[0] == reports[1]
+        written.append([(out / name).read_bytes() for name in artifacts])
+    assert written[0] == written[1]
+
+
+def traced_eval_peak(workspace, dump_images: int) -> int:
+    """Peak traced bytes of a CLI ``eval`` of the tiny host on
+    second_order_s2_sig25 (eval_n=2), after one untraced warm-up run."""
+    path = workspace / f"peak{dump_images}.cfg"
+    path.write_text(write_ft_cfg(workspace).read_text(encoding="utf-8")
+                    + f"dump_images={dump_images}\n", encoding="utf-8")
+    args = ["eval", "--config", path, "--out", workspace / f"peak{dump_images}",
+            "--task", "second_order_s2_sig25"]
+    assert invoke(args).exit_code == 0
+    tracemalloc.start()
+    try:
+        res = invoke(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    return peak
+
+
+def test_a_dump_of_any_size_holds_one_sample(workspace):
+    # evaluate used to keep every dumped (lq, hq, pred) triple until its loop
+    # ended, so dump_images=100000000 ran for minutes and wrote no sample
+    spec = parse_task("second_order_s2_sig25")
+    hq = synth_image(0, pipeline.LQ_SIZE * spec.sr_scale)
+    sample = degrade(hq, spec, 0).nbytes + 2 * hq.nbytes  # lq + hq + pred
+    assert traced_eval_peak(workspace, 8) - traced_eval_peak(workspace, 1) < sample

@@ -385,12 +385,13 @@ def host_moved_by_fit(monkeypatch):
     return freeze(HostModel(TINY)), calls
 
 
-def test_finetune_raises_when_the_host_moved(host_moved_by_fit):
+def test_finetune_raises_when_the_host_moved(host_moved_by_fit, tmp_path):
     model, evaluated = host_moved_by_fit
     train = P.TrainConfig(epochs=1, images=8, eval_n=1)
     with pytest.raises(ContractError, match="freeze contract violated"):
-        P.finetune(model, "adaptir", "sr2", train, TINY_ADAPTER)
+        P.finetune(model, "adaptir", "sr2", train, TINY_ADAPTER, keep=1, out=tmp_path)
     assert evaluated == [None]  # the adapted host is never evaluated
+    assert not list(tmp_path.glob("sample*.ppm"))
 
 
 def test_every_ablation_row_checks_the_freeze_contract(host_moved_by_fit):

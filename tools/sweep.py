@@ -56,6 +56,9 @@ CONFIGS = {
 }
 CONFIGS["attention"] = CONFIGS["run"] + "insertion.position=attention\n"
 CONFIGS["adapter"] = CONFIGS["run"] + f"adapter_checkpoint={{runs}}/{ADAPTED}/adapter.ckpt\n"
+# dumps past eval_n=2: samples predicted only for the dump
+CONFIGS["dump"] = CONFIGS["run"] + "dump_images=3\n"
+CONFIGS["adapter_dump"] = CONFIGS["adapter"] + "dump_images=3\n"
 
 # (run name, CLI arguments) in run order; {out} is the run's output
 # directory and {<config>} the path of that config file
@@ -69,6 +72,12 @@ MATRIX = [
                             "--task", TASK, "--epochs", "2"]),
     ("eval_adapter", ["eval", "--config", "{adapter}", "--out", "{out}", "--task", TASK]),
     ("eval_host", ["eval", "--config", "{run}", "--out", "{out}", "--task", TASK]),
+    ("eval_adapter_dump3", ["eval", "--config", "{adapter_dump}", "--out", "{out}",
+                            "--task", TASK]),
+    ("eval_host_noise25_dump3", ["eval", "--config", "{dump}", "--out", "{out}",
+                                 "--task", "noise25"]),
+    ("finetune_adaptir_dump3", ["finetune", "--config", "{dump}", "--out", "{out}",
+                                "--task", TASK, "--epochs", "1"]),
     *[(f"ablate_{axes}", ["ablate", "--config", "{run}", "--out", "{out}", "--axes", axes,
                           "--task", TASK, "--epochs", "1"])
       for axes in ("efficiency", "components", "insertion")],
