@@ -4,6 +4,7 @@ Pipeline: task-specific CNN head (two 3x3 convs, the second stride-2, so
 a 32x32 input becomes a 16x16 feature map / 256 tokens), pre-norm
 transformer body over the flattened sequence, skip connection from the
 shallow feature, and a task-specific tail (3x3 conv into depth-to-space).
+The head is one ``tensor.conv_gelu_conv`` node that keeps only its image.
 Each body layer's attention, with its four projections, is one
 ``tensor.attention`` node, and its MLP one ``tensor.mlp`` node; both walk
 the batch one image at a time.
@@ -315,16 +316,19 @@ def _layer_forward(x: Tensor, model: HostModel, i: int, adapter: PETLMethod,
     p = model.params
     pre = f"body.{i}."
 
+    # no sublayer output is bound to a name, so none outlives its addition
     x_norm = T.layernorm(x, p[pre + "ln1_g"], p[pre + "ln1_b"])
     wq, wv = adapter.qv(i, p[pre + "wq"], p[pre + "wv"])
-    attn_out = T.attention(x_norm, wq, p[pre + "bq"], p[pre + "wk"], p[pre + "bk"],
-                           wv, p[pre + "bv"], p[pre + "wo"], p[pre + "bo"], model.config.heads)
-    x = x + adapter.after_attention(i, x_norm, attn_out, feat_hw)
+    x = x + adapter.after_attention(
+        i, x_norm, T.attention(x_norm, wq, p[pre + "bq"], p[pre + "wk"], p[pre + "bk"], wv,
+                               p[pre + "bv"], p[pre + "wo"], p[pre + "bo"], model.config.heads),
+        feat_hw)
 
-    x_norm2 = T.layernorm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
-    mlp_out = T.mlp(x_norm2, p[pre + "mlp_w1"], p[pre + "mlp_b1"],
-                    p[pre + "mlp_w2"], p[pre + "mlp_b2"])
-    return x + adapter.after_mlp(i, x_norm2, mlp_out, feat_hw)
+    x_norm = T.layernorm(x, p[pre + "ln2_g"], p[pre + "ln2_b"])
+    return x + adapter.after_mlp(
+        i, x_norm, T.mlp(x_norm, p[pre + "mlp_w1"], p[pre + "mlp_b1"], p[pre + "mlp_w2"],
+                         p[pre + "mlp_b2"]),
+        feat_hw)
 
 
 def host_forward(img: Tensor, task: str, model: HostModel,
@@ -341,9 +345,9 @@ def host_forward(img: Tensor, task: str, model: HostModel,
     if hi % HEAD_DOWNSAMPLE or wi % HEAD_DOWNSAMPLE:
         raise T.ShapeError(f"input {hi}x{wi} incompatible with head downsampling")
 
-    # conv1's output is not bound to a name, so it does not outlive conv2
-    shallow = T.conv2d(T.gelu(T.conv2d(img, p[f"head.{reg}.conv1_w"], p[f"head.{reg}.conv1_b"])),
-                       p[f"head.{reg}.conv2_w"], p[f"head.{reg}.conv2_b"], stride=HEAD_DOWNSAMPLE)
+    shallow = T.conv_gelu_conv(img, p[f"head.{reg}.conv1_w"], p[f"head.{reg}.conv1_b"],
+                               p[f"head.{reg}.conv2_w"], p[f"head.{reg}.conv2_b"],
+                               HEAD_DOWNSAMPLE)
     fh, fw = shallow.shape[2], shallow.shape[3]
 
     tokens = _map_to_tokens(shallow)

@@ -204,8 +204,8 @@ def _fit(model: HostModel, adapter: PETLMethod | None, params: dict[str, Tensor]
         for task, spec, corpus, data_seed in runs:
             losses = []
             for lq, hq in _epoch_batches(corpus, spec, data_seed, epoch, train.batch_size):
-                pred = host_forward(lq, task, model, adapter=adapter)
-                loss = l1_loss(pred, hq)
+                # the prediction is not bound to a name, so it does not outlive the loss
+                loss = l1_loss(host_forward(lq, task, model, adapter=adapter), hq)
                 loss.backward()
                 adamw_step(state, params, lr, weight_decay=train.weight_decay)
                 losses.append(loss.item())
@@ -228,13 +228,21 @@ def pretrain(model: HostModel, train: TrainConfig):
 # -- evaluation -----------------------------------------------------------------
 
 
+def _refuse_keep_without_out(keep: int, out) -> None:
+    """Refuse samples to keep with no directory to write them into."""
+    if keep > 0 and out is None:
+        raise ConfigError(f"keep={keep} samples need an out directory")
+
+
 def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int,
              seed: int, keep: int = 0, out=None) -> MetricReport:
     """Mean PSNR/SSIM over the first ``n`` of a held-out synthetic set (seeds
     disjoint from training by substream tag) as a zero-step report.  Each of
     the first ``keep`` images, which may pass ``n``, is written into the
     directory ``out`` as ``sample{i}_{lq,hq,pred}.ppm`` as soon as it is
-    predicted, so memory holds one sample whatever ``keep`` is."""
+    predicted, so memory holds one sample whatever ``keep`` is; ``keep``
+    without ``out`` is refused before any image is predicted."""
+    _refuse_keep_without_out(keep, out)
     spec = parse_task(task)
     mode = "rgb" if spec.kind == "noise" else "y_channel"
     psnrs, ssims = [], []
@@ -323,8 +331,10 @@ def finetune(model: HostModel, method: str, task: str, train: TrainConfig,
              out=None) -> FinetuneResult:
     """Train only the adapter on a frozen host and report held-out metrics
     before and after; ``keep`` samples after go into ``out``.  A host with a
-    trainable parameter is refused, and ``_adapt`` enforces the freeze contract."""
+    trainable parameter, or ``keep`` without ``out``, is refused before any
+    training, and ``_adapt`` enforces the freeze contract."""
     _refuse_unfit(model, "finetune")
+    _refuse_keep_without_out(keep, out)
     adapter = build_adapter(model.config, method,
                             adapter_config or _default_adapter_config(model, train))
     before = evaluate(model, None, task, train.eval_n, train.seed)

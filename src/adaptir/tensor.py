@@ -2,9 +2,9 @@
 
 The engine only needs a small operation set (matmul, grouped 2-D
 convolution, spatial softmax, layernorm, multi-head attention with its
-projections and a two-layer GELU perceptron as one node each, elementwise
-arithmetic, GELU and a few pointwise trig ops for the frequency branch), so
-the graph is kept deliberately simple: every op records a ``_Node`` holding
+projections, a two-layer GELU perceptron and a conv -> GELU -> conv chain
+as one node each, elementwise arithmetic, GELU and a few pointwise trig ops
+for the frequency branch), so the graph is kept deliberately simple: every op records a ``_Node`` holding
 its parents' nodes and its backward closure, and appends nothing global --
 the graph *is* the tape.  A node holds no values: each closure captures
 only the arrays its backward reads, and an input whose partner operand did
@@ -12,12 +12,15 @@ not require grad is not kept at all, so an intermediate tensor is freed as
 soon as the forward code drops it unless a backward reads it.
 ``attention`` and ``mlp`` walk their batch one image at a time and
 recompute in backward what is cheap to recompute: attention keeps its input
-and the row max and sum, not q, k, v or the probabilities, and the MLP keeps
-only its input and recomputes each image's pre-activation, GELU value and
-slope, so no batch-sized q, k, v, score, pre-activation or hidden gradient
-is ever alive.  ``conv2d`` walks its
-batch in chunks of whole images and keeps its input, not its im2col
-columns, so no batch-sized columns are ever alive either.  ``gelu`` forms
+and the row max and sum, not q, k, v or the probabilities, and its backward
+walks each image's heads one at a time; the MLP keeps only its input and
+recomputes each image's pre-activation, GELU value and slope, so no
+batch-sized q, k, v, score, pre-activation or hidden gradient is ever
+alive.  ``conv2d`` walks its batch in chunks of whole images and keeps its
+input, not its im2col columns, so no batch-sized columns are ever alive
+either.  ``conv_gelu_conv``, the host's head, runs ``conv2d``'s own
+array-level halves around GELU as one node that keeps only its input: its
+backward recomputes conv1's output and GELU's value and slope.  ``gelu`` forms
 Phi(x) one block at a time and keeps one array, its slope.  ``backward``
 walks the nodes once in reverse topological order and consumes them,
 freeing each closure and parent link as it goes; a second ``backward``
@@ -35,9 +38,9 @@ Conventions fixed here:
 * whether an input requires grad is read when its op is recorded, and
   ``backward`` passes no gradient to an input that did not.  The ops that
   take a frozen weight or a constant (``mul``, ``matmul``, ``conv2d``,
-  ``attention``, ``mlp``, ``layernorm``) return ``None`` for such an input
-  and keep nothing for it; the others hand back a gradient, which the walk
-  drops.
+  ``conv_gelu_conv``, ``attention``, ``mlp``, ``layernorm``) return ``None``
+  for such an input and keep nothing for it; the others hand back a
+  gradient, which the walk drops.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "no_grad",
     "matmul",
     "conv2d",
+    "conv_gelu_conv",
     "depth_to_space",
     "softmax",
     "softmax_spatial",
@@ -663,15 +667,17 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Ten
     image's q, k, v and scores are ever alive.  A block's scores are scaled,
     shifted, exponentiated and normalised in place on one buffer.  The tape
     keeps ``x`` and the row max and sum, built only when the op is recorded:
-    the backward recomputes each image's q, k, v and probabilities (and its
-    context, when ``wo`` trains) with the forward's own ops, as
-    FlashAttention's backward does.  Every image runs the operations of the
-    ``x @ w^T + b`` -> head split -> matmul -> scale -> softmax -> matmul ->
-    merge -> ``@ wo^T + bo`` chain in the chain's order and layouts, each
-    weight gradient is the transposed view of ``x^T @ g`` summed over the
-    batch in order, and each bias gradient is reduced in the order a
-    whole-batch sum takes, so forward and backward are bit-identical to
-    the chain.
+    the backward recomputes each image's q, k and v, and each head's
+    probabilities (and context, when ``wo`` trains) with the forward's own
+    ops, as FlashAttention's backward does.  The backward walks an image's
+    heads one at a time on three reused (tokens, tokens) buffers, so no
+    (heads, tokens, tokens) array is alive in it.  Every image runs the
+    operations of the ``x @ w^T + b`` -> head split -> matmul -> scale ->
+    softmax -> matmul -> merge -> ``@ wo^T + bo`` chain in the chain's
+    order and layouts, each weight gradient is the transposed view of
+    ``x^T @ g`` summed over the batch in order, and each bias gradient is
+    reduced in the order a whole-batch sum takes, so forward and backward
+    are bit-identical to the chain.
     """
     params = (wq, bq, wk, bk, wv, bv, wo, bo)
     _check_dtypes("attention", x, *params)
@@ -707,25 +713,36 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Ten
         gwq, gwk, gwv, gwo = (np.zeros((c, c), dtype) if r else None
                               for r in (rwq, rwk, rwv, rwo))
         gbq, gbk, gbv = (np.zeros(c, dtype) if r else None for r in (rbq, rbk, rbv))
-        p, gp = np.empty((heads, t, t), dtype), np.empty((heads, t, t), dtype)
+        # one head's probabilities, score gradient and their product, and one
+        # image's merged context and q, k and v gradients, reused throughout;
+        # k's is held transposed, as the chain's matmul forms it, so that its
+        # (tokens, C) view has contiguous tokens
+        p, gp, pgp = (np.empty((t, t), dtype) for _ in range(3))
+        ctx, gq, gv, gkt = (np.empty(s, dtype) for s in ((t, c),) * 3 + ((c, t),))
+        dh = c // heads
         for i in range(n):
             xi, gi = xd[i], g[i]
             q, k, v = (_project(xi, w, b, heads) for w, b in qkv)
-            _attention_probs(q, k, scale, p, rmax[i], rsum[i], False)
-            if rwo:
-                gwo += np.matmul(_merge_heads(np.matmul(p, v)).T, gi)
             gctx = _split_heads(np.matmul(gi, wod), heads)
-            gv = _merge_heads(np.matmul(np.swapaxes(p, -1, -2), gctx)) if need_v else None
-            if need_q or need_k:
-                np.matmul(gctx, np.swapaxes(v, -1, -2), out=gp)
-                gp -= (gp * p).sum(axis=-1, keepdims=True)
-                gp *= p
-                gp *= scale
-            gq = _merge_heads(np.matmul(gp, k)) if need_q else None
-            # k's is formed transposed, as the chain's matmul forms it: a view
-            # whose tokens are contiguous
-            gk = (_merge_heads(np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gp), -1, -2))
-                  if need_k else None)
+            for hd in range(heads):
+                cols = slice(hd * dh, (hd + 1) * dh)
+                _attention_probs(q[hd], k[hd], scale, p, rmax[i, hd], rsum[i, hd], False)
+                if rwo:
+                    np.matmul(p, v[hd], out=ctx[:, cols])
+                if need_v:
+                    np.matmul(p.T, gctx[hd], out=gv[:, cols])
+                if need_q or need_k:
+                    np.matmul(gctx[hd], v[hd].T, out=gp)
+                    gp -= np.multiply(gp, p, out=pgp).sum(axis=-1, keepdims=True)
+                    gp *= p
+                    gp *= scale
+                if need_q:
+                    np.matmul(gp, k[hd], out=gq[:, cols])
+                if need_k:
+                    np.matmul(q[hd].T, gp, out=gkt[cols])
+            gk = gkt.T
+            if rwo:
+                gwo += np.matmul(ctx.T, gi)
             if rx:
                 np.matmul(gq, wqd, out=gx[i])
                 gx[i] += np.matmul(gk, wkd)
@@ -858,6 +875,87 @@ def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(win, (4, 5), (2, 3)))
 
 
+def _conv_chunks(shape, k: int, stride: int, itemsize: int):
+    """The output extent (Ho, Wo) of a K x K 'same' conv over an N x Cin x H x
+    W ``shape``, and its chunks: slices of whole images whose im2col columns
+    fit in ``_CONV_BLOCK_BYTES``, at least one image each."""
+    n, cin, h, w = shape
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    chunk = max(1, _CONV_BLOCK_BYTES // (cin * k * k * ho * wo * itemsize))
+    return ho, wo, [slice(lo, lo + chunk) for lo in range(0, n, chunk)]
+
+
+def _conv_columns(xd: np.ndarray, k: int, stride: int, groups: int):
+    """``columns(c)``: the (images, groups, Cin/groups*K*K, Ho*Wo) columns of
+    the chunk ``xd[c]``, padded in one zero buffer reused across chunks: only
+    its interior is ever written."""
+    n, cin, h, w = xd.shape
+    pad = (k - 1) // 2
+    ho, wo, chunks = _conv_chunks(xd.shape, k, stride, xd.dtype.itemsize)
+    xp = np.zeros((len(xd[chunks[0]]), cin, h + 2 * pad, w + 2 * pad), xd.dtype)
+
+    def columns(c: slice) -> np.ndarray:
+        xc = xd[c]
+        xpc = xp[:len(xc)]
+        xpc[:, :, pad:pad + h, pad:pad + w] = xc
+        return _im2col(xpc, k, stride).reshape(len(xc), groups, -1, ho * wo)
+
+    return columns
+
+
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, groups: int, stride: int) -> np.ndarray:
+    """``xd`` cross-correlated with ``wd``, without a bias, one chunk at a time."""
+    n = len(xd)
+    cout, cin_g, k, _ = wd.shape
+    ho, wo, chunks = _conv_chunks(xd.shape, k, stride, xd.dtype.itemsize)
+    columns = _conv_columns(xd, k, stride, groups)
+    out = np.empty((n, cout, ho, wo), xd.dtype)
+    out4 = out.reshape(n, groups, cout // groups, ho * wo)
+    w2 = wd.reshape(groups, cout // groups, cin_g * k * k)
+    for c in chunks:
+        np.matmul(w2, columns(c), out=out4[c])
+    return out
+
+
+def _conv_input_grad(g: np.ndarray, wd: np.ndarray, shape, groups: int,
+                     stride: int) -> np.ndarray:
+    """The gradient of ``_conv_forward`` for its input, of ``shape``: each
+    chunk's column gradients added into a padded buffer, of which it is the
+    interior view."""
+    n, cin, h, w = shape
+    cout, cin_g, k, _ = wd.shape
+    pad = (k - 1) // 2
+    ho, wo, chunks = _conv_chunks(shape, k, stride, g.dtype.itemsize)
+    gl = g.reshape(n, groups, cout // groups, ho * wo)
+    wt = np.swapaxes(wd.reshape(groups, cout // groups, cin_g * k * k), -1, -2)
+    gxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), g.dtype)
+    for c in chunks:
+        gcols = np.matmul(wt, gl[c]).reshape(-1, cin, k, k, ho, wo)
+        gxc = gxp[c]
+        for i in range(k):
+            for j in range(k):
+                gxc[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
+    return gxp[:, :, pad:pad + h, pad:pad + w]
+
+
+def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, groups: int,
+                      stride: int) -> np.ndarray:
+    """The gradient of ``_conv_forward`` for its K x K weight: each chunk's
+    images' products, added up in batch order as a sum over the batch axis
+    adds them."""
+    n, cout = g.shape[:2]
+    gl = g.reshape(n, groups, cout // groups, -1)
+    _, _, chunks = _conv_chunks(xd.shape, k, stride, xd.dtype.itemsize)
+    columns = _conv_columns(xd, k, stride, groups)
+    gw = None
+    for c in chunks:
+        part = np.matmul(gl[c], np.swapaxes(columns(c), -1, -2))
+        if gw is not None:
+            part[0] += gw
+        gw = part.sum(axis=0)
+    return gw.reshape(cout, -1, k, k)
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            groups: int = 1, stride: int = 1) -> Tensor:
     """Grouped 2-D cross-correlation with zero 'same' padding.
@@ -873,13 +971,14 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     chunk's columns from the kept input.  Each image's products are the
     whole batch's, and the weight gradient adds them up in batch order, as
     a sum over the batch axis does, so every value and gradient is
-    bit-identical to the whole-batch form.
+    bit-identical to the whole-batch form.  ``conv_gelu_conv`` runs on the
+    same array-level halves.
     """
     parents = (x, w) if bias is None else (x, w, bias)
     _check_dtypes("conv2d", *parents)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D x and w, got {x.shape} and {w.shape}")
-    n, cin, h, wd = x.shape
+    cin = x.shape[1]
     cout, cin_g, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ShapeError(f"conv2d requires odd square kernels, got {k}x{k2}")
@@ -892,70 +991,84 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
 
-    pad = (k - 1) // 2
-    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-    dtype, xd = x.dtype, x.data
-    chunk = max(1, _CONV_BLOCK_BYTES // (cin * k * k * ho * wo * dtype.itemsize))
-    chunks = [slice(lo, lo + chunk) for lo in range(0, n, chunk)]
-
-    def columns(c: slice, xp: np.ndarray) -> np.ndarray:
-        """One chunk's (images, groups, Cin/groups*K*K, Ho*Wo) columns, padded
-        in ``xp``, a zero buffer of ``chunk`` padded images reused across
-        chunks: only its interior is ever written."""
-        xc = xd[c]
-        xp = xp[:len(xc)]
-        xp[:, :, pad:pad + h, pad:pad + wd] = xc
-        return _im2col(xp, k, stride).reshape(-1, groups, cin_g * k * k, ho * wo)
-
-    def padded():
-        return np.zeros((min(chunk, n), cin, h + 2 * pad, wd + 2 * pad), dtype)
-
-    w2 = w.data.reshape(groups, cout // groups, cin_g * k * k)
-    out = np.empty((n, cout, ho, wo), dtype)
-    out4 = out.reshape(n, groups, cout // groups, ho * wo)
-    xp = padded()
-    for c in chunks:
-        np.matmul(w2, columns(c, xp), out=out4[c])
+    out = _conv_forward(x.data, w.data, groups, stride)
     has_bias = bias is not None
     if has_bias:
         out += bias.data.reshape(1, cout, 1, 1)
     rx, rw, rb = x.requires_grad, w.requires_grad, has_bias and bias.requires_grad
     # the input is kept only for the weight gradient, the weight only for
     # the input gradient; neither the padded input nor its columns are kept
-    if not rw:
-        xd = None
-    kept_w = w2 if rx else None
+    xd = x.data if rw else None
+    kept_w = w.data if rx else None
+    shape = x.shape
 
     def backward(g):
-        gl = g.reshape(n, groups, cout // groups, ho * wo)
-        gx = gw = None
-        if rw:
-            xp = padded()
-        if rx:
-            gxp = np.zeros((n, cin, h + 2 * pad, wd + 2 * pad), dtype=dtype)
-        for c in chunks:
-            if rw:
-                part = np.matmul(gl[c], np.swapaxes(columns(c, xp), -1, -2))
-                if gw is not None:
-                    part[0] += gw
-                gw = part.sum(axis=0)
-            if rx:
-                gcols = np.matmul(np.swapaxes(kept_w, -1, -2), gl[c])
-                gcols = gcols.reshape(-1, cin, k, k, ho, wo)
-                gxc = gxp[c]
-                for i in range(k):
-                    for j in range(k):
-                        gxc[:, :, i:i + stride * ho:stride,
-                            j:j + stride * wo:stride] += gcols[:, :, i, j]
-        if rw:
-            gw = gw.reshape(cout, cin_g, k, k)
-        if rx:
-            gx = gxp[:, :, pad:pad + h, pad:pad + wd]
+        gx = _conv_input_grad(g, kept_w, shape, groups, stride) if rx else None
+        gw = _conv_weight_grad(g, xd, k, groups, stride) if rw else None
         if not has_bias:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)) if rb else None)
 
     return _node(out, parents, backward)
+
+
+def conv_gelu_conv(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                   stride: int = 1) -> Tensor:
+    """``conv2d(gelu(conv2d(x, w1, b1)), w2, b2, stride=stride)`` as one
+    node: the host's head.
+
+    The forward forms GELU's value alone over conv1's output, as under
+    ``no_grad``, and the tape keeps only the arrays the forward read, not
+    conv1's output, GELU's value or its slope: the backward recomputes all
+    three, as ``mlp``'s does.  Both convs run on ``conv2d``'s own forward
+    and gradient halves, and conv1's output gradient is formed with the
+    operations of the chain, so every value and gradient is bit-identical
+    to the chain.
+    """
+    params = (w1, b1, w2, b2)
+    _check_dtypes("conv_gelu_conv", x, *params)
+    if (x.ndim != 4 or w1.ndim != 4 or w2.ndim != 4 or w1.shape[1] != x.shape[1]
+            or w2.shape[1] != w1.shape[0] or b1.shape != w1.shape[:1]
+            or b2.shape != w2.shape[:1]
+            or any(w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0 for w in (w1, w2))):
+        raise ShapeError(f"conv_gelu_conv: x {x.shape} does not chain with weights"
+                         f" {[w.shape for w in params]}")
+    xd, w1d, b1d, w2d, b2d = (a.data for a in (x,) + params)
+    k1, k2 = w1.shape[2], w2.shape[2]
+
+    def hidden(slope):
+        """GELU over conv1's output; its slope into ``slope`` unless None."""
+        h = _conv_forward(xd, w1d, 1, 1)
+        h += b1d.reshape(1, -1, 1, 1)
+        _gelu_into(h, h, slope)
+        return h
+
+    data = _conv_forward(hidden(None), w2d, 1, stride)
+    data += b2d.reshape(1, -1, 1, 1)
+    rx, rw1, rb1, rw2, rb2 = (a.requires_grad for a in (x,) + params)
+    # every gradient but b2's and w2's goes through conv1's output's
+    need_h = rx or rw1 or rb1
+    hshape = (len(xd), w1.shape[0]) + x.shape[2:]
+
+    def backward(g):
+        gx = gw1 = gb1 = gw2 = None
+        slope = np.empty(hshape, xd.dtype) if need_h else None
+        if rw2:
+            gw2 = _conv_weight_grad(g, hidden(slope), k2, 1, stride)
+        elif need_h:
+            hidden(slope)
+        if need_h:
+            gh = slope  # conv1's output gradient, formed over the slope
+            gh *= _conv_input_grad(g, w2d, hshape, 1, stride)
+            if rx:
+                gx = _conv_input_grad(gh, w1d, xd.shape, 1, 1)
+            if rw1:
+                gw1 = _conv_weight_grad(gh, xd, k1, 1, 1)
+            if rb1:
+                gb1 = gh.sum(axis=(0, 2, 3))
+        return gx, gw1, gb1, gw2, g.sum(axis=(0, 2, 3)) if rb2 else None
+
+    return _node(data, (x,) + params, backward)
 
 
 def depth_to_space(x: Tensor, factor: int) -> Tensor:

@@ -35,6 +35,30 @@ def test_output_shapes_per_task():
         assert host_forward(x, "sr2", model).shape == (1, 3, 32, 32)
 
 
+def test_the_head_runs_as_one_fused_node(monkeypatch):
+    # the head is one conv_gelu_conv node: the forward's only conv2d is the
+    # tail's, no gelu runs outside the fused ops, and backward reaches the
+    # head's weights through that node
+    model = small_model()
+    calls = []
+
+    def counted(name):
+        original = getattr(T, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in ("conv2d", "gelu"):
+        monkeypatch.setattr(T, name, counted(name))
+    out = host_forward(rand_input(), "noise25", model)
+    assert calls == ["conv2d"]
+    T.tsum(out).backward()
+    assert all(p.grad is not None for k, p in model.params.items() if ".noise25." in k)
+    assert model.params["head.sr2.conv1_w"].grad is None
+
+
 def test_head_downsampling_constraint():
     model = small_model()
     with pytest.raises(T.ShapeError):

@@ -250,13 +250,16 @@ def test_a_default_host_step_keeps_only_what_backward_reads():
     # walking the batch one image at a time, and the head's conv1 output not
     # outliving conv2, the peaks were 19.3, 33.2, 18.6 and 21.9 MB.  With the
     # MLP keeping only its input and recomputing GELU's value and slope one
-    # image at a time in backward, they are 13.05, 17.6, 12.06 and 15.49 MB
+    # image at a time in backward, they were 13.05, 17.6, 12.06 and 15.49 MB.
+    # With the head one node that keeps only its image, attention's backward
+    # walking one head at a time and no sublayer output outliving its
+    # addition, they are 12.50, 11.81, 11.27 and 15.12 MB
     host = freeze(HostModel(HostConfig()))
     task = "second_order_s2_sig25"
-    for method, bound in (("adaptir", 14.4e6), ("lora", 13.3e6), ("bottleneck", 17.1e6)):
+    for method, bound in (("adaptir", 13.75e6), ("lora", 12.4e6), ("bottleneck", 16.6e6)):
         adapter = P.build_adapter(host.config, method, AdaptIRConfig(channels=host.config.embed))
         assert traced_step_peak(host, adapter, task) <= bound, method
-    assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 19.4e6
+    assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 13.0e6
 
 
 def one_step_dtypes(model: HostModel, adapter, params: dict, task: str, monkeypatch) -> list:
@@ -360,6 +363,18 @@ def test_pretrain_refuses_a_frozen_host(monkeypatch):
         with pytest.raises(ConfigError, match="pretrain requires a host with no frozen"
                                               " parameter"):
             P.pretrain(model, P.TrainConfig(epochs=1, images=8))
+
+
+def test_samples_to_keep_need_an_out_directory(monkeypatch):
+    # refused at entry: no corpus built, no epoch trained, no image predicted
+    for name in ("_train_run", "_fit", "host_forward"):
+        monkeypatch.setattr(P, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} ran"))
+    model = freeze(HostModel(TINY))
+    with pytest.raises(ConfigError, match="^keep=1 samples need an out directory$"):
+        P.evaluate(model, None, "noise25", 1, 0, keep=1)
+    with pytest.raises(ConfigError, match="^keep=2 samples need an out directory$"):
+        P.finetune(model, "adaptir", "sr2", P.TrainConfig(epochs=1, images=8), TINY_ADAPTER,
+                   keep=2)
 
 
 @pytest.fixture

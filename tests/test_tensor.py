@@ -411,10 +411,25 @@ def mlp_arrays(rng, dtype, n=2, t=5, c=4, hid=6):
     return [(rng.standard_normal(s) / np.sqrt(s[-1])).astype(dtype) for s in shapes]
 
 
+def head_chain(x, w1, b1, w2, b2):
+    """The chain ``T.conv_gelu_conv`` fuses, with the host head's stride."""
+    return T.conv2d(T.gelu(T.conv2d(x, w1, b1)), w2, b2, stride=2)
+
+
+def head_arrays(rng, dtype, n=2, t=16, c=4):
+    """An N x 3 x H x W image of ``t`` pixels and the head's two 3x3 convs'
+    weights and biases, ``c`` wide; each weight is scaled by its fan-in."""
+    side = math.isqrt(t)
+    shapes = [(n, 3, side, side), (c, 3, 3, 3), (c,), (c, c, 3, 3), (c,)]
+    return [(rng.standard_normal(s) / np.sqrt(math.prod(s[1:]) if len(s) == 4 and i else 1))
+            .astype(dtype) for i, s in enumerate(shapes)]
+
+
 FUSED = {
     "attention": (lambda *a: T.attention(*a, heads=2), lambda *a: attention_chain(*a, heads=2),
                   attention_arrays),
     "mlp": (T.mlp, mlp_chain, mlp_arrays),
+    "conv_gelu_conv": (lambda *a: T.conv_gelu_conv(*a, stride=2), head_chain, head_arrays),
 }
 
 
@@ -436,6 +451,11 @@ def test_attention_grads_finite_difference():
 def test_mlp_grads_finite_difference():
     fused, _, arrays = FUSED["mlp"]
     fd_check_every_input(fused, arrays(np.random.default_rng(20), np.float64), 21)
+
+
+def test_conv_gelu_conv_grads_finite_difference():
+    fused, _, arrays = FUSED["conv_gelu_conv"]
+    fd_check_every_input(fused, arrays(np.random.default_rng(44), np.float64), 45)
 
 
 def run_with_grads(op, arrays, trains, lora, g):
@@ -471,20 +491,27 @@ MLP_CASES = {
     "weights-only": ([False] + [True] * 4, ()),
     "second-layer-only": ([False, False, False, True, True], ()),
 }
+HEAD_CASES = {
+    "pretrain": ([True] * 5, ()),
+    "frozen-host": ([True] + [False] * 4, ()),
+    "weights-only": ([False] + [True] * 4, ()),
+    "second-conv-only": ([False, False, False, True, True], ()),
+}
+CASES = {"attention": ATTENTION_CASES, "mlp": MLP_CASES, "conv_gelu_conv": HEAD_CASES}
 
 
 @pytest.mark.parametrize("op, trains, lora", [
-    (op, *case) for op, cases in (("attention", ATTENTION_CASES), ("mlp", MLP_CASES))
-    for case in cases.values()],
-    ids=[f"{op}-{name}" for op, cases in (("attention", ATTENTION_CASES), ("mlp", MLP_CASES))
-         for name in cases])
+    (op, *case) for op, cases in CASES.items() for case in cases.values()],
+    ids=[f"{op}-{name}" for op, cases in CASES.items() for name in cases])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_op_is_bit_identical_to_the_op_chain(op, trains, lora, dtype):
     fused, chain, make = FUSED[op]
     rng = np.random.default_rng(18)
     # three images, so that every sum over the batch runs on from an earlier one
     arrays = make(rng, dtype, n=3, t=64, c=16)
-    g = rng.standard_normal(arrays[0].shape).astype(dtype)
+    with no_grad():
+        shape = fused(*map(Tensor, arrays)).shape
+    g = rng.standard_normal(shape).astype(dtype)
     got, want = (run_with_grads(f, arrays, trains, lora, g) for f in (fused, chain))
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -541,19 +568,20 @@ def test_mlp_never_holds_a_whole_batch_hidden_array():
     assert traced_peak(lambda: outs[0]._backward(g)) < x.data.nbytes + hidden / 2
 
 
-@pytest.mark.parametrize("op", ["attention", "mlp"])
+@pytest.mark.parametrize("op", ["attention", "mlp", "conv_gelu_conv"])
 def test_fused_op_keeps_its_arrays_only_when_recorded(op):
     # recorded with everything training, attention keeps the whole batch's
     # row max and sum (an unrecorded one reuses one image's) on top of
-    # everything an unrecorded op holds, and mlp keeps nothing more than its
-    # node: its backward recomputes GELU's value and slope, and a kept slope
-    # alone would add 12 KiB; the warm-up call takes the one-time allocations
-    # out of both peaks
+    # everything an unrecorded op holds, and mlp and conv_gelu_conv keep
+    # nothing more than their node: their backward recomputes GELU's value
+    # and slope, and a kept slope alone would add 12 KiB (12.5 KiB for the
+    # 5x5 images conv_gelu_conv makes of t); the warm-up call takes the
+    # one-time allocations out of both peaks
     n, t, c, heads = 16, 32, 8, 4
     fused, _, make = FUSED[op]
     arrays = make(np.random.default_rng(23), np.float32, n=n, t=t, c=c)
     args = [Tensor(a, requires_grad=True) for a in arrays]
-    call = (lambda: T.attention(*args, heads)) if op == "attention" else (lambda: T.mlp(*args))
+    call = (lambda: T.attention(*args, heads)) if op == "attention" else (lambda: fused(*args))
     with no_grad():
         call()
         unrecorded = traced_peak(call)
@@ -563,6 +591,20 @@ def test_fused_op_keeps_its_arrays_only_when_recorded(op):
         assert recorded >= unrecorded + 2 * (n - 1) * heads * t * 4
     else:
         assert recorded <= unrecorded + 2048
+
+
+def test_conv_gelu_conv_backward_keeps_its_inputs_and_records_no_node(monkeypatch):
+    # no conv1 output, GELU value or slope is kept, only the inputs' own
+    # arrays, and the backward recomputes them with array code alone
+    args = [rt(a) for a in head_arrays(np.random.default_rng(46), np.float64)]
+    out = T.conv_gelu_conv(*args, stride=2)
+    kept = closure_arrays(out._backward)
+    assert kept and all(any(a is t.data for t in args) for a in kept)
+    calls = []
+    monkeypatch.setattr(T, "_node", lambda *a: calls.append(a))
+    grads = out._backward(np.ones(out.shape))
+    assert not calls
+    assert [g.shape for g in grads] == [t.shape for t in args]
 
 
 def test_mlp_backward_reads_the_arrays_its_forward_read():
@@ -601,6 +643,10 @@ def test_mlp_records_no_node_under_no_grad():
     records_no_node_under_no_grad("mlp")
 
 
+def test_conv_gelu_conv_records_no_node_under_no_grad():
+    records_no_node_under_no_grad("conv_gelu_conv")
+
+
 def test_attention_rejects_weights_that_do_not_chain():
     x, *ws = (rt(a) for a in attention_arrays(np.random.default_rng(25), np.float64))
     with pytest.raises(ShapeError, match="does not chain"):
@@ -612,6 +658,11 @@ def test_attention_rejects_weights_that_do_not_chain():
     x, *ws = (rt(a) for a in mlp_arrays(np.random.default_rng(26), np.float64))
     with pytest.raises(ShapeError, match="does not chain"):
         T.mlp(x, ws[0], ws[1], ws[0], ws[1])
+    x, *ws = (rt(a) for a in head_arrays(np.random.default_rng(47), np.float64))
+    with pytest.raises(ShapeError, match="does not chain"):
+        T.conv_gelu_conv(x, *ws[:2], ws[0], ws[3])  # conv2 takes 3 channels, conv1 gives 4
+    with pytest.raises(ShapeError, match="does not chain"):
+        T.conv_gelu_conv(x, ws[0], ws[1], rt(np.ones((4, 4, 2, 2))), ws[3])
 
 
 def test_softmax_spatial_equals_flattened_softmax():
@@ -861,6 +912,8 @@ def _recorded_ops():
         "mlp": T.mlp(t(1, 3, 4), t(6, 4), t(6), t(4, 6), t(4)),
         "layernorm": T.layernorm(t(2, 4), t(4), t(4)),
         "conv2d": T.conv2d(t(1, 2, 4, 4), t(2, 2, 3, 3), t(2)),
+        "conv_gelu_conv": T.conv_gelu_conv(t(1, 2, 4, 4), t(3, 2, 3, 3), t(3), t(2, 3, 3, 3),
+                                           t(2), 2),
         "depth_to_space": T.depth_to_space(t(1, 4, 2, 2), 2),
         "rfft2.real": spec.real, "rfft2.imag": spec.imag, "irfft2": irfft2(spec),
     }

@@ -59,6 +59,9 @@ CONFIGS["adapter"] = CONFIGS["run"] + f"adapter_checkpoint={{runs}}/{ADAPTED}/ad
 # dumps past eval_n=2: samples predicted only for the dump
 CONFIGS["dump"] = CONFIGS["run"] + "dump_images=3\n"
 CONFIGS["adapter_dump"] = CONFIGS["adapter"] + "dump_images=3\n"
+# the default host's head count: 4 heads, 4 channels each
+CONFIGS["heads4"] = HOST_CONFIG.replace("host.heads=2", "host.heads=4")
+CONFIGS["heads4_run"] = CONFIGS["heads4"] + "host_checkpoint={runs}/pretrain_heads4/host.ckpt\n"
 
 # (run name, CLI arguments) in run order; {out} is the run's output
 # directory and {<config>} the path of that config file
@@ -82,6 +85,9 @@ MATRIX = [
                           "--task", TASK, "--epochs", "1"])
       for axes in ("efficiency", "components", "insertion")],
     ("gradcheck", ["gradcheck", "--seed", "0"]),
+    ("pretrain_heads4", ["pretrain", "--config", "{heads4}", "--out", "{out}", "--epochs", "2"]),
+    ("finetune_adaptir_heads4", ["finetune", "--config", "{heads4_run}", "--out", "{out}",
+                                 "--method", "adaptir", "--task", TASK, "--epochs", "2"]),
 ]
 
 
