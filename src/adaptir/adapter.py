@@ -85,6 +85,8 @@ class AdaptIRConfig:
     form: str = "parallel"       # "parallel" | "sequential"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         c, g = self.channels, self.reduction
         if g < 1 or c % g != 0:
             raise ConfigError(f"reduction {g} must divide channels {c}")

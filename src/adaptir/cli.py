@@ -8,7 +8,6 @@ from its own ``resolved.cfg``.
 
 from __future__ import annotations
 
-import functools
 import sys
 from pathlib import Path
 
@@ -150,24 +149,28 @@ _shared = [
 
 
 def _with_shared(extra=()):
-    """Add the shared options, and the error boundary: a library error ends
-    the command as one ``Kind: message`` line.  Floating-point warnings are
-    silenced; ``adamw_step`` turns a diverged run into a ``ContractError``."""
+    """Add the command's ``extra`` options and the shared ones."""
     def deco(fn):
-        @functools.wraps(fn)
-        def command(**kwargs):
-            try:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    return fn(**kwargs)
-            except _ERRORS as exc:
-                raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
         for opt in [*extra, *_shared]:
-            command = opt(command)
-        return command
+            fn = opt(fn)
+        return fn
     return deco
 
 
-@click.group()
+class _Boundary(click.Group):
+    """The error boundary of every command: a library error ends the command
+    as one ``Kind: message`` line.  Floating-point warnings are silenced;
+    ``adamw_step`` turns a diverged run into a ``ContractError``."""
+
+    def invoke(self, ctx):
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return super().invoke(ctx)
+        except _ERRORS as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+
+
+@click.group(cls=_Boundary)
 def main():
     """Parameter-efficient restoration adapter experiments."""
 

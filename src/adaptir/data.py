@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,13 +41,20 @@ def epoch_order(corpus_seed: int, epoch: int, n: int) -> np.ndarray:
 # -- degradation specs ----------------------------------------------------
 
 
+# the fields each kind reads
+_READS = {"sr": ("scale",), "noise": ("sigma",), "second_order": ("scale", "sigma"),
+          "darken": ("factor", "gamma")}
+
+
 @dataclass(frozen=True)
 class DegradationSpec:
     """Declarative degradation chain: the task it names, not its noise seed.
 
     kinds: ``sr`` (bicubic downsample by ``scale``), ``noise`` (Gaussian,
     ``sigma`` on the 0-255 scale), ``second_order`` (downsample THEN
-    noise), ``darken`` (multiply by ``factor`` then gamma curve).
+    noise), ``darken`` (multiply by ``factor`` then gamma curve).  A field
+    its kind does not read stays at its default, the identity, so ``scale``
+    is the shrink factor of every kind.
     """
 
     kind: str
@@ -57,26 +64,27 @@ class DegradationSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("sr", "noise", "second_order", "darken"):
+        if self.kind not in _READS:
             raise ValueError(f"unknown degradation kind {self.kind!r}")
-        if self.kind in ("sr", "second_order") and self.scale < 1:
+        for f in fields(self)[1:]:  # every field but kind
+            if f.name not in _READS[self.kind] and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} does not read {f.name}; leave it at"
+                                 f" {f.default:g}, got {getattr(self, f.name)}")
+        if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
-    @property
-    def sr_scale(self) -> int:
-        """Spatial shrink factor of the degraded image (1 for same-size)."""
-        return self.scale if self.kind in ("sr", "second_order") else 1
-
     def task_id(self) -> str:
-        if self.kind == "sr":
-            return f"sr{self.scale}"
-        if self.kind == "noise":
+        """The one id of what this spec does, whatever kind it was written
+        as (``second_order_s2_sig0`` is ``sr2``); ``noise0`` degrades nothing."""
+        if (self.factor, self.gamma) != (1, 1):
+            return f"darken_f{_fmt(self.factor)}_g{_fmt(self.gamma)}"
+        if self.scale == 1:
             return f"noise{_fmt(self.sigma)}"
-        if self.kind == "second_order":
+        if self.sigma > 0:
             return f"second_order_s{self.scale}_sig{_fmt(self.sigma)}"
-        return f"darken_f{_fmt(self.factor)}_g{_fmt(self.gamma)}"
+        return f"sr{self.scale}"
 
 
 def _fmt(x: float) -> str:

@@ -57,6 +57,8 @@ class HostConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for key in ("embed", "layers", "heads", "mlp_ratio"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -73,7 +75,7 @@ class HostConfig:
 class HostModel:
     def __init__(self, config: HostConfig):
         self.config = config
-        self.task_scales = {t: parse_task(t).sr_scale for t in config.tasks}
+        self.task_scales = {t: parse_task(t).scale for t in config.tasks}
         self.params: dict[str, Tensor] = self._init_params()
 
     def _init_params(self) -> dict[str, Tensor]:
@@ -121,7 +123,7 @@ class HostModel:
         """
         if task in self.task_scales:
             return task
-        scale = parse_task(task).sr_scale
+        scale = parse_task(task).scale
         for t, s in self.task_scales.items():
             if s == scale:
                 return t
@@ -142,7 +144,10 @@ class PETLMethod:
     passes the query/value weights through ``qv`` and each sublayer's output
     through ``after_attention``/``after_mlp`` (``x_norm`` is the sublayer's
     normalized input, ``hw`` the feature-map extent).  Every hook is a
-    pass-through here, so a base instance is the un-adapted host."""
+    pass-through here, so a base instance is the un-adapted host.  A
+    registered stack also defines ``to_config``, its checkpoint header
+    besides the host config, and the classmethod ``from_config(host_config,
+    cfg)`` that rebuilds it from that header."""
 
     method = "none"
 
@@ -160,15 +165,6 @@ class PETLMethod:
 
     def param_count(self) -> int:
         return sum(t.size for t in self.parameters().values())
-
-    def to_config(self) -> dict:
-        """Everything besides the host config that ``from_config`` needs."""
-        return {}
-
-    @classmethod
-    def from_config(cls, host_config: HostConfig, cfg: dict) -> "PETLMethod":
-        """Rebuild the stack that the checkpoint header config ``cfg`` describes."""
-        raise NotImplementedError
 
 
 class AdapterStack(PETLMethod):
@@ -192,7 +188,7 @@ class AdapterStack(PETLMethod):
         if self.config.position != position:
             return out
         src = x_norm if self.config.form == "parallel" else out
-        fmap = _tokens_to_map(src, src.shape[-1], *hw)
+        fmap = _tokens_to_map(src, *hw)
         return out + _map_to_tokens(self.layers[i](fmap))
 
     def after_attention(self, i, x_norm, out, hw):
@@ -299,8 +295,8 @@ _NO_ADAPTER = PETLMethod()
 # -- forward -----------------------------------------------------------------
 
 
-def _tokens_to_map(x: Tensor, c: int, h: int, w: int) -> Tensor:
-    n = x.shape[0]
+def _tokens_to_map(x: Tensor, h: int, w: int) -> Tensor:
+    n, _, c = x.shape
     return T.reshape(T.transpose(x, (0, 2, 1)), (n, c, h, w))
 
 
@@ -353,7 +349,7 @@ def host_forward(img: Tensor, task: str, model: HostModel,
     tokens = _map_to_tokens(shallow)
     for i in range(cfg.layers):
         tokens = _layer_forward(tokens, model, i, adapter, (fh, fw))
-    body = _tokens_to_map(tokens, cfg.embed, fh, fw)
+    body = _tokens_to_map(tokens, fh, fw)
 
     feat = body + shallow  # skip connection before the tail
     f = HEAD_DOWNSAMPLE * model.task_scales[reg]

@@ -86,6 +86,8 @@ class TrainConfig:
     eval_n: int = 8
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for key in ("epochs", "images", "eval_n", "batch_size"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -159,7 +161,7 @@ def _diverged_term(step: np.ndarray, update: np.ndarray) -> str:
 def _train_run(task: str, data_seed: int, n: int):
     """One task's training run for ``_fit``: (task, spec, corpus, data seed)."""
     spec = parse_task(task)
-    size = (LQ_SIZE + 16) * spec.sr_scale
+    size = (LQ_SIZE + 16) * spec.scale
     # one array: a corpus that cannot fit fails at once, not image by image
     corpus = np.empty((n, 3, size, size), dtype=np.float32)
     for i in range(n):
@@ -173,7 +175,7 @@ def _epoch_batches(corpus, spec: DegradationSpec, seed: int, epoch: int,
     n = len(corpus)
     order = epoch_order(seed, epoch, n)
     crop_rng = np.random.default_rng(derive_seed(seed, "crop", epoch))
-    s = spec.sr_scale
+    s = spec.scale
     hq_crop = LQ_SIZE * s
     for start in range(0, n - n % batch_size, batch_size):
         lqs, hqs = [], []
@@ -190,12 +192,13 @@ def _epoch_batches(corpus, spec: DegradationSpec, seed: int, epoch: int,
 # -- training ------------------------------------------------------------------
 
 
-def _fit(model: HostModel, adapter: PETLMethod | None, params: dict[str, Tensor],
-         runs, train: TrainConfig):
+def _fit(model: HostModel, adapter: PETLMethod | None, runs, train: TrainConfig):
     """The one training recipe, shared by pretraining and fine-tuning: L1
-    loss, AdamW on ``params`` and the milestone schedule.  Each epoch makes
-    one pass over each ``(task, spec, corpus, data_seed)`` run in turn.
+    loss, AdamW on the adapter's parameters (every host parameter when
+    ``adapter`` is None) and the milestone schedule.  Each epoch makes one
+    pass over each ``(task, spec, corpus, data_seed)`` run in turn.
     Returns (steps taken, per-epoch per-task mean-loss log)."""
+    params = model.parameters() if adapter is None else adapter.parameters()
     state = TrainState()
     log: list[tuple[int, str, float]] = []
     for epoch in range(train.epochs):
@@ -221,7 +224,7 @@ def pretrain(model: HostModel, train: TrainConfig):
         raise ConfigError("pretrain requires a host with no frozen parameter")
     runs = [_train_run(t, derive_seed(train.seed, "task", t), train.images)
             for t in model.config.tasks]
-    _, log = _fit(model, None, model.params, runs, train)
+    _, log = _fit(model, None, runs, train)
     return freeze(model), log
 
 
@@ -247,7 +250,7 @@ def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int,
     mode = "rgb" if spec.kind == "noise" else "y_channel"
     psnrs, ssims = [], []
     for i in range(max(n, keep)):
-        hq = synth_image(derive_seed(seed, "eval", task, i), LQ_SIZE * spec.sr_scale)
+        hq = synth_image(derive_seed(seed, "eval", task, i), LQ_SIZE * spec.scale)
         lq = degrade(hq, spec, derive_seed(seed, "eval-noise", i))
         with no_grad():
             pred = host_forward(Tensor(lq[None]), task, model, adapter=adapter)
@@ -318,7 +321,7 @@ def _adapt(model: HostModel, adapter: PETLMethod, task: str, train: TrainConfig,
     training raises ``ContractError`` before the adapter is evaluated or a
     sample written.  Returns the report with its step count, and the host checksum."""
     checksum = host_checksum(model)
-    steps, _ = _fit(model, adapter, adapter.parameters(),
+    steps, _ = _fit(model, adapter,
                     [_train_run(task, derive_seed(train.seed, "ft"), train.images)], train)
     if host_checksum(model) != checksum:
         raise ContractError("freeze contract violated: host parameters changed")

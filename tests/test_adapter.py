@@ -125,15 +125,18 @@ def test_config_from_builds_checked_configs():
         ({"kernel": 3.0}, "here: AdaptIRConfig.kernel expects int, got 3.0"),
         ({"lim": 1}, "here: AdaptIRConfig.lim expects bool, got 1"),
         ({"kernel": 4}, "here: AdaptIRConfig: kernel must be odd and positive, got 4"),
+        ({"seed": -1}, "here: AdaptIRConfig: seed must be >= 0, got -1"),
         ([("kernel", 3)], "here: AdaptIRConfig expects an object, got [('kernel', 3)]"),
     ]:
         with pytest.raises(ConfigError) as err:
             config_from(AdaptIRConfig, values, "here")
         assert str(err.value) == message
-    for tasks, message in [(["sr2", 2], "HostConfig.tasks[1] expects str, got 2"),
-                           ("sr2", "HostConfig.tasks expects tuple[str, ...], got 'sr2'")]:
+    for values, message in [({"tasks": ["sr2", 2]}, "HostConfig.tasks[1] expects str, got 2"),
+                            ({"tasks": "sr2"},
+                             "HostConfig.tasks expects tuple[str, ...], got 'sr2'"),
+                            ({"seed": -1}, "HostConfig: seed must be >= 0, got -1")]:
         with pytest.raises(ConfigError) as err:
-            config_from(HostConfig, {"tasks": tasks}, "here")
+            config_from(HostConfig, values, "here")
         assert str(err.value) == f"here: {message}"
 
 

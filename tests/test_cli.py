@@ -419,6 +419,14 @@ STALE_HOST_KEYS = "host.layers=7\nhost.heads=1\nhost.tasks=sr3\n"
      "task 'noise.5' is not canonical; write 'noise0.5'", "ValueError"),
     ("finetune", "host_checkpoint={ws}/host/host.ckpt\ntask=sr02\n",
      "task 'sr02' is not canonical; write 'sr2'", "ValueError"),
+    # a spec that degrades like another kind's used to run under its own id
+    ("eval", "host_checkpoint={ws}/host/host.ckpt\ntask=sr1\n",
+     "task 'sr1' is not canonical; write 'noise0'", "ValueError"),
+    # pretrain used to end in numpy's "expected non-negative integer", and
+    # finetune used to run
+    ("pretrain", "seed=-1\n", "TrainConfig: seed must be >= 0, got -1", "ConfigError"),
+    ("finetune", "host_checkpoint={ws}/host/host.ckpt\nseed=-1\n",
+     "TrainConfig: seed must be >= 0, got -1", "ConfigError"),
     # a NaN weight used to end in "ssim nan outside [0, 1]" after --out was written
     *[(command, "host_checkpoint={ws}/nan.ckpt\n",
        "nan.ckpt: checkpoint field body.0.wq holds NaN or infinity", "ValueError")
@@ -443,6 +451,33 @@ def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, ki
     assert res.exit_code == 1
     assert_one_line_error(res, fragment, kind=kind)
     assert not out.exists()
+
+
+# one input per command that the library refuses
+REFUSED_BY_COMMAND = {
+    "pretrain": ["--seed", "-1"],
+    "finetune": ["--seed", "-1"],
+    "eval": ["--seed", "-1"],
+    "gradcheck": ["--seed", "-1"],  # used to end in a traceback
+    "paramcount": ["--seed", "-1"],
+    "ablate": ["--axes", "nonsense"],
+}
+
+
+def test_every_command_ends_a_refusal_in_one_line(tmp_path):
+    assert set(REFUSED_BY_COMMAND) == set(main.commands)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    for command, args in REFUSED_BY_COMMAND.items():
+        out = tmp_path / command
+        outs = [] if command == "gradcheck" else ["--out", str(out)]
+        res = subprocess.run([sys.executable, "-m", "adaptir.cli", command, *args, *outs],
+                             capture_output=True, text=True, env=env, timeout=120)
+        text = res.stdout + res.stderr
+        assert res.returncode == 1, (command, text)
+        assert "Traceback" not in text, (command, text)
+        assert re.fullmatch(r"Error: \w+: [^\n]+\n", text), (command, text)
+        assert not out.exists(), command
 
 
 def with_first_field_twice(ckpt: bytes) -> bytes:
@@ -671,7 +706,7 @@ def dump_qualitative(out, model, adapter, task, seed, dump_images):
     """The CLI's former qualitative dump: its own loop over the held-out images."""
     spec = parse_task(task)
     for i in range(dump_images):
-        hq = synth_image(derive_seed(seed, "eval", task, i), pipeline.LQ_SIZE * spec.sr_scale)
+        hq = synth_image(derive_seed(seed, "eval", task, i), pipeline.LQ_SIZE * spec.scale)
         lq = degrade(hq, spec, derive_seed(seed, "eval-noise", i))
         with no_grad():
             pred = host.host_forward(Tensor(lq[None]), task, model, adapter=adapter)
@@ -747,6 +782,6 @@ def test_a_dump_of_any_size_holds_one_sample(workspace):
     # evaluate used to keep every dumped (lq, hq, pred) triple until its loop
     # ended, so dump_images=100000000 ran for minutes and wrote no sample
     spec = parse_task("second_order_s2_sig25")
-    hq = synth_image(0, pipeline.LQ_SIZE * spec.sr_scale)
+    hq = synth_image(0, pipeline.LQ_SIZE * spec.scale)
     sample = degrade(hq, spec, 0).nbytes + 2 * hq.nbytes  # lq + hq + pred
     assert traced_eval_peak(workspace, 8) - traced_eval_peak(workspace, 1) < sample

@@ -45,8 +45,8 @@ def test_parse_task_round_trips():
                   "second_order_s2_sig25", "darken_f0.2_g1.2"):
         spec = parse_task(token)
         assert spec.task_id() == token
-    assert parse_task("sr2").sr_scale == 2
-    assert parse_task("noise25").sr_scale == 1
+    assert parse_task("sr2").scale == 2
+    assert parse_task("noise25").scale == 1
     assert parse_task("second_order_s3_sig10").scale == 3
     d = parse_task("darken_f0.5_g1")
     assert (d.factor, d.gamma) == (0.5, 1.0)
@@ -61,6 +61,9 @@ def test_parse_task_rejects_garbage():
 @pytest.mark.parametrize("spelling,canonical", [
     ("noise.5", "noise0.5"), ("sr02", "sr2"), ("darken_f0.5_g1.0", "darken_f0.5_g1"),
     ("second_order_s2_sig25.0", "second_order_s2_sig25"), ("noise0.00001", "noise1e-05"),
+    # a spec that degrades like another kind's is spelled as that kind
+    ("sr1", "noise0"), ("darken_f1_g1", "noise0"), ("second_order_s1_sig0", "noise0"),
+    ("second_order_s1_sig25", "noise25"), ("second_order_s2_sig0", "sr2"),
 ])
 def test_parse_task_refuses_a_second_spelling(spelling, canonical):
     # evaluation seeds its images by the task string, so two spellings of one
@@ -224,10 +227,14 @@ def test_darken_closed_form():
 @pytest.mark.parametrize("call,message", [
     (lambda: DegradationSpec("blur"), "unknown degradation kind 'blur'"),
     (lambda: DegradationSpec("noise", sigma=-1.0), "sigma must be >= 0, got -1.0"),
+    (lambda: DegradationSpec("noise", scale=2), "noise does not read scale; leave it at 1, got 2"),
+    (lambda: DegradationSpec("sr", scale=2, gamma=1.2),
+     "sr does not read gamma; leave it at 1, got 1.2"),
     (lambda: synth_image(0, 7), "size must be >= 8, got 7"),
     (lambda: downsample_bicubic(np.zeros((3, 9, 8)), 2), "dims 9x8 not divisible by scale 2"),
     (lambda: add_gaussian_noise(np.zeros((3, 8, 8)), -1.0, 0), "sigma must be >= 0"),
-], ids=["spec-kind", "spec-sigma", "synth-size", "bicubic-divisibility", "noise-sigma"])
+], ids=["spec-kind", "spec-sigma", "spec-unread-scale", "spec-unread-gamma", "synth-size",
+        "bicubic-divisibility", "noise-sigma"])
 def test_data_refusals_are_one_line(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

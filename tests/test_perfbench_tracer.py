@@ -52,7 +52,7 @@ def test_traced_training_step_charges_backward_time():
     tr = tracer.Tracer()
     try:
         tr.install()
-        steps, _ = P._fit(model, None, model.params, runs, train)
+        steps, _ = P._fit(model, None, runs, train)
     finally:
         tr.uninstall()
     assert steps == 1

@@ -212,7 +212,7 @@ def traced_fit_peak(epochs: int) -> int:
     runs = [P._train_run("noise25", 0, train.images)]
     tracemalloc.start()
     try:
-        P._fit(model, None, model.params, runs, train)
+        P._fit(model, None, runs, train)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -650,6 +650,7 @@ def test_checkpoint_saves_float32_only(tmp_path):
     (dict(base_lr=float("nan")), "base_lr must be finite, got nan"),
     (dict(base_lr=float("inf")), "base_lr must be finite, got inf"),
     (dict(weight_decay=float("nan")), "weight_decay must be finite, got nan"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
 ])
 def test_train_config_rejects_bad_recipes(changes, fragment):
     with pytest.raises(ConfigError, match=fragment):
