@@ -17,7 +17,7 @@ import numpy as np
 from . import pipeline as P
 from .adapter import AdaptIRConfig, ConfigError, config_from
 # synth_image, degrade and host_forward go unused: perfbench/tracer.py patches them here
-from .data import derive_seed, synth_image, degrade
+from .data import derive_seed, parse_task, synth_image, degrade
 from .host import METHODS, HostConfig, HostModel, host_forward, host_checksum
 from .metrics import MetricReport
 from .tensor import ContractError, ShapeError
@@ -99,6 +99,7 @@ def _resolve_on_host(config_path, **overrides) -> tuple[dict, P.TrainConfig, Hos
     Its shape is its checkpoint's: a ``host.*`` key set to another value is
     refused, and the run's keys record the loaded host's values."""
     cfg, given, train = _resolve(config_path, **overrides)
+    parse_task(cfg["task"])  # a refused task is named before any host is read
     path = cfg["host_checkpoint"] or str(Path(cfg["out"]) / "host.ckpt")
     if not Path(path).is_file():
         raise FileNotFoundError(f"host checkpoint not found: {path}")

@@ -2,15 +2,17 @@
 
 Everything here is a pure, seeded function: images are CHW float32
 arrays in [0, 1], 8-bit quantization happens only at the file boundary,
-and every degradation is a deterministic function of (image, spec, seed).
+and every degradation is a deterministic function of (image, spec, seed),
+where a spec is four numbers: ``scale``, ``sigma``, ``factor`` and ``gamma``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,44 +43,38 @@ def epoch_order(corpus_seed: int, epoch: int, n: int) -> np.ndarray:
 # -- degradation specs ----------------------------------------------------
 
 
-# the fields each kind reads
-_READS = {"sr": ("scale",), "noise": ("sigma",), "second_order": ("scale", "sigma"),
-          "darken": ("factor", "gamma")}
-
-
 @dataclass(frozen=True)
 class DegradationSpec:
-    """Declarative degradation chain: the task it names, not its noise seed.
+    """A degradation as four numbers, each at its identity by default, so
+    ``DegradationSpec()`` degrades nothing: bicubic downsample by ``scale``,
+    then Gaussian noise of ``sigma`` on the 0-255 scale; or darken, multiply
+    by ``factor`` then raise to ``gamma``, which neither resamples nor adds
+    noise."""
 
-    kinds: ``sr`` (bicubic downsample by ``scale``), ``noise`` (Gaussian,
-    ``sigma`` on the 0-255 scale), ``second_order`` (downsample THEN
-    noise), ``darken`` (multiply by ``factor`` then gamma curve).  A field
-    its kind does not read stays at its default, the identity, so ``scale``
-    is the shrink factor of every kind.
-    """
-
-    kind: str
     scale: int = 1
     sigma: float = 0.0
     factor: float = 1.0
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _READS:
-            raise ValueError(f"unknown degradation kind {self.kind!r}")
-        for f in fields(self)[1:]:  # every field but kind
-            if f.name not in _READS[self.kind] and getattr(self, f.name) != f.default:
-                raise ValueError(f"{self.kind} does not read {f.name}; leave it at"
-                                 f" {f.default:g}, got {getattr(self, f.name)}")
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        for name in ("sigma", "factor", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.darkens() and (self.scale, self.sigma) != (1, 0):
+            raise ValueError(f"a spec that darkens neither resamples nor adds noise;"
+                             f" got scale {self.scale}, sigma {self.sigma:g}")
+
+    def darkens(self) -> bool:
+        return (self.factor, self.gamma) != (1, 1)
 
     def task_id(self) -> str:
-        """The one id of what this spec does, whatever kind it was written
-        as (``second_order_s2_sig0`` is ``sr2``); ``noise0`` degrades nothing."""
-        if (self.factor, self.gamma) != (1, 1):
+        """The one id of what this spec does (``second_order_s2_sig0`` is
+        ``sr2``); ``noise0`` degrades nothing."""
+        if self.darkens():
             return f"darken_f{_fmt(self.factor)}_g{_fmt(self.gamma)}"
         if self.scale == 1:
             return f"noise{_fmt(self.sigma)}"
@@ -94,12 +90,12 @@ def _fmt(x: float) -> str:
 _NUM = r"(\d*\.?\d+(?:e[+-]\d+)?)"  # a number as ``_fmt`` may write it: 25, 0.5, 1e-05
 
 _TASK_RES = [
-    (re.compile(r"^sr(\d+)$"), lambda m: DegradationSpec("sr", scale=int(m[1]))),
-    (re.compile(rf"^noise{_NUM}$"), lambda m: DegradationSpec("noise", sigma=float(m[1]))),
+    (re.compile(r"^sr(\d+)$"), lambda m: DegradationSpec(scale=int(m[1]))),
+    (re.compile(rf"^noise{_NUM}$"), lambda m: DegradationSpec(sigma=float(m[1]))),
     (re.compile(rf"^second_order_s(\d+)_sig{_NUM}$"),
-     lambda m: DegradationSpec("second_order", scale=int(m[1]), sigma=float(m[2]))),
+     lambda m: DegradationSpec(scale=int(m[1]), sigma=float(m[2]))),
     (re.compile(rf"^darken_f{_NUM}_g{_NUM}$"),
-     lambda m: DegradationSpec("darken", factor=float(m[1]), gamma=float(m[2]))),
+     lambda m: DegradationSpec(factor=float(m[1]), gamma=float(m[2]))),
 ]
 
 
@@ -213,16 +209,15 @@ def add_gaussian_noise(img: np.ndarray, sigma: float, seed: int) -> np.ndarray:
 
 
 def degrade(img: np.ndarray, spec: DegradationSpec, seed: int) -> np.ndarray:
-    """Apply a degradation chain to ``img``, drawing any noise from ``seed``;
-    returns the low-quality image."""
-    if spec.kind == "sr":
-        return downsample_bicubic(img, spec.scale)
-    if spec.kind == "noise":
-        return add_gaussian_noise(img, spec.sigma, seed)
-    if spec.kind == "second_order":
-        # downsample strictly before noise
-        return add_gaussian_noise(downsample_bicubic(img, spec.scale), spec.sigma, seed)
-    return np.clip((img * spec.factor) ** spec.gamma, 0.0, 1.0).astype(np.float32)  # darken
+    """The one chain: darken, or downsample by ``scale`` and then add noise
+    of ``sigma`` drawn from ``seed``.  A step at its identity does not run;
+    the low-quality image is always a new float32 array."""
+    if spec.darkens():
+        return np.clip((img * spec.factor) ** spec.gamma, 0.0, 1.0).astype(np.float32)
+    if (spec.scale, spec.sigma) == (1, 0):  # noise0: the copy every step makes, clipped
+        return np.clip(img, 0.0, 1.0).astype(np.float32)
+    lq = downsample_bicubic(img, spec.scale) if spec.scale > 1 else img
+    return add_gaussian_noise(lq, spec.sigma, seed) if spec.sigma > 0 else lq
 
 
 # -- portable pixmap output ----------------------------------------------------

@@ -247,7 +247,7 @@ def evaluate(model: HostModel, adapter: PETLMethod | None, task: str, n: int,
     without ``out`` is refused before any image is predicted."""
     _refuse_keep_without_out(keep, out)
     spec = parse_task(task)
-    mode = "rgb" if spec.kind == "noise" else "y_channel"
+    mode = "rgb" if spec.scale == 1 and not spec.darkens() else "y_channel"  # noise only
     psnrs, ssims = [], []
     for i in range(max(n, keep)):
         hq = synth_image(derive_seed(seed, "eval", task, i), LQ_SIZE * spec.scale)

@@ -419,9 +419,11 @@ STALE_HOST_KEYS = "host.layers=7\nhost.heads=1\nhost.tasks=sr3\n"
      "task 'noise.5' is not canonical; write 'noise0.5'", "ValueError"),
     ("finetune", "host_checkpoint={ws}/host/host.ckpt\ntask=sr02\n",
      "task 'sr02' is not canonical; write 'sr2'", "ValueError"),
-    # a spec that degrades like another kind's used to run under its own id
+    # a spec that degrades like another id used to run under its own
     ("eval", "host_checkpoint={ws}/host/host.ckpt\ntask=sr1\n",
      "task 'sr1' is not canonical; write 'noise0'", "ValueError"),
+    # with no host to read, used to be reported as the missing host.ckpt
+    ("eval", "task=sr1\n", "task 'sr1' is not canonical; write 'noise0'", "ValueError"),
     # pretrain used to end in numpy's "expected non-negative integer", and
     # finetune used to run
     ("pretrain", "seed=-1\n", "TrainConfig: seed must be >= 0, got -1", "ConfigError"),
@@ -434,7 +436,8 @@ STALE_HOST_KEYS = "host.layers=7\nhost.heads=1\nhost.tasks=sr3\n"
     ("pretrain", "host.heads=3\n", "HostConfig: embed 16 not divisible by heads 3",
      "ConfigError"),
 ])
-def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, kind):
+def test_refused_inputs_leave_no_out_dir(workspace, tmp_path, command, extra, fragment,
+                                         kind):
     # used to create --out and write resolved.cfg before the inputs were checked
     host = (workspace / "host" / "host.ckpt").read_bytes()
     (workspace / "truncated.ckpt").write_bytes(host[:-4])
@@ -446,7 +449,7 @@ def test_refused_inputs_leave_no_out_dir(workspace, command, extra, fragment, ki
         b' "kind": "host"}\n' + bytes(16))
     path = workspace / "refused.cfg"
     path.write_text(TINY_HOST + extra.format(ws=workspace), encoding="utf-8")
-    out = workspace / f"refused_{command}"
+    out = tmp_path / "refused"  # its own per row: one row's leftover fails no other
     res = invoke([command, "--config", path, "--out", out])
     assert res.exit_code == 1
     assert_one_line_error(res, fragment, kind=kind)

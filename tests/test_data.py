@@ -61,7 +61,7 @@ def test_parse_task_rejects_garbage():
 @pytest.mark.parametrize("spelling,canonical", [
     ("noise.5", "noise0.5"), ("sr02", "sr2"), ("darken_f0.5_g1.0", "darken_f0.5_g1"),
     ("second_order_s2_sig25.0", "second_order_s2_sig25"), ("noise0.00001", "noise1e-05"),
-    # a spec that degrades like another kind's is spelled as that kind
+    # a spec is spelled by what it does, not by the pattern it was written in
     ("sr1", "noise0"), ("darken_f1_g1", "noise0"), ("second_order_s1_sig0", "noise0"),
     ("second_order_s1_sig25", "noise25"), ("second_order_s2_sig0", "sr2"),
 ])
@@ -202,13 +202,13 @@ def test_degrade_shapes_and_hq_passthrough():
     lq = degrade(img, parse_task("sr2"), 0)
     assert lq.shape == (3, 16, 16)
     assert np.array_equal(img, before)
-    lq = degrade(img, DegradationSpec(kind="noise", sigma=25.0), 4)
+    lq = degrade(img, DegradationSpec(sigma=25.0), 4)
     assert lq.shape == img.shape
 
 
 def test_second_order_is_downsample_then_noise():
     img = synth_image(1, 32)
-    spec = DegradationSpec(kind="second_order", scale=2, sigma=25.0)
+    spec = DegradationSpec(scale=2, sigma=25.0)
     lq = degrade(img, spec, 9)
     expect = add_gaussian_noise(downsample_bicubic(img, 2), 25.0, 9)
     assert np.array_equal(lq, expect)
@@ -216,24 +216,56 @@ def test_second_order_is_downsample_then_noise():
 
 def test_darken_closed_form():
     img = synth_image(2, 16)
-    spec = DegradationSpec(kind="darken", factor=0.2, gamma=1.2)
+    spec = DegradationSpec(factor=0.2, gamma=1.2)
     lq = degrade(img, spec, 0)
     assert np.allclose(lq, np.clip((img * 0.2) ** 1.2, 0, 1), atol=1e-6)
+
+
+# each id's chain written out from the three operators
+CHAINS = {
+    "sr2": lambda img, seed: downsample_bicubic(img, 2),
+    "noise25": lambda img, seed: add_gaussian_noise(img, 25.0, seed),
+    "noise0": lambda img, seed: img.copy(),
+    "second_order_s2_sig25":
+        lambda img, seed: add_gaussian_noise(downsample_bicubic(img, 2), 25.0, seed),
+    "darken_f0.5_g1.2":
+        lambda img, seed: np.clip((img * 0.5) ** 1.2, 0.0, 1.0).astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("task", CHAINS)
+def test_degrade_is_the_explicit_chain(task):
+    img = synth_image(3, 32)
+    lq = degrade(img, parse_task(task), 9)
+    expect = CHAINS[task](img, 9)
+    assert lq.dtype == expect.dtype == np.float32 and not np.shares_memory(lq, img)
+    assert lq.tobytes() == expect.tobytes()
+
+
+def test_a_default_spec_degrades_nothing():
+    assert DegradationSpec() == parse_task("noise0")
 
 
 # -- PPM I/O --------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: DegradationSpec("blur"), "unknown degradation kind 'blur'"),
-    (lambda: DegradationSpec("noise", sigma=-1.0), "sigma must be >= 0, got -1.0"),
-    (lambda: DegradationSpec("noise", scale=2), "noise does not read scale; leave it at 1, got 2"),
-    (lambda: DegradationSpec("sr", scale=2, gamma=1.2),
-     "sr does not read gamma; leave it at 1, got 1.2"),
+    (lambda: DegradationSpec(sigma=-1.0), "sigma must be >= 0, got -1.0"),
+    # darkening is the one mix task_id() cannot spell
+    (lambda: DegradationSpec(scale=2, gamma=1.2),
+     "a spec that darkens neither resamples nor adds noise; got scale 2, sigma 0"),
+    (lambda: DegradationSpec(sigma=25.0, factor=0.5),
+     "a spec that darkens neither resamples nor adds noise; got scale 1, sigma 25"),
+    # used to answer "not canonical; write 'noiseinf'", an id refused in turn
+    (lambda: parse_task("noise1e+999"), "task 'noise1e+999': sigma must be finite, got inf"),
+    (lambda: parse_task("darken_f1e+999_g1"),
+     "task 'darken_f1e+999_g1': factor must be finite, got inf"),
+    (lambda: DegradationSpec(gamma=float("nan")), "gamma must be finite, got nan"),
     (lambda: synth_image(0, 7), "size must be >= 8, got 7"),
     (lambda: downsample_bicubic(np.zeros((3, 9, 8)), 2), "dims 9x8 not divisible by scale 2"),
     (lambda: add_gaussian_noise(np.zeros((3, 8, 8)), -1.0, 0), "sigma must be >= 0"),
-], ids=["spec-kind", "spec-sigma", "spec-unread-scale", "spec-unread-gamma", "synth-size",
+], ids=["spec-sigma", "spec-darken-scale", "spec-darken-sigma", "spec-inf-sigma",
+        "spec-inf-factor", "spec-nan-gamma", "synth-size",
         "bicubic-divisibility", "noise-sigma"])
 def test_data_refusals_are_one_line(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -439,6 +439,22 @@ def test_evaluate_deterministic_and_modes(tiny_frozen):
     assert a != P.evaluate(model, None, "noise25", n=2, seed=6)
 
 
+@pytest.mark.parametrize("task,mode", [
+    ("sr2", "y_channel"), ("noise25", "rgb"), ("noise0", "rgb"),
+    ("second_order_s2_sig25", "y_channel"), ("darken_f0.5_g1.2", "y_channel"),
+])
+def test_evaluate_scores_noise_alone_in_rgb(tiny_frozen, monkeypatch, task, mode):
+    psnr, modes = P.psnr, []
+
+    def recorded_psnr(pred, hq, mode):
+        modes.append(mode)
+        return psnr(pred, hq, mode=mode)
+
+    monkeypatch.setattr(P, "psnr", recorded_psnr)
+    P.evaluate(tiny_frozen[0], None, task, n=2, seed=5)
+    assert modes == [mode, mode]
+
+
 def test_checkpoint_round_trips(tiny_frozen, tmp_path):
     model, _ = tiny_frozen
     P.save_host(tmp_path / "h.ckpt", model)

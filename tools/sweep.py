@@ -81,9 +81,12 @@ MATRIX = [
                                  "--task", "noise25"]),
     ("finetune_adaptir_dump3", ["finetune", "--config", "{dump}", "--out", "{out}",
                                 "--task", TASK, "--epochs", "1"]),
-    # the bare host on one id of each other kind: sr, darken and no degradation
+    # the bare host on one id of each other chain: sr, darken and no degradation
     *[(f"eval_host_{task}", ["eval", "--config", "{run}", "--out", "{out}", "--task", task])
       for task in ("sr2", "darken_f0.5_g1.2", "noise0")],
+    # training batches through the darken branch
+    ("finetune_adaptir_darken", ["finetune", "--config", "{run}", "--out", "{out}",
+                                 "--task", "darken_f0.5_g1.2", "--epochs", "1"]),
     *[(f"ablate_{axes}", ["ablate", "--config", "{run}", "--out", "{out}", "--axes", axes,
                           "--task", TASK, "--epochs", "1"])
       for axes in ("efficiency", "components", "insertion")],
