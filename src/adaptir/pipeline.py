@@ -99,6 +99,8 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.base_lr <= 0:
             raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if np.float32(self.base_lr) == 0:  # every float32 step would be 0
+            raise ConfigError(f"base_lr {self.base_lr} rounds to 0 in float32")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 

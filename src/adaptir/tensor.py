@@ -16,15 +16,17 @@ and the row max and sum, not q, k, v or the probabilities, and its backward
 walks each image's heads one at a time; the MLP keeps only its input and
 recomputes each image's pre-activation, GELU value and slope, so no
 batch-sized q, k, v, score, pre-activation or hidden gradient is ever
-alive.  ``conv2d`` walks its batch in chunks of whole images and keeps its
-input, not its im2col columns, so no batch-sized columns are ever alive
-either.  ``conv_gelu_conv``, the host's head, runs ``conv2d``'s own
-array-level halves around GELU as one node that keeps only its input: its
-backward recomputes conv1's output and GELU's value and slope.  ``gelu`` forms
-Phi(x) one block at a time and keeps one array, its slope.  ``backward``
-walks the nodes once in reverse topological order and consumes them,
-freeing each closure and parent link as it goes; a second ``backward``
-through that graph raises ``ContractError``.
+alive.  Neither keeps a recorded ``layernorm``'s output: that tensor
+carries a rebuild of each image from the x-hat its own node keeps, so a
+normalized input is held once.  ``conv2d`` walks its batch in chunks of
+whole images and keeps its input, not its im2col columns, so no batch-sized
+columns are ever alive either.  ``conv_gelu_conv``, the host's head, runs
+``conv2d``'s own array-level halves around GELU as one node that keeps only
+its input: its backward recomputes conv1's output and GELU's value and
+slope.  ``gelu`` forms Phi(x) one block at a time and keeps one array, its
+slope.  ``backward`` walks the nodes once in reverse topological order and
+consumes them, freeing each closure and parent link as it goes; a second
+``backward`` through that graph raises ``ContractError``.
 
 Conventions fixed here:
 
@@ -117,7 +119,7 @@ class _Node:
 class Tensor:
     """N-dimensional real array participating in the autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_grad_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_fn", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -127,6 +129,8 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._grad_fn: _Node | None = None
+        # image i of ``data``, rebuilt from arrays a recorded op keeps anyway
+        self._rebuild = None
 
     # -- introspection -------------------------------------------------
 
@@ -264,6 +268,15 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
         out._grad_fn = _Node(
             tuple(_graph_node(p) if p.requires_grad else None for p in parents), backward)
     return out
+
+
+def _kept(x: Tensor):
+    """Image ``i`` of ``x.data`` for a backward to read: ``x``'s rebuild
+    when it has one, so the backward keeps nothing of its own for ``x``."""
+    if x._rebuild is not None:
+        return x._rebuild
+    xd = x.data
+    return lambda i: xd[i]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -666,10 +679,11 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Ten
     image's output and input gradient into full-size results, so only one
     image's q, k, v and scores are ever alive.  A block's scores are scaled,
     shifted, exponentiated and normalised in place on one buffer.  The tape
-    keeps ``x`` and the row max and sum, built only when the op is recorded:
-    the backward recomputes each image's q, k and v, and each head's
-    probabilities (and context, when ``wo`` trains) with the forward's own
-    ops, as FlashAttention's backward does.  The backward walks an image's
+    keeps ``x`` (for a recorded ``layernorm``'s output, its rebuild, which
+    reads the layernorm's own x-hat) and the row max and sum, built only
+    when the op is recorded: the backward recomputes each image's q, k and
+    v, and each head's probabilities (and context, when ``wo`` trains) with
+    the forward's own ops, as FlashAttention's backward does.  The backward walks an image's
     heads one at a time on three reused (tokens, tokens) buffers, so no
     (heads, tokens, tokens) array is alive in it.  Every image runs the
     operations of the ``x @ w^T + b`` -> head split -> matmul -> scale ->
@@ -705,6 +719,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Ten
     data += bod
     rx, rwq, rbq, rwk, rbk, rwv, rbv, rwo, rbo = (a.requires_grad for a in (x,) + params)
     need_q, need_k, need_v = rx or rwq or rbq, rx or rwk or rbk, rx or rwv or rbv
+    kept = _kept(x)
 
     def backward(g):
         gx = np.empty((n, t, c), dtype) if rx else None
@@ -721,7 +736,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Ten
         ctx, gq, gv, gkt = (np.empty(s, dtype) for s in ((t, c),) * 3 + ((c, t),))
         dh = c // heads
         for i in range(n):
-            xi, gi = xd[i], g[i]
+            xi, gi = kept(i), g[i]
             q, k, v = (_project(xi, w, b, heads) for w, b in qkv)
             gctx = _split_heads(np.matmul(gi, wod), heads)
             for hd in range(heads):
@@ -773,7 +788,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     Forward and backward walk the batch one image at a time and write each
     image's output and input gradient into full-size results, so no
     whole-batch pre-activation or hidden gradient is ever alive.  The tape
-    keeps only the arrays the forward read and the forward forms GELU's
+    keeps only the arrays the forward read (for a recorded ``layernorm``'s
+    output, its rebuild in place of ``x``) and the forward forms GELU's
     value alone, as under ``no_grad``: the backward recomputes each image's
     pre-activation, value and slope, as gradient checkpointing does.
     Every image runs the operations of the dense -> ``gelu`` -> dense chain
@@ -794,20 +810,21 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     dtype, xd = x.dtype, x.data
     w1d, b1d, w2d, b2d = (w.data for w in params)
 
-    def hidden(i, h, slope):
-        """Image ``i``'s GELU value, over ``h``; its slope into ``slope`` unless None."""
-        np.matmul(xd[i], w1d.T, out=h)
+    def hidden(xi, h, slope):
+        """One image's GELU value, over ``h``; its slope into ``slope`` unless None."""
+        np.matmul(xi, w1d.T, out=h)
         h += b1d
         _gelu_into(h, h, slope)
         return h
 
     h, data = np.empty((t, hid), dtype), np.empty((n, t, cout), dtype)
     for i in range(n):
-        np.matmul(hidden(i, h, None), w2d.T, out=data[i])
+        np.matmul(hidden(xd[i], h, None), w2d.T, out=data[i])
     data += b2d
     rx, rw1, rb1, rw2, rb2 = (a.requires_grad for a in (x,) + params)
     # every gradient but b2's and w2's goes through the pre-activation's
     need_h = rx or rw1 or rb1
+    kept = _kept(x)
 
     def backward(g):
         gx = np.empty((n, t, c), dtype) if rx else None
@@ -816,7 +833,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         gb1 = np.zeros(hid, dtype) if rb1 else None
         h, slope = np.empty((t, hid), dtype), np.empty((t, hid), dtype) if need_h else None
         for i in range(n if need_h or rw2 else 0):
-            value = hidden(i, h, slope)
+            xi = kept(i)
+            value = hidden(xi, h, slope)
             if rw2:
                 gw2 += np.matmul(value.T, g[i])
             if not need_h:
@@ -826,7 +844,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             if rx:
                 np.matmul(gh, w1d, out=gx[i])
             if rw1:
-                gw1 += np.matmul(xd[i].T, gh)
+                gw1 += np.matmul(xi.T, gh)
             if rb1:  # rows added one after another, running on from the last image's sum
                 gh[0] += gb1
                 gh.sum(axis=0, out=gb1)
@@ -837,7 +855,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Layer normalization over the last axis (eps 1e-5) with affine parameters."""
+    """Layer normalization over the last axis (eps 1e-5) with affine parameters.
+
+    When recorded, the tape keeps x-hat and 1/std, and the output carries a
+    rebuild of image ``i`` as ``x_hat[i] * gamma + beta``, the forward's own
+    ops, which ``attention`` and ``mlp`` read in place of keeping the output."""
     _check_dtypes("layernorm", x, gamma, beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
@@ -861,7 +883,11 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             gbeta = g.sum(axis=axes)
         return gx, ggamma, gbeta
 
-    return _node(data, (x, gamma, beta), backward)
+    out = _node(data, (x, gamma, beta), backward)
+    if out._grad_fn is not None:
+        bd = beta.data
+        out._rebuild = lambda i: xhat[i] * gd + bd
+    return out
 
 
 # -- convolution -------------------------------------------------------------

@@ -253,13 +253,16 @@ def test_a_default_host_step_keeps_only_what_backward_reads():
     # image at a time in backward, they were 13.05, 17.6, 12.06 and 15.49 MB.
     # With the head one node that keeps only its image, attention's backward
     # walking one head at a time and no sublayer output outliving its
-    # addition, they are 12.50, 11.81, 11.27 and 15.12 MB
+    # addition, they were 12.50, 11.81, 11.27 and 15.12 MB.  With attention
+    # and the MLP rebuilding their normalized input from the layernorm's kept
+    # x-hat, so the tape holds one normalized array per sublayer, not two,
+    # they are 10.93, 8.27, 8.40 and 11.97 MB
     host = freeze(HostModel(HostConfig()))
     task = "second_order_s2_sig25"
-    for method, bound in (("adaptir", 13.75e6), ("lora", 12.4e6), ("bottleneck", 16.6e6)):
+    for method, bound in (("adaptir", 12.1e6), ("lora", 9.3e6), ("bottleneck", 13.2e6)):
         adapter = P.build_adapter(host.config, method, AdaptIRConfig(channels=host.config.embed))
         assert traced_step_peak(host, adapter, task) <= bound, method
-    assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 13.0e6
+    assert traced_step_peak(HostModel(HostConfig()), None, "sr2") <= 9.1e6
 
 
 def one_step_dtypes(model: HostModel, adapter, params: dict, task: str, monkeypatch) -> list:
@@ -660,6 +663,7 @@ def test_checkpoint_saves_float32_only(tmp_path):
 @pytest.mark.parametrize("changes,fragment", [
     (dict(base_lr=0.0), "base_lr must be > 0, got 0.0"),
     (dict(base_lr=-1.0), "base_lr must be > 0, got -1.0"),
+    (dict(base_lr=1e-320), "base_lr 1e-320 rounds to 0 in float32"),
     (dict(weight_decay=-5.0), "weight_decay must be >= 0, got -5.0"),
     (dict(epochs=0), "epochs must be >= 1, got 0"),
     (dict(batch_size=16, images=8), "batch_size 16 exceeds images 8"),

@@ -500,6 +500,29 @@ HEAD_CASES = {
 CASES = {"attention": ATTENTION_CASES, "mlp": MLP_CASES, "conv_gelu_conv": HEAD_CASES}
 
 
+def on_a_layernorm(fused, chain, make):
+    """A fused op and its chain each fed ``T.layernorm(x, gamma, beta)``, as
+    a host sublayer feeds them: a recorded layernorm hands the fused op's
+    backward its output's rebuild in place of the normalized input."""
+    def normed(op):
+        return lambda x, gamma, beta, *rest: op(T.layernorm(x, gamma, beta), *rest)
+
+    def arrays(rng, dtype, n, t, c):
+        x, *rest = make(rng, dtype, n=n, t=t, c=c)
+        gamma, beta = ((shift + rng.standard_normal(c) / 4).astype(dtype) for shift in (1, 0))
+        return [x, gamma, beta, *rest]
+    return normed(fused), normed(chain), arrays
+
+
+FUSED.update({f"layernorm-{op}": on_a_layernorm(*FUSED[op]) for op in ("attention", "mlp")})
+# each case of the op, with gamma and beta, training or frozen, after x
+CASES.update({f"layernorm-{op}": {
+    f"{name}-affine-{'trains' if affine else 'frozen'}":
+        ([trains[0], affine, affine, *trains[1:]], tuple(j + 2 for j in lora))
+    for name, (trains, lora) in CASES[op].items() for affine in (True, False)}
+    for op in ("attention", "mlp")})
+
+
 @pytest.mark.parametrize("op, trains, lora", [
     (op, *case) for op, cases in CASES.items() for case in cases.values()],
     ids=[f"{op}-{name}" for op, cases in CASES.items() for name in cases])
@@ -521,6 +544,24 @@ def test_fused_op_is_bit_identical_to_the_op_chain(op, trains, lora, dtype):
             # each weight gradient keeps the chain's layout, which B @ A's backward reads
             assert a.strides == b.strides
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("op", ["attention", "mlp"])
+def test_a_normalized_input_is_kept_once(op):
+    # the layernorm keeps x-hat for its own backward; the fused op's backward
+    # rebuilds its input from that x-hat, so the forward leaves x-hat, the
+    # layernorm's 1/std and attention's row max and sum held beside the
+    # output, and no normalized copy
+    fused, _, make = FUSED[f"layernorm-{op}"]
+    args = [Tensor(a, requires_grad=True)
+            for a in make(np.random.default_rng(48), np.float32, n=16, t=64, c=16)]
+    tracemalloc.start()
+    try:
+        out = fused(*args)
+        held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * args[0].data.nbytes  # x-hat plus one normalized copy
 
 
 def test_attention_with_a_nan_image_matches_the_op_chain():
