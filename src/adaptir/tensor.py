@@ -17,16 +17,20 @@ walks each image's heads one at a time; the MLP keeps only its input and
 recomputes each image's pre-activation, GELU value and slope, so no
 batch-sized q, k, v, score, pre-activation or hidden gradient is ever
 alive.  Neither keeps a recorded ``layernorm``'s output: that tensor
-carries a rebuild of each image from the x-hat its own node keeps, so a
-normalized input is held once.  ``conv2d`` walks its batch in chunks of
-whole images and keeps its input, not its im2col columns, so no batch-sized
-columns are ever alive either.  ``conv_gelu_conv``, the host's head, runs
-``conv2d``'s own array-level halves around GELU as one node that keeps only
-its input: its backward recomputes conv1's output and GELU's value and
-slope.  ``gelu`` forms Phi(x) one block at a time and keeps one array, its
-slope.  ``backward`` walks the nodes once in reverse topological order and
-consumes them, freeing each closure and parent link as it goes; a second
-``backward`` through that graph raises ``ContractError``.
+carries a rebuild of each image from the x-hat its own node keeps, a
+recorded ``reshape`` or ``transpose`` that keeps axis 0 as the batch passes
+the rebuild on through its per-image view, and ``conv2d`` keeps an input's
+rebuild in place of its array, so a normalized input is held once, also
+when it reaches a conv as a feature map.  ``conv2d`` walks its batch in
+chunks of whole images, filled one image at a time, and keeps its input,
+not its im2col columns, so no batch-sized columns are ever alive either.
+``conv_gelu_conv``, the host's head, runs ``conv2d``'s own array-level
+halves around GELU as one node that keeps only its input: its backward
+recomputes conv1's output and GELU's value and slope.  ``gelu`` forms Phi(x)
+one block at a time and keeps one array, its slope.  ``backward`` walks the
+nodes once in reverse topological order and consumes them, freeing each
+closure and parent link as it goes; a second ``backward`` through that graph
+raises ``ContractError``.
 
 Conventions fixed here:
 
@@ -556,25 +560,44 @@ def gelu(x: Tensor) -> Tensor:
 # -- shape ops -------------------------------------------------------------
 
 
+def _pass_rebuild(x: Tensor, out: Tensor, keeps_batch: bool, view) -> Tensor:
+    """Give a recorded view ``out`` of ``x`` the rebuild ``view(x's rebuild
+    of image i)`` when the view keeps axis 0 as the batch."""
+    rebuild = x._rebuild
+    if rebuild is not None and keeps_batch and out._grad_fn is not None:
+        out._rebuild = lambda i: view(rebuild(i))
+    return out
+
+
 def reshape(x: Tensor, shape) -> Tensor:
+    """``x``'s data reshaped.  A recorded reshape that keeps the batch
+    (``shape[0] == n``) passes ``x``'s rebuild on, reshaped per image."""
     data = x.data.reshape(shape)
     in_shape = x.shape
 
     def backward(g):
         return (g.reshape(in_shape),)
 
-    return _node(data, (x,), backward)
+    image = data.shape[1:]
+    return _pass_rebuild(x, _node(data, (x,), backward),
+                         data.shape[:1] == in_shape[:1],
+                         lambda xi: xi.reshape(image))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
+    """``x``'s axes permuted.  A recorded transpose that keeps the batch
+    (``axes[0] == 0``) passes ``x``'s rebuild on, permuted per image."""
     axes = tuple(axes)
     data = np.transpose(x.data, axes)
+    axes = tuple(a % x.ndim for a in axes)  # numpy checked them; a negative one counts back
     inv = tuple(np.argsort(axes))
 
     def backward(g):
         return (np.transpose(g, inv),)
 
-    return _node(data, (x,), backward)
+    image = tuple(a - 1 for a in axes[1:])
+    return _pass_rebuild(x, _node(data, (x,), backward), axes[:1] == (0,),
+                         lambda xi: xi.transpose(image))
 
 
 # -- matmul ----------------------------------------------------------------
@@ -857,17 +880,23 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Layer normalization over the last axis (eps 1e-5) with affine parameters.
 
-    When recorded, the tape keeps x-hat and 1/std, and the output carries a
+    The forward forms x-hat in place over ``x - mu``, and one buffer holds
+    first the square the variance reads and then the output, so a forward
+    allocates two arrays of ``x``'s size.  When recorded, the tape keeps
+    x-hat and 1/std, and the output of an ``x`` with a batch axis carries a
     rebuild of image ``i`` as ``x_hat[i] * gamma + beta``, the forward's own
-    ops, which ``attention`` and ``mlp`` read in place of keeping the output."""
+    ops, which ``attention``, ``mlp`` and ``conv2d`` (through ``reshape`` and
+    ``transpose``, which pass it on) read in place of keeping the output."""
     _check_dtypes("layernorm", x, gamma, beta)
+    gd, bd = gamma.data, beta.data
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu  # x - mu, scaled into x-hat in place below
+    data = np.multiply(xhat, xhat)  # the square first, then the output
+    var = data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    data = xhat * gamma.data + beta.data
-    gd = gamma.data
+    xhat *= inv
+    np.multiply(xhat, gd, out=data)
+    data += bd
     rx, rg, rb = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def backward(g):
@@ -884,8 +913,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         return gx, ggamma, gbeta
 
     out = _node(data, (x, gamma, beta), backward)
-    if out._grad_fn is not None:
-        bd = beta.data
+    if out._grad_fn is not None and x.ndim > 1:
         out._rebuild = lambda i: xhat[i] * gd + bd
     return out
 
@@ -911,20 +939,22 @@ def _conv_chunks(shape, k: int, stride: int, itemsize: int):
     return ho, wo, [slice(lo, lo + chunk) for lo in range(0, n, chunk)]
 
 
-def _conv_columns(xd: np.ndarray, k: int, stride: int, groups: int):
+def _conv_columns(image, shape, dtype, k: int, stride: int, groups: int):
     """``columns(c)``: the (images, groups, Cin/groups*K*K, Ho*Wo) columns of
-    the chunk ``xd[c]``, padded in one zero buffer reused across chunks: only
-    its interior is ever written."""
-    n, cin, h, w = xd.shape
+    the chunk ``c`` of an N x Cin x H x W ``shape`` whose image ``i`` is
+    ``image(i)``, padded in one zero buffer reused across chunks: the chunk
+    is filled one image at a time, and only the interior is ever written."""
+    n, cin, h, w = shape
     pad = (k - 1) // 2
-    ho, wo, chunks = _conv_chunks(xd.shape, k, stride, xd.dtype.itemsize)
-    xp = np.zeros((len(xd[chunks[0]]), cin, h + 2 * pad, w + 2 * pad), xd.dtype)
+    ho, wo, chunks = _conv_chunks(shape, k, stride, dtype.itemsize)
+    xp = np.zeros((len(range(n)[chunks[0]]), cin, h + 2 * pad, w + 2 * pad), dtype)
 
     def columns(c: slice) -> np.ndarray:
-        xc = xd[c]
-        xpc = xp[:len(xc)]
-        xpc[:, :, pad:pad + h, pad:pad + w] = xc
-        return _im2col(xpc, k, stride).reshape(len(xc), groups, -1, ho * wo)
+        images = range(n)[c]
+        xpc = xp[:len(images)]
+        for j, i in enumerate(images):
+            xpc[j, :, pad:pad + h, pad:pad + w] = image(i)
+        return _im2col(xpc, k, stride).reshape(len(images), groups, -1, ho * wo)
 
     return columns
 
@@ -934,7 +964,7 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, groups: int, stride: int) -> n
     n = len(xd)
     cout, cin_g, k, _ = wd.shape
     ho, wo, chunks = _conv_chunks(xd.shape, k, stride, xd.dtype.itemsize)
-    columns = _conv_columns(xd, k, stride, groups)
+    columns = _conv_columns(xd.__getitem__, xd.shape, xd.dtype, k, stride, groups)
     out = np.empty((n, cout, ho, wo), xd.dtype)
     out4 = out.reshape(n, groups, cout // groups, ho * wo)
     w2 = wd.reshape(groups, cout // groups, cin_g * k * k)
@@ -964,15 +994,16 @@ def _conv_input_grad(g: np.ndarray, wd: np.ndarray, shape, groups: int,
     return gxp[:, :, pad:pad + h, pad:pad + w]
 
 
-def _conv_weight_grad(g: np.ndarray, xd: np.ndarray, k: int, groups: int,
+def _conv_weight_grad(g: np.ndarray, image, shape, k: int, groups: int,
                       stride: int) -> np.ndarray:
-    """The gradient of ``_conv_forward`` for its K x K weight: each chunk's
-    images' products, added up in batch order as a sum over the batch axis
-    adds them."""
+    """The gradient of ``_conv_forward`` for its K x K weight, over an input
+    of ``shape`` whose image ``i`` is ``image(i)``: each chunk's images'
+    products, added up in batch order as a sum over the batch axis adds
+    them."""
     n, cout = g.shape[:2]
     gl = g.reshape(n, groups, cout // groups, -1)
-    _, _, chunks = _conv_chunks(xd.shape, k, stride, xd.dtype.itemsize)
-    columns = _conv_columns(xd, k, stride, groups)
+    _, _, chunks = _conv_chunks(shape, k, stride, g.dtype.itemsize)
+    columns = _conv_columns(image, shape, g.dtype, k, stride, groups)
     gw = None
     for c in chunks:
         part = np.matmul(gl[c], np.swapaxes(columns(c), -1, -2))
@@ -994,7 +1025,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     im2col columns fit in ``_CONV_BLOCK_BYTES``, so only one chunk's columns
     are ever alive.  The tape keeps the input only when the weight trains
     and the weight only when the input does; the backward rebuilds each
-    chunk's columns from the kept input.  Each image's products are the
+    chunk's columns from the kept input, read one image at a time through
+    ``_kept``, so an input that carries a rebuild (a recorded
+    ``layernorm``'s output, or a batch-keeping view of it) is kept as that
+    rebuild and not as an array.  Each image's products are the
     whole batch's, and the weight gradient adds them up in batch order, as
     a sum over the batch axis does, so every value and gradient is
     bit-identical to the whole-batch form.  ``conv_gelu_conv`` runs on the
@@ -1024,13 +1058,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     rx, rw, rb = x.requires_grad, w.requires_grad, has_bias and bias.requires_grad
     # the input is kept only for the weight gradient, the weight only for
     # the input gradient; neither the padded input nor its columns are kept
-    xd = x.data if rw else None
+    kept_x = _kept(x) if rw else None
     kept_w = w.data if rx else None
     shape = x.shape
 
     def backward(g):
         gx = _conv_input_grad(g, kept_w, shape, groups, stride) if rx else None
-        gw = _conv_weight_grad(g, xd, k, groups, stride) if rw else None
+        gw = _conv_weight_grad(g, kept_x, shape, k, groups, stride) if rw else None
         if not has_bias:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)) if rb else None)
@@ -1080,7 +1114,7 @@ def conv_gelu_conv(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         gx = gw1 = gb1 = gw2 = None
         slope = np.empty(hshape, xd.dtype) if need_h else None
         if rw2:
-            gw2 = _conv_weight_grad(g, hidden(slope), k2, 1, stride)
+            gw2 = _conv_weight_grad(g, hidden(slope).__getitem__, hshape, k2, 1, stride)
         elif need_h:
             hidden(slope)
         if need_h:
@@ -1089,7 +1123,7 @@ def conv_gelu_conv(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             if rx:
                 gx = _conv_input_grad(gh, w1d, xd.shape, 1, 1)
             if rw1:
-                gw1 = _conv_weight_grad(gh, xd, k1, 1, 1)
+                gw1 = _conv_weight_grad(gh, xd.__getitem__, xd.shape, k1, 1, 1)
             if rb1:
                 gb1 = gh.sum(axis=(0, 2, 3))
         return gx, gw1, gb1, gw2, g.sum(axis=(0, 2, 3)) if rb2 else None

@@ -5,6 +5,7 @@ counts the pairs each side won."""
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 AB = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
@@ -73,3 +74,31 @@ def test_the_summary_counts_the_pairs_the_change_won():
     value = 56.66351263852826
     assert ab.quartiles([value, value]) == {
         "median": value, "q1": value, "q3": value, "spread": 0.0, "n": 2}
+
+
+def test_a_tiny_same_process_a_a_gives_finite_ratios(tmp_path):
+    ab = load_ab()
+    trees = {side: ab.copy_working_tree(tmp_path / side) for side in ab.SIDES}
+    packages = ab.load_packages(trees, tmp_path / "packages")
+    try:
+        assert {side: pkg.__name__ for side, pkg in packages.items()} == {
+            "parent": "adaptir_parent", "change": "adaptir_change",
+            "control": "adaptir_control"}
+        # each side runs its own copy of the code
+        assert len({pkg.tensor.Tensor for pkg in packages.values()}) == 3
+        lines = []
+        result = ab.step_ab(packages, rounds=2, batch=2, log=lines.append,
+                            host={"embed": 32, "layers": 1, "heads": 2, "mlp_ratio": 1})
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in
+                     {pkg.__name__ for pkg in packages.values()}]:
+            del sys.modules[name]
+    assert lines == ["round 1/2", "round 2/2"]
+    assert set(result) == set(ab.STEP_TASKS)
+    for m in result.values():
+        assert all(m["median_s"][side] > 0 for side in ab.SIDES)
+        for stats in (m["ratio"], m["control"]):
+            assert stats["n"] == 2 and stats["q1"] <= stats["median"] <= stats["q3"]
+            assert all(math.isfinite(v) for v in stats.values())
+        assert isinstance(m["outside_control"], bool)
+    assert "change/parent" in ab.render_steps(result)

@@ -12,6 +12,7 @@ import pytest
 
 from adaptir import tensor as T
 from adaptir.fft import ComplexSpectrum, irfft2, rfft2
+from adaptir.host import _tokens_to_map
 from adaptir.tensor import Tensor, ShapeError, ContractError, finite_diff_grad, no_grad
 
 
@@ -333,6 +334,9 @@ def test_reshape_transpose_grads():
     cot = Tensor(rng.standard_normal((4, 2, 3)))
     fd_check(lambda t: T.tsum(T.reshape(t, (4, 6)) * 2.0), Tensor(x))
     fd_check(lambda t: T.tsum(T.transpose(t, (2, 0, 1)) * cot), Tensor(x))
+    # a negative axis counts back from the last, in the gradient too
+    cot = Tensor(rng.standard_normal((2, 4, 3)))
+    fd_check(lambda t: T.tsum(T.transpose(t, (0, -1, 1)) * cot), Tensor(x))
 
 
 def test_depth_to_space_matches_pixel_shuffle_oracle():
@@ -515,6 +519,30 @@ def on_a_layernorm(fused, chain, make):
 
 
 FUSED.update({f"layernorm-{op}": on_a_layernorm(*FUSED[op]) for op in ("attention", "mlp")})
+
+
+def down_conv(plain):
+    """AdaptIR's parallel down conv on a layernorm's output, as
+    ``AdapterStack`` feeds it: tokens to a map, then a 1x1 ``conv2d``.  With
+    ``plain`` the norm's output first goes through ``* 1.0``, which leaves
+    every bit and gradient as it is and carries no rebuild, so the conv keeps
+    the map's array."""
+    def op(x, gamma, beta, w, b):
+        y = T.layernorm(x, gamma, beta)
+        side = math.isqrt(x.shape[1])
+        fmap = _tokens_to_map(y * 1.0 if plain else y, side, side)
+        assert (fmap._rebuild is None) == (plain or not T._records(x, gamma, beta))
+        return T.conv2d(fmap, w, b)
+    return op
+
+
+def down_conv_arrays(rng, dtype, n, t, c):
+    """x, the norm's gamma and beta and a 1x1 down conv to c/2 channels."""
+    shapes = [(n, t, c), (c,), (c,), (c // 2, c, 1, 1), (c // 2,)]
+    return [(rng.standard_normal(s) / math.sqrt(s[-1] if i < 3 else c) + (i == 1))
+            .astype(dtype) for i, s in enumerate(shapes)]
+
+
 # each case of the op, with gamma and beta, training or frozen, after x
 CASES.update({f"layernorm-{op}": {
     f"{name}-affine-{'trains' if affine else 'frozen'}":
@@ -546,15 +574,17 @@ def test_fused_op_is_bit_identical_to_the_op_chain(op, trains, lora, dtype):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("op", ["attention", "mlp"])
-def test_a_normalized_input_is_kept_once(op):
+@pytest.mark.parametrize("fused, plain, make", [
+    FUSED["layernorm-attention"], FUSED["layernorm-mlp"],
+    (down_conv(False), down_conv(True), down_conv_arrays)], ids=["attention", "mlp", "conv2d"])
+def test_a_normalized_input_is_kept_once(fused, plain, make):
     # the layernorm keeps x-hat for its own backward; the fused op's backward
-    # rebuilds its input from that x-hat, so the forward leaves x-hat, the
-    # layernorm's 1/std and attention's row max and sum held beside the
-    # output, and no normalized copy
-    fused, _, make = FUSED[f"layernorm-{op}"]
-    args = [Tensor(a, requires_grad=True)
-            for a in make(np.random.default_rng(48), np.float32, n=16, t=64, c=16)]
+    # rebuilds its input from that x-hat (the conv's through the views that
+    # make its map), so the forward leaves x-hat, the layernorm's 1/std and
+    # attention's row max and sum held beside the output, and no normalized
+    # copy
+    arrays = make(np.random.default_rng(48), np.float32, n=16, t=64, c=16)
+    args = [Tensor(a, requires_grad=True) for a in arrays]
     tracemalloc.start()
     try:
         out = fused(*args)
@@ -562,6 +592,44 @@ def test_a_normalized_input_is_kept_once(op):
     finally:
         tracemalloc.stop()
     assert held < 2 * args[0].data.nbytes  # x-hat plus one normalized copy
+    # and the backward that reads the rebuild gives the plain graph's bits
+    g = np.random.default_rng(49).standard_normal(out.shape).astype(np.float32)
+    got, want = (run_with_grads(f, arrays, [True] * len(arrays), (), g) for f in (fused, plain))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_a_batch_keeping_view_passes_the_rebuild_on():
+    rng = np.random.default_rng(50)
+    x, gamma, beta = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                      for s in ((3, 16, 8), (8,), (8,)))
+    y = T.layernorm(x, gamma, beta)
+    fmap = _tokens_to_map(y, 4, 4)  # a transpose, then a reshape
+    for view in (y, T.transpose(y, (0, 2, 1)), fmap, T.reshape(fmap, (3, -1)),
+                 T.transpose(y, (-3, -1, -2))):
+        assert view._rebuild is not None
+        for i in range(3):
+            image = view._rebuild(i)
+            assert image.dtype == np.float32 and np.array_equal(image, view.data[i])
+
+
+def test_a_view_that_moves_the_batch_carries_no_rebuild():
+    rng = np.random.default_rng(51)
+    x, gamma, beta = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                      for s in ((2, 6, 4), (4,), (4,)))
+    y = T.layernorm(x, gamma, beta)
+    for view in (T.reshape(y, (12, 4)), T.reshape(y, (6, 2, 4)), T.reshape(y, (-1,)),
+                 T.transpose(y, (1, 0, 2)), T.transpose(y, (2, 1, 0))):
+        assert view._rebuild is None, view.shape
+    # nor does an op that records no node, or a norm that records none
+    with no_grad():
+        assert T.transpose(y, (0, 2, 1))._rebuild is None
+        assert T.layernorm(x, gamma, beta)._rebuild is None
+    frozen = T.layernorm(*(Tensor(t.data) for t in (x, gamma, beta)))
+    assert frozen._rebuild is None
+    assert T.transpose(frozen, (0, 2, 1))._rebuild is None
+    # a single normalized vector has no batch axis, so no image to rebuild
+    assert T.layernorm(Tensor(x.data[0, 0], requires_grad=True), gamma, beta)._rebuild is None
 
 
 def test_attention_with_a_nan_image_matches_the_op_chain():
@@ -828,6 +896,23 @@ def test_conv2d_in_chunks_is_bit_identical_to_the_whole_batch(monkeypatch, dtype
     got = (out.data,) + tuple(out._backward(g))
     for have, want in zip(got, conv2d_whole_batch(x, w, b, g, groups, stride)):
         assert have.dtype == dtype and np.array_equal(have, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_reads_a_rebuild_in_chunks_as_it_reads_data(monkeypatch, dtype):
+    # five images in chunks of 2 + 2 + 1: each chunk is filled one image at a
+    # time from the rebuild, and the weight gradient adds them up in order
+    n, t, c = 5, 16, 8
+    monkeypatch.setattr(T, "_CONV_BLOCK_BYTES", 2 * c * t * np.dtype(dtype).itemsize)
+    arrays = down_conv_arrays(np.random.default_rng(52), dtype, n=n, t=t, c=c)
+    g = np.random.default_rng(53).standard_normal((n, c // 2, 4, 4)).astype(dtype)
+    for trains in ([True] * 5, [True, False, False, True, False], [False, True, True, True, True]):
+        got, want = (run_with_grads(down_conv(plain), arrays, trains, (), g)
+                     for plain in (False, True))
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
 
 
 def test_conv2d_never_holds_the_whole_batch_of_columns():

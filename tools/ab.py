@@ -1,7 +1,8 @@
-"""End-to-end A/B benchmark: run a parent revision's benchmark and the
-working tree's in alternating pairs, and write one ``BENCH_<label>.json``.
+"""A/B benchmark of a parent revision against the working tree: end to end
+in alternating pairs of benchmark runs, or step by step in one process.
 
     python3 tools/ab.py --parent <rev> --label <L> [--pairs N] [--workloads W ...]
+    python3 tools/ab.py --parent <rev> --step
 
 ``<rev>``'s ``src``, ``perfbench`` and ``BENCHMARK.json`` are exported with
 ``git archive``; the change side is a copy of the same three from the
@@ -20,6 +21,21 @@ each side's median and quartiles, the quartile spread over the median, the
 pairs the change won and whether the medians lie further apart than the
 parent's quartiles.  The command exits 1 if a run failed and 2 if the parent
 cannot be exported.
+
+``--step`` times training steps in one process, where the end-to-end runs
+cannot resolve a few percent.  Each tree's ``src/adaptir`` is copied into a
+temporary directory as its own package (``adaptir_parent``,
+``adaptir_change`` and ``adaptir_control``, a second copy of the change),
+and each builds the same default host, AdaptIR adapter and batch of 8.  Each
+of 40 rounds times one AdaptIR fine-tune step and one pretrain step (one
+batch through each tree's own ``pipeline._fit``) on the parent and the
+change, and on the change and its copy, each pair in the order the round's
+parity gives.  It prints, per step, each side's median time, the
+change/parent ratio's median and quartiles and, beside it, the A/A
+control's: the copy over the change.
+Identical code reads a percent or two apart in one process, so a change is
+resolved only when its ratio's median lies outside the control's quartiles.
+BLAS is pinned to one thread, as the benchmark pins it.
 """
 
 from __future__ import annotations
@@ -27,6 +43,7 @@ from __future__ import annotations
 import argparse
 import compileall
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -35,6 +52,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +61,13 @@ REPO = Path(__file__).resolve().parent.parent
 TREE = ("src", "perfbench", "BENCHMARK.json")
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 900
+STEP_ROUNDS = 40
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# each timed step and its task: the benchmark's fine-tune task, and a
+# pretrain task every default host lists
+STEP_TASKS = {"finetune-adaptir": "second_order_s2_sig25", "pretrain": "sr2"}
+# the pairs each round times, as (A, B) for the ratio B/A
+STEP_PAIRS = (("parent", "change"), ("change", "control"))
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -212,16 +237,108 @@ def render(summary: dict) -> str:
     return "\n".join(lines)
 
 
+def load_packages(trees: dict[str, Path], dest: Path) -> dict:
+    """Each tree's ``src/adaptir`` copied into ``dest`` as ``adaptir_<side>``,
+    the change's a second time as ``adaptir_control``, and imported."""
+    sources = {**trees, "control": trees["change"]}
+    for side, tree in sources.items():
+        shutil.copytree(tree / "src" / "adaptir", dest / f"adaptir_{side}",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+    sys.path.insert(0, str(dest))
+    try:
+        return {side: importlib.import_module(f"adaptir_{side}") for side in sources}
+    finally:
+        sys.path.remove(str(dest))
+
+
+def training_step(P, model, adapter, task: str, batch: int):
+    """A call that runs package ``P``'s training recipe, ``_fit``, for one
+    step on one batch of ``batch`` ``task`` images, which are made once;
+    ``adapter`` None trains every host parameter."""
+    runs = [P._train_run(task, 0, batch)]
+    train = P.TrainConfig(epochs=1, images=batch, batch_size=batch)
+    return lambda: P._fit(model, adapter, runs, train)
+
+
+def step_fixtures(pkg, host: dict, batch: int) -> dict:
+    """One package's timed steps by name, each on its own host built from
+    the ``HostConfig`` fields ``host``: a frozen one under a default AdaptIR
+    adapter, and one that pretrains."""
+    P, H = pkg.pipeline, pkg.host
+    config = H.HostConfig(**host)
+    adapter = P.build_adapter(config, "adaptir", pkg.AdaptIRConfig(channels=config.embed))
+    return {"finetune-adaptir": training_step(P, H.freeze(H.HostModel(config)), adapter,
+                                              STEP_TASKS["finetune-adaptir"], batch),
+            "pretrain": training_step(P, H.HostModel(config), None, STEP_TASKS["pretrain"],
+                                      batch)}
+
+
+def step_ab(packages: dict, rounds: int, host: dict | None = None, batch: int = 8,
+            log=print) -> dict:
+    """Per step: each side's median seconds, and the quartiles of the ratio
+    change/parent and of the control's change-copy/change over ``rounds``
+    rounds, after one untimed warm-up step on each side."""
+    steps = {side: step_fixtures(pkg, host or {}, batch) for side, pkg in packages.items()}
+    for fixtures in steps.values():
+        for step in fixtures.values():
+            step()
+    times = {(name, pair, side): [] for name in STEP_TASKS for pair in STEP_PAIRS
+             for side in pair}
+    for r in range(1, rounds + 1):
+        for name in STEP_TASKS:
+            for pair in STEP_PAIRS:
+                for side in pair if r % 2 else pair[::-1]:
+                    start = time.perf_counter()
+                    steps[side][name]()
+                    times[name, pair, side].append(time.perf_counter() - start)
+        log(f"round {r}/{rounds}")
+    out = {}
+    for name in STEP_TASKS:
+        ratios = {}
+        for pair in STEP_PAIRS:
+            a, b = (times[name, pair, side] for side in pair)
+            ratios[pair] = quartiles([tb / ta for ta, tb in zip(a, b)])
+        ratio, control = ratios[STEP_PAIRS[0]], ratios[STEP_PAIRS[1]]
+        out[name] = {
+            "median_s": {side: float(np.median(times[name, STEP_PAIRS[0], side]))
+                         for side in SIDES},
+            "ratio": ratio, "control": control,
+            "outside_control": not control["q1"] <= ratio["median"] <= control["q3"]}
+    return out
+
+
+def render_steps(result: dict) -> str:
+    lines = []
+    for name, m in result.items():
+        r, c, t = m["ratio"], m["control"], m["median_s"]
+        lines.append(
+            f"{name} step: parent {1e3 * t['parent']:.1f} ms, change {1e3 * t['change']:.1f} ms;"
+            f" change/parent {r['median']:.4f} [{r['q1']:.4f}, {r['q3']:.4f}]"
+            f" against A/A {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}] over {r['n']}"
+            f" rounds: {'outside' if m['outside_control'] else 'inside'} the control's quartiles")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--label", help="writes BENCH_<label>.json (end to end)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", nargs="+",
                         help="default: every workload BENCHMARK.json lists")
+    parser.add_argument("--step", action="store_true",
+                        help="time training steps in one process instead")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if not args.step and args.label is None:
+        parser.error("--label is required unless --step is given")
+    if args.step and any(os.environ.get(v) != "1" for v in BLAS_VARS):
+        # numpy reads the pin when it loads, so the timing process starts anew
+        env = {**os.environ, **dict.fromkeys(BLAS_VARS, "1")}
+        cmd = [sys.executable, str(Path(__file__).resolve())]
+        return subprocess.run(cmd + (sys.argv[1:] if argv is None else list(argv)),
+                              env=env).returncode
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -234,6 +351,13 @@ def main(argv=None) -> int:
             print(f"{' '.join(exc.cmd[3:])} failed: {exc.stderr.decode().strip()}",
                   file=sys.stderr)
             return 2
+        if args.step:
+            packages = load_packages(trees, tmp / "packages")
+            print(f"parent {ident['parent']['sha'][:7]}, change on HEAD"
+                  f" {ident['change']['head'][:7]}{' (dirty)' if ident['change']['dirty'] else ''}")
+            print(render_steps(step_ab(packages, STEP_ROUNDS,
+                                       log=lambda line: print(line, flush=True))))
+            return 0
         out = REPO / f"BENCH_{args.label}.json"
         bench = ab(trees, out, args.label, ident, workloads, args.pairs, spec["run_seconds"],
                    log=lambda line: print(line, flush=True))
